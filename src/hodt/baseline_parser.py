@@ -108,17 +108,6 @@ def score_matrix(model, table):
     return model.weights[table].sum(axis=2)
 
 
-def decode_projective(scores):
-    """Best single-root projective tree; heads[i] is the head of word
-    i+1.  Returns (heads, total score)."""
-    return eisner_decode(scores)
-
-
-def decode_nonprojective(scores):
-    """Best single-root arborescence, projectivity not required."""
-    return cle_decode(scores)
-
-
 def _gold_items(treebank):
     items = []
     for tree in treebank:

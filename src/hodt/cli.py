@@ -351,26 +351,38 @@ def cmd_parse(args):
 
 # --- evaluation -------------------------------------------------------------
 
+def _aligned(score, gold, pred, *args):
+    """score(gold, pred, ...), with corpus misalignment as a user error."""
+    try:
+        return score(gold, pred, *args)
+    except ValueError as exc:
+        raise ToolkitError(str(exc)) from None
+
+
 def cmd_eval(args):
     gold_text = _read_input(args.gold)
     pred_text = _read_input(args.pred)
-    fmt = args.format or _sniff_format(gold_text)
+    gold_fmt = args.format or _sniff_format(gold_text)
+    pred_fmt = args.format or _sniff_format(pred_text)
+    if (gold_fmt == 'conll') != (pred_fmt == 'conll'):
+        raise ToolkitError(
+            f'cannot score {pred_fmt} predictions against {gold_fmt} gold')
     punct = _split_csv(args.punct_pos)
-    if fmt == 'conll':
+    if gold_fmt == 'conll':
         gold = read_conll(gold_text, args.gold)
         pred = read_conll(pred_text, args.pred)
-        uas, las = attachment_scores(gold, pred, punct)
+        uas, las = _aligned(attachment_scores, gold, pred, punct)
         report = {'kind': 'attachment', 'sentences': len(gold),
                   'uas': uas, 'las': las}
         print(f'# UAS {uas:.4f}  LAS {las:.4f} '
               f'over {len(gold)} sentences', file=sys.stderr)
     else:
         rules = LEFTMOST  # head choice is irrelevant to bracket scoring
-        gold = _load_trees(gold_text, fmt, rules, args.gold)
-        pred = _load_trees(pred_text, fmt, rules, args.pred)
+        gold = _load_trees(gold_text, gold_fmt, rules, args.gold)
+        pred = _load_trees(pred_text, pred_fmt, rules, args.pred)
         cfg = EvalConfig(punctuation_pos=punct,
                          ignore_root_labels=_split_csv(args.ignore_root))
-        scores = evalb(gold, pred, cfg)
+        scores = _aligned(evalb, gold, pred, cfg)
         report = {'kind': 'brackets'}
         report.update(scores.to_dict())
         print(f'# P {scores.precision:.4f}  R {scores.recall:.4f}  '

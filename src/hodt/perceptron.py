@@ -18,7 +18,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .errors import ModelFormatError
-from .rng import GAMMA, MASK64, mix64
+from .rng import GAMMA, MASK64
 
 DIM_BITS = 22
 
@@ -84,11 +84,6 @@ class LinearModel:
     def score(self, hashes):
         return float(self.weights[self.indices(hashes)].sum())
 
-    def score_rows(self, digest_matrix):
-        """Row sums of weights over a matrix of digests."""
-        idx = (digest_matrix & np.uint64(self.mask)).astype(np.intp)
-        return self.weights[idx].sum(axis=1)
-
     def to_json(self):
         nonzero = np.nonzero(self.weights)[0]
         return json.dumps({
@@ -151,12 +146,3 @@ class AveragedTrainer:
         if self._tick:
             self.model.weights -= self._totals / self._tick
         return self.model
-
-
-def mixdown(parts):
-    """One 64-bit key from several small non-negative ints (feature-id
-    packing for grids that conjoin more than one thing)."""
-    acc = 0
-    for p in parts:
-        acc = mix64((acc + p + 1) * GAMMA & MASK64)
-    return acc

@@ -94,7 +94,10 @@ def dtree_to_ctree(dtree, stats=None):
 
 @dataclass
 class RepairStats:
-    """What recover_order had to change; all zero on already-valid input."""
+    """What recover_order had to change; all zero on already-valid input.
+
+    tokens_changed counts the modifiers that at least one repair touched,
+    so it is zero exactly when total() is and never exceeds it."""
     labels_changed: int = 0
     indices_lowered: int = 0
     indices_clamped: int = 0
@@ -119,17 +122,17 @@ def recover_order(tree, continuous_mode=False):
     stats = RepairStats()
     mods = {}
     given = {}
+    index = {}
     for m, h in enumerate(heads, 1):
         if h == 0:
             continue
         label, idx = tree.labels[m - 1]
         idx = int(idx)
         if idx < 1:
-            idx = 1
             stats.indices_clamped += 1
         mods.setdefault(h, []).append(m)
         given[m] = (label, idx)
-    index = {m: given[m][1] for m in given}
+        index[m] = max(idx, 1)
     arcs = []
     for h in sorted(mods):
         positions = mods[h]
@@ -154,11 +157,11 @@ def recover_order(tree, continuous_mode=False):
             for m in members:
                 if given[m][0] != label:
                     stats.labels_changed += 1
+                # compaction to 1..J keeps the order, so it is no repair
+                if given[m] != (label, index[m]):
+                    stats.tokens_changed += 1
                 arcs.append(Arc(h, m, label, ranks[j]))
     result = HeadOrderedDTree.from_arcs(tree.sentence, arcs, tree.root())
-    final = {arc.modifier: (arc.label, arc.order_index) for arc in result.arcs}
-    stats.tokens_changed = sum(
-        1 for m, pair in given.items() if final[m] != pair)
     return result, stats
 
 

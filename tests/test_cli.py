@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 
 import pytest
 
@@ -171,6 +172,44 @@ def test_eval_brackets_identity(toy_file, capsys):
     assert 'F1 1.0000' in err
 
 
+@pytest.mark.parametrize('pred_format', ['json', 'export'])
+def test_eval_sniffs_each_file(tmp_path, toy_file, capsys, pred_format):
+    # the same trees as bracketed gold and a prediction in another format
+    pred = tmp_path / ('pred.' + pred_format)
+    code, _, _ = _run(capsys, 'gen', '--kind', 'toy', '-n', '30',
+                      '--seed', '1', '--format', pred_format,
+                      '-o', str(pred))
+    assert code == 0
+    code, out, err = _run(capsys, 'eval', toy_file, str(pred))
+    assert code == 0, err
+    assert json.loads(out)['f1'] == 1.0
+    code, out, err = _run(capsys, 'eval', str(pred), toy_file)
+    assert code == 0, err
+    assert json.loads(out)['f1'] == 1.0
+
+
+def test_eval_misaligned_is_a_user_error(tmp_path, toy_file, capsys):
+    short = tmp_path / 'short.brackets'
+    code, _, _ = _run(capsys, 'gen', '--kind', 'toy', '-n', '12',
+                      '--seed', '1', '-o', str(short))
+    assert code == 0
+    code, out, err = _run(capsys, 'eval', toy_file, str(short))
+    assert code == 1
+    assert out == ''
+    assert err.startswith('error:') and 'Traceback' not in err
+
+
+def test_eval_rejects_trees_against_conll(tmp_path, toy_file, capsys):
+    code, out, _ = _run(capsys, 'convert', '-i', toy_file,
+                        '--head-rules', 'toy')
+    assert code == 0
+    dep = tmp_path / 'gold.conll'
+    dep.write_text(out)
+    code, _, err = _run(capsys, 'eval', str(dep), toy_file)
+    assert code == 1
+    assert err.startswith('error:')
+
+
 def test_eval_conll_identity(tmp_path, toy_file, capsys):
     code, out, _ = _run(capsys, 'convert', '-i', toy_file,
                         '--head-rules', 'toy')
@@ -249,6 +288,10 @@ def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
     code, _, err = _run(capsys, 'parse', '-m', str(bundle), '-i', str(dep),
                         '--format', 'bracketed', '-o', str(pred))
     assert code == 0, err
+    # the summary counts only tokens that a repair changed
+    repaired, tokens = map(int, re.search(
+        r'(\d+) sentences repaired \((\d+) tokens\)', err).groups())
+    assert (repaired == 0) == (tokens == 0)
     code, out, _ = _run(capsys, 'eval', toy_file, str(pred))
     assert code == 0
     assert json.loads(out)['f1'] > 0.9

@@ -3,8 +3,7 @@ import pytest
 
 from hodt.errors import ModelFormatError
 from hodt.perceptron import (AveragedTrainer, LinearModel, conjoin,
-                             conjoin_grid, feature_hash, hash_features,
-                             mixdown)
+                             conjoin_grid, feature_hash, hash_features)
 from hodt.rng import Rng
 
 
@@ -99,13 +98,6 @@ def test_model_load_rejects_garbage(tmp_path):
     bad.write_text('{"kind": "other"}', encoding='utf-8')
     with pytest.raises(ModelFormatError):
         LinearModel.load(str(bad))
-
-
-def test_mixdown_packs_keys():
-    assert mixdown([1, 2]) == mixdown([1, 2])
-    assert mixdown([1, 2]) != mixdown([2, 1])
-    assert mixdown([0]) != mixdown([])
-    assert 0 <= mixdown([7, 7, 7]) < 2 ** 64
 
 
 def test_rng_determinism_and_streams():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
@@ -134,6 +135,7 @@ def test_recover_order_clamps_and_compacts():
     assert idx[1] == 1          # clamped up from 0
     assert idx[3] == 2          # compacted down from 9
     assert stats.indices_clamped == 1
+    assert stats.tokens_changed == 1  # compaction keeps the order
     assert validate(hodt) == []
 
 
@@ -157,6 +159,23 @@ def test_recover_order_idempotent():
         again, stats_again = recover_order(_as_decoded(once))
         assert stats_again.total() == 0
         assert arc_set(again) == arc_set(once)
+
+
+def test_recover_order_token_count_agrees_with_repairs():
+    rng = np.random.default_rng(3)
+    cfg = GenConfig(seed=13, discontinuity_probability=0.3)
+    for i in range(300):
+        tree = gen_ctree(cfg, 2 + i % 7, index=i)
+        heads = ctree_to_dtree(tree).heads()
+        pairs = tuple(
+            None if h == 0 else ('ABC'[rng.integers(3)],
+                                 int(rng.integers(-2, 6)))
+            for h in heads)
+        dec = DTree(tree.sentence, heads, pairs)
+        for continuous in (False, True):
+            _, stats = recover_order(dec, continuous_mode=continuous)
+            assert (stats.tokens_changed == 0) == (stats.total() == 0)
+            assert stats.tokens_changed <= stats.total()
 
 
 def test_conversion_visit_count_is_linear():
