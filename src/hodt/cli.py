@@ -34,7 +34,7 @@ from .reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
 from .treebank_io import (read_bracketed, read_conll, read_export,
                           read_json_corpus, write_bracketed, write_conll,
                           write_export, write_json_corpus)
-from .trees import DTree, Sentence, Token, strip_unaries, validate
+from .trees import CTree, DTree, Sentence, Token, strip_unaries, validate
 from .unary_recovery import extract_instances, recover, train_unary
 
 ENCODINGS = ('direct', 'delta', 'hn')
@@ -100,16 +100,23 @@ def _resolve_rules(spec):
         "leftmost, rightmost, toy, collins-english")
 
 
-def _load_trees(text, fmt, rules, path):
+def _read_trees(text, fmt, path):
+    """Raw trees from bracketed or export text, CTrees from json."""
     if fmt == 'bracketed':
-        raw = read_bracketed(text, path)
-    elif fmt == 'export':
-        raw = read_export(text, path)
-    elif fmt == 'json':
+        return read_bracketed(text, path)
+    if fmt == 'export':
+        return read_export(text, path)
+    if fmt == 'json':
         return read_json_corpus(text, path)
-    else:
-        raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
-    return [lexicalize(t, rules) for t in raw]
+    raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
+
+
+def _lexicalize(tree, rules):
+    return tree if isinstance(tree, CTree) else lexicalize(tree, rules)
+
+
+def _load_trees(text, fmt, rules, path):
+    return [_lexicalize(t, rules) for t in _read_trees(text, fmt, path)]
 
 
 def _write_trees(trees, fmt, path):
@@ -126,12 +133,42 @@ def _split_csv(arg):
     return frozenset(s for s in (arg or '').split(',') if s)
 
 
+def _positive_int(arg):
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'not an integer: {arg!r}') from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f'must be at least 1, got {value}')
+    return value
+
+
+# (fn, items) of the running _pmap; fork-started workers inherit it
+_WORK = None
+
+
+def _run(i):
+    fn, items = _WORK
+    return fn(items[i])
+
+
 def _pmap(fn, items, jobs):
-    if jobs > 1 and len(items) > 1:
-        from multiprocessing import get_context
-        with get_context('fork').Pool(jobs) as pool:
-            return pool.map(fn, items)
-    return [fn(item) for item in items]
+    """[fn(item) for item in items] over at most `jobs` forked workers.
+
+    The workers inherit fn and items, which may hold whole models; only
+    item indices are sent to them and only results come back.
+    """
+    global _WORK
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    from multiprocessing import get_context
+    _WORK = (fn, items)
+    try:
+        with get_context('fork').Pool(workers) as pool:
+            return pool.map(_run, range(len(items)))
+    finally:
+        _WORK = None
 
 
 # --- conversion -------------------------------------------------------------
@@ -147,8 +184,11 @@ def _encode_tree(tree, scheme, strip):
     return encode_direct(dtree)
 
 
-def _encode_corpus(trees, scheme, strip, jobs):
-    worker = functools.partial(_encode_tree, scheme=scheme, strip=strip)
+def _convert_one(tree, rules, scheme):
+    return _encode_tree(_lexicalize(tree, rules), scheme, strip=False)
+
+
+def _encode_corpus(trees, worker, jobs):
     try:
         return _pmap(worker, trees, jobs)
     except ToolkitError:
@@ -166,8 +206,10 @@ def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or _sniff_format(text)
-    trees = _load_trees(text, fmt, rules, args.input)
-    corpus = _encode_corpus(trees, args.encoding, strip=False, jobs=args.jobs)
+    trees = _read_trees(text, fmt, args.input)
+    worker = functools.partial(_convert_one, rules=rules,
+                               scheme=args.encoding)
+    corpus = _encode_corpus(trees, worker, args.jobs)
     _write_output(args.output, write_conll(corpus))
     alphabet = label_alphabet(corpus)
     arcs = sum(count for _, count in alphabet)
@@ -194,8 +236,9 @@ def cmd_train(args):
         raise ToolkitError('training input holds no trees')
     # direct/delta train on unaryless skeletons (the restorer puts the
     # chains back at parse time); hn keeps them inside the spine labels
-    corpus = _encode_corpus(trees, args.encoding,
-                            strip=args.encoding != 'hn', jobs=1)
+    worker = functools.partial(_encode_tree, scheme=args.encoding,
+                               strip=args.encoding != 'hn')
+    corpus = _encode_corpus(trees, worker, jobs=1)
     projective = args.mode == 'continuous'
     parser_model = train_unlabeled(corpus, args.epochs, seed=args.seed,
                                    projective=projective)
@@ -258,6 +301,11 @@ def _load_bundle(bundle_dir, want_unaries):
         raise ModelFormatError('parser.json: not an arc scorer')
     if labeler_model.meta.get('task') != 'labels':
         raise ModelFormatError('labeler.json: not a label scorer')
+    labels = labeler_model.meta.get('labels')
+    if (not isinstance(labels, list) or not labels
+            or not all(isinstance(label, str) for label in labels)):
+        raise ModelFormatError(
+            'labeler.json: labels must be a non-empty list of strings')
     unary_model = None
     if want_unaries and manifest.get('unaries'):
         unary_model = LinearModel.load(os.path.join(bundle_dir, 'unary.json'))
@@ -466,7 +514,9 @@ def build_parser():
     p.add_argument('--format', choices=('bracketed', 'export', 'json'))
     p.add_argument('--encoding', choices=ENCODINGS, default='direct')
     p.add_argument('--head-rules', default='leftmost')
-    p.add_argument('--jobs', type=int, default=1)
+    p.add_argument('--jobs', type=_positive_int, default=1,
+                   help='worker processes that lexicalize and encode '
+                        'trees (default 1)')
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser('train', help='fit the parsing pipeline')
@@ -488,7 +538,8 @@ def build_parser():
     p.add_argument('--format', choices=('bracketed', 'export', 'json'),
                    help='output tree format (default by mode)')
     p.add_argument('--no-unaries', action='store_true')
-    p.add_argument('--jobs', type=int, default=1)
+    p.add_argument('--jobs', type=_positive_int, default=1,
+                   help='worker processes that parse sentences (default 1)')
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser('eval', help='score predictions against gold')

@@ -13,6 +13,7 @@ all-zero by construction.
 """
 
 import json
+import sys
 from hashlib import blake2b
 
 import numpy as np
@@ -101,8 +102,26 @@ class LinearModel:
             raise ModelFormatError(f'model file is not json: {exc}') from None
         if not isinstance(obj, dict) or obj.get('kind') != 'linear':
             raise ModelFormatError("expected a model with kind 'linear'")
-        model = cls(obj['dim_bits'], obj.get('meta'))
-        for i, value in obj['weights']:
+        dim_bits = obj.get('dim_bits')
+        if type(dim_bits) is not int or not 1 <= dim_bits <= 30:
+            raise ModelFormatError(
+                f'dim_bits must be an integer in 1..30, got {dim_bits!r}')
+        if not isinstance(obj.get('meta'), dict):
+            raise ModelFormatError('meta must be an object')
+        weights = obj.get('weights')
+        if not isinstance(weights, list):
+            raise ModelFormatError('weights must be a list')
+        model = cls(dim_bits, obj['meta'])
+        for pair in weights:
+            if (type(pair) is not list or len(pair) != 2
+                    or type(pair[0]) is not int
+                    or type(pair[1]) not in (int, float)
+                    # false for NaN, infinities and ints beyond a float
+                    or not abs(pair[1]) <= sys.float_info.max):
+                raise ModelFormatError(
+                    f'weights must be [index, finite number] pairs, '
+                    f'got {pair!r}')
+            i, value = pair
             if not 0 <= i <= model.mask:
                 raise ModelFormatError(f'weight index {i} out of range')
             model.weights[i] = value
@@ -116,7 +135,11 @@ class LinearModel:
     @classmethod
     def load(cls, path):
         with open(path, encoding='utf-8') as f:
-            return cls.from_json(f.read())
+            text = f.read()
+        try:
+            return cls.from_json(text)
+        except ModelFormatError as exc:
+            raise ModelFormatError(f'{path}: {exc}') from None
 
 
 class AveragedTrainer:

@@ -270,18 +270,32 @@ def _parse_export_block(block, version, path):
 
 def read_export(source, path=None, version=None):
     """Parse export blocks; version 3/4 taken from a #FORMAT line when not
-    given explicitly (default 3)."""
+    given explicitly (default 3).
+
+    Outside the #BOS..#EOS blocks only blank lines, #FORMAT lines, %%
+    comments and #BOT..#EOT header tables may appear.
+    """
     trees = []
     block = None
+    table = None    # line of the open #BOT
     declared = None
     for lineno, line in enumerate(_lines_of(source), 1):
         stripped = line.strip()
         if not stripped:
             continue
+        if table is not None:
+            if stripped.startswith('#EOT'):
+                table = None
+            continue
         if stripped.startswith('#FORMAT'):
             parts = stripped.split()
             if len(parts) == 2 and parts[1] in ('3', '4'):
                 declared = int(parts[1])
+            continue
+        if block is None and stripped.startswith('%%'):
+            continue
+        if block is None and stripped.startswith('#BOT'):
+            table = lineno
             continue
         if stripped.startswith('#BOS'):
             if block is not None:
@@ -295,8 +309,12 @@ def read_export(source, path=None, version=None):
                 block, version or declared or 3, path))
             block = None
             continue
-        if block is not None:
-            block.append((lineno, stripped))
+        if block is None:
+            raise TreebankFormatError(
+                f'expected #BOS, got {stripped[:30]!r}', path, lineno)
+        block.append((lineno, stripped))
+    if table is not None:
+        raise TreebankFormatError('unterminated #BOT table', path, table)
     if block is not None:
         raise TreebankFormatError('unterminated #BOS block', path)
     return trees

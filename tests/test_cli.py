@@ -2,9 +2,11 @@ import io
 import json
 import os
 import re
+import shutil
 
 import pytest
 
+from hodt import cli
 from hodt.cli import main
 from hodt.treebank_io import read_bracketed, read_conll, read_json_corpus
 
@@ -295,3 +297,190 @@ def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
     code, out, _ = _run(capsys, 'eval', toy_file, str(pred))
     assert code == 0
     assert json.loads(out)['f1'] > 0.9
+
+
+# --- --jobs -----------------------------------------------------------------
+
+def _gen_bank(tmp_path, capsys, name, *extra):
+    path = tmp_path / name
+    code, _, _ = _run(capsys, 'gen', '--kind', 'random', '-n', '12',
+                      '--length', '6', '--seed', '3', *extra,
+                      '-o', str(path))
+    assert code == 0
+    return str(path)
+
+
+def _serial_and_parallel(tmp_path, capsys, *argv):
+    """(code, output bytes, stderr) of argv at --jobs 1 and --jobs 2; the
+    work slot of _pmap is empty after each call."""
+    runs = []
+    for jobs in ('1', '2'):
+        out = tmp_path / f'out.j{jobs}'
+        code, _, err = _run(capsys, *argv, '--jobs', jobs, '-o', str(out))
+        assert cli._WORK is None
+        runs.append((code, out.read_bytes() if out.exists() else None,
+                     err))
+    return runs
+
+
+@pytest.mark.parametrize('cmd', ['convert', 'parse'])
+@pytest.mark.parametrize('jobs', ['0', '-3', 'two'])
+def test_jobs_must_be_a_positive_integer(capsys, cmd, jobs):
+    argv = [cmd, '--jobs', jobs] + (['-m', 'unused'] if cmd == 'parse'
+                                    else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert '--jobs' in capsys.readouterr().err
+
+
+def test_pmap_forks_no_more_workers_than_items(monkeypatch):
+    import multiprocessing
+    sizes = []
+    real = multiprocessing.get_context
+
+    class Spy:
+        def __init__(self, method):
+            self.ctx = real(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.ctx.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, 'get_context', Spy)
+    assert cli._pmap(abs, [-1, -2], 4) == [1, 2]
+    assert sizes == [2]
+    assert cli._pmap(abs, [-1], 4) == [1]     # one item: no pool at all
+    assert sizes == [2]
+    assert cli._WORK is None
+
+
+def test_convert_jobs_bracketed_identical(tmp_path, toy_file, capsys):
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'convert', '-i', toy_file, '--head-rules', 'toy')
+    assert serial[0] == 0
+    assert parallel == serial
+
+
+def test_convert_jobs_export_identical(tmp_path, capsys):
+    bank = _gen_bank(tmp_path, capsys, 'half.export', '--disc-prob', '0.5')
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'convert', '-i', bank)
+    assert serial[0] == 0
+    assert '12 sentences' in serial[2]
+    assert parallel == serial
+
+
+def test_convert_jobs_names_the_failing_sentence(tmp_path, capsys):
+    bank = _gen_bank(tmp_path, capsys, 'disc.export', '--disc-prob', '1.0')
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'convert', '-i', bank, '--encoding', 'delta')
+    assert serial[0] == 1
+    assert serial[2].startswith('error: sentence 1: ')
+    assert parallel == serial
+
+
+def test_parse_jobs_continuous_identical(tmp_path, toy_file, capsys):
+    bundle = _train(tmp_path, capsys, toy_file)
+    code, out, _ = _run(capsys, 'convert', '-i', toy_file,
+                        '--head-rules', 'toy')
+    assert code == 0
+    tokens = tmp_path / 'tokens.conll'
+    tokens.write_text(out)
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'parse', '-m', str(bundle), '-i', str(tokens))
+    assert serial[0] == 0
+    assert 'parsed 30 sentences' in serial[2]
+    assert parallel == serial
+
+
+def test_parse_jobs_discontinuous_identical(tmp_path, capsys):
+    bank = _gen_bank(tmp_path, capsys, 'half.export', '--disc-prob', '0.5')
+    bundle = tmp_path / 'disc.bundle'
+    code, _, err = _run(capsys, 'train', '-i', bank, '-m', str(bundle),
+                        '--mode', 'discontinuous', '--epochs', '2')
+    assert code == 0, err
+    code, out, _ = _run(capsys, 'convert', '-i', bank)
+    assert code == 0
+    tokens = tmp_path / 'tokens.conll'
+    tokens.write_text(out)
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'parse', '-m', str(bundle), '-i', str(tokens))
+    assert serial[0] == 0
+    assert serial[1].startswith(b'#BOS 1')
+    assert parallel == serial
+
+
+def test_parse_jobs_above_sentence_count(tmp_path, toy_file, capsys):
+    bundle = _train(tmp_path, capsys, toy_file)
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N sees/V a/D cat/N\nthe/D bird/N sees/V\n')
+    runs = []
+    for jobs in ('1', '4'):
+        code, out, err = _run(capsys, 'parse', '-m', str(bundle),
+                              '-i', str(sents), '--jobs', jobs)
+        assert code == 0, err
+        runs.append((out, err))
+    assert runs[0] == runs[1]
+
+
+# --- readers and bundles at the boundary -----------------------------------
+
+def test_convert_export_rejects_bracketed_text(toy_file, capsys):
+    for cmd in ('convert', 'check'):
+        code, out, err = _run(capsys, cmd, '--format', 'export',
+                              '-i', toy_file)
+        assert code == 1
+        assert out == ''
+        assert err.startswith(f'error: {toy_file}:1: ')
+
+
+@pytest.fixture(scope='module')
+def toy_bundle(tmp_path_factory):
+    root = tmp_path_factory.mktemp('bundle')
+    bank = root / 'toy.brackets'
+    assert main(['gen', '--kind', 'toy', '-n', '30', '--seed', '1',
+                 '-o', str(bank)]) == 0
+    bundle = root / 'bundle'
+    assert main(['train', '-i', str(bank), '-m', str(bundle),
+                 '--head-rules', 'toy', '--epochs', '2']) == 0
+    return bundle
+
+
+DROP = object()
+
+# file, key path, new value; from_json's own cases are in test_perceptron
+CORRUPTIONS = {
+    'dim_bits_too_large': ('parser.json', ['dim_bits'], 40),
+    'weight_pair_short': ('parser.json', ['weights'], [[1]]),
+    'meta_missing': ('unary.json', ['meta'], DROP),
+    'labels_missing': ('labeler.json', ['meta', 'labels'], DROP),
+    'labels_empty': ('labeler.json', ['meta', 'labels'], []),
+    'labels_not_strings': ('labeler.json', ['meta', 'labels'], [1, 2]),
+    'labels_string': ('labeler.json', ['meta', 'labels'], 'NP'),
+}
+
+
+@pytest.mark.parametrize('corruption', sorted(CORRUPTIONS))
+def test_parse_rejects_corrupted_bundle(tmp_path, toy_bundle, capsys,
+                                        corruption):
+    name, keys, value = CORRUPTIONS[corruption]
+    bundle = tmp_path / 'bundle'
+    shutil.copytree(toy_bundle, bundle)
+    obj = json.loads((bundle / name).read_text())
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    (bundle / name).write_text(json.dumps(obj))
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N sees/V a/D cat/N\n')
+    code, out, err = _run(capsys, 'parse', '-m', str(bundle),
+                          '-i', str(sents))
+    assert code == 1
+    assert out == ''
+    assert err.startswith('error: ') and name in err
+    assert 'Traceback' not in err

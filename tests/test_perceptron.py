@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,40 @@ def test_rng_shuffle_in_place_and_seeded():
     Rng(5).shuffle(second)
     assert first == second
     assert sorted(first) == items
+
+
+@pytest.mark.parametrize('obj', [
+    {'kind': 'linear', 'meta': {}, 'weights': []},
+    {'kind': 'linear', 'dim_bits': 40, 'meta': {}, 'weights': []},
+    {'kind': 'linear', 'dim_bits': 0, 'meta': {}, 'weights': []},
+    {'kind': 'linear', 'dim_bits': 12.0, 'meta': {}, 'weights': []},
+    {'kind': 'linear', 'dim_bits': True, 'meta': {}, 'weights': []},
+    {'kind': 'linear', 'dim_bits': 12, 'weights': []},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': 'arcs', 'weights': []},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': 'ab'},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [1, 2]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 2, 3]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1.0, 2]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [['1', 2]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, '2']]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, None]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
+     'weights': [[1, float('inf')]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 10**400]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[4096, 1.0]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[-1, 1.0]]},
+])
+def test_model_from_json_rejects_bad_entries(obj):
+    with pytest.raises(ModelFormatError):
+        LinearModel.from_json(json.dumps(obj))
+
+
+def test_model_load_names_the_file(tmp_path):
+    bad = tmp_path / 'parser.json'
+    bad.write_text('{"kind": "linear", "dim_bits": 40, "meta": {}, '
+                   '"weights": []}', encoding='utf-8')
+    with pytest.raises(ModelFormatError) as err:
+        LinearModel.load(str(bad))
+    assert str(err.value).startswith(f'{bad}: dim_bits')

@@ -154,6 +154,27 @@ def test_export_errors():
         read_export('#BOS 1\n#BOS 2\n#EOS 2\n')
 
 
+def test_export_rejects_lines_outside_blocks():
+    with pytest.raises(TreebankFormatError) as err:
+        read_export('(S (NP (N dog)) (VP (V sees)))\n', 'toy.brackets')
+    assert str(err.value).startswith('toy.brackets:1: ')
+    assert err.value.line == 1
+    block = '#BOS 1\nJa\tADV\t--\t--\t0\n#EOS 1\n'
+    for text, line in [(block + 'stray\n', 4), ('\n\nstray\n' + block, 3),
+                       (block + '#EOT ORIGIN\n', 4),
+                       ('#BOT ORIGIN\n0\tsomewhere\n' + block, 1)]:
+        with pytest.raises(TreebankFormatError) as err:
+            read_export(text)
+        assert err.value.line == line
+
+
+def test_export_header_lines_outside_blocks():
+    block = '#BOS 1\nJa\tADV\t--\t--\t0\n#EOS 1\n'
+    text = ('%% a comment\n#FORMAT 3\n#BOT ORIGIN\n0\tcorpus.txt\n'
+            '#EOT ORIGIN\n\n' + block + '%% between\n' + block)
+    assert read_export(text) == read_export(block + block)
+
+
 def test_export_roundtrip_generated_discontinuous():
     cfg = GenConfig(seed=7, discontinuity_probability=0.5,
                     unary_probability=0.3)
