@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import ToolkitError
 from .kernels import cle_decode, eisner_decode
-from .perceptron import DIM_BITS, AveragedTrainer, LinearModel, hash_features
-from .rng import Rng
+from . import perceptron
+from .perceptron import DIM_BITS, LinearModel, hash_features
 
 ROOT_TOKEN = '<root>'
 NONE_TOKEN = '<none>'
@@ -121,44 +121,35 @@ def _gold_items(treebank):
     return items
 
 
-def train_unlabeled(treebank, epochs, seed=1, projective=True,
-                    dim_bits=DIM_BITS):
+def train_unlabeled(treebank, epochs, seed=1, projective=True):
     """Averaged structured perceptron over whole trees: decode with the
     current weights, update on the arcs where prediction and gold
-    disagree.  Sentence order is reshuffled every epoch from `seed`."""
+    disagree."""
     items = _gold_items(treebank)
     if not items:
         raise ToolkitError('empty treebank')
-    model = LinearModel(dim_bits, meta={
+    model = LinearModel(DIM_BITS, meta={
         'task': 'arcs', 'projective': bool(projective),
         'hash': 'blake2b-64', 'features_per_arc': FEATURES_PER_ARC})
-    trainer = AveragedTrainer(model)
     decode = eisner_decode if projective else cle_decode
-    tables = [arc_index_table(model, sentence) for sentence, _ in items]
-    rng = Rng(seed)
-    order = list(range(len(items)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for i in order:
-            sentence, gold = items[i]
-            trainer.begin_example()
-            pred, _ = decode(score_matrix(model, tables[i]))
-            if pred == gold:
-                continue
-            table = tables[i]
-            for m, (g, p) in enumerate(zip(gold, pred), 1):
-                if g != p:
-                    trainer.update_indices(table[g, m], 1.0)
-                    trainer.update_indices(table[p, m], -1.0)
-    return trainer.average()
+    examples = [(arc_index_table(model, sentence), gold)
+                for sentence, gold in items]
+
+    def mistakes(model, example):
+        table, gold = example
+        pred, _ = decode(score_matrix(model, table))
+        for m, (g, p) in enumerate(zip(gold, pred), 1):
+            if g != p:
+                yield table[g, m], table[p, m]
+
+    return perceptron.train(model, examples, epochs, seed, mistakes)
 
 
-def parse_heads(model, sentence, projective=None):
-    """Decode one sentence with a trained model.  projective defaults to
-    the setting stored in the model."""
-    if projective is None:
-        projective = bool(model.meta.get('projective', True))
+def parse_heads(model, sentence):
+    """Decode one sentence with a trained model, projectively or not as
+    the model was trained."""
     scores = score_matrix(model, arc_index_table(model, sentence))
-    decode = eisner_decode if projective else cle_decode
+    decode = eisner_decode if model.meta.get('projective', True) \
+        else cle_decode
     heads, _ = decode(scores)
     return heads

@@ -35,7 +35,8 @@ from .treebank_io import (read_bracketed, read_conll, read_export,
                           read_json_corpus, write_bracketed, write_conll,
                           write_export, write_json_corpus)
 from .trees import CTree, DTree, Sentence, Token, strip_unaries, validate
-from .unary_recovery import extract_instances, recover, train_unary
+from .unary_recovery import (NULL_CLASS, extract_instances, recover,
+                             train_unary)
 
 ENCODINGS = ('direct', 'delta', 'hn')
 MODES = ('continuous', 'discontinuous')
@@ -311,7 +312,26 @@ def _load_bundle(bundle_dir, want_unaries):
         unary_model = LinearModel.load(os.path.join(bundle_dir, 'unary.json'))
         if unary_model.meta.get('task') != 'unary':
             raise ModelFormatError('unary.json: not a unary restorer')
+        _check_unary_meta(unary_model.meta)
     return manifest, parser_model, labeler_model, unary_model
+
+
+def _check_unary_meta(meta):
+    classes = meta.get('classes')
+    if (not isinstance(classes, list) or not classes
+            or not all(isinstance(c, str) for c in classes)
+            or classes[0] != NULL_CLASS):
+        raise ModelFormatError(
+            f'unary.json: classes must be a list of strings '
+            f'starting with {NULL_CLASS}')
+    allowed = meta.get('allowed')
+    if not isinstance(allowed, dict) or not all(
+            isinstance(ids, list) and all(
+                type(k) is int and 0 <= k < len(classes) for k in ids)
+            for ids in allowed.values()):
+        raise ModelFormatError(
+            f'unary.json: allowed must map symbols to lists of class ids '
+            f'in 0..{len(classes) - 1}')
 
 
 def _read_sentences(text):

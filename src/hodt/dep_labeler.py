@@ -19,9 +19,8 @@ from .baseline_parser import ROOT_TOKEN, featurize_arc
 from .encoding import EncodedDTree
 from .errors import ToolkitError
 from .kernels import viterbi_chain
-from .perceptron import (
-    DIM_BITS, AveragedTrainer, LinearModel, conjoin_grid, hash_features)
-from .rng import Rng
+from . import perceptron
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_features
 from .trees import validate
 
 
@@ -55,17 +54,16 @@ def _chain_index_tables(model, sentence, h, chain, n_labels):
     """Pre-masked weight indices for one chain: unary (T, K, 34) and
     pairwise (T, K*K, 4); pairwise row 0 is unused and stays zero."""
     T = len(chain)
-    mask = np.uint64(model.mask)
     unary = np.empty((T, n_labels, 34), dtype=np.intp)
     pair = np.zeros((T, n_labels * n_labels, 4), dtype=np.intp)
     for t, m in enumerate(chain):
         hashes = hash_features(featurize_arc(sentence, h, m))
-        unary[t] = (conjoin_grid(hashes, n_labels) & mask).astype(np.intp)
+        unary[t] = model.indices(conjoin_grid(hashes, range(n_labels)))
         if t:
             hashes = hash_features(
                 featurize_pairwise(sentence, h, chain[t - 1], m))
-            pair[t] = (conjoin_grid(hashes, n_labels * n_labels)
-                       & mask).astype(np.intp)
+            pair[t] = model.indices(
+                conjoin_grid(hashes, range(n_labels * n_labels)))
     return unary, pair
 
 
@@ -77,9 +75,23 @@ def _decode_chain(weights, unary, pair, n_labels):
     return path
 
 
-def train_labeler(corpus, epochs, seed=1, dim_bits=DIM_BITS):
+def _chain_mistakes(model, tree_chains):
+    """Decode each chain of one tree in turn; yield the (gold, predicted)
+    index rows of every wrong label and every wrong label pair."""
+    for unary, pair, gold in tree_chains:
+        K = unary.shape[1]
+        pred = _decode_chain(model.weights, unary, pair, K)
+        for t, (g, p) in enumerate(zip(gold, pred)):
+            if g != p:
+                yield unary[t, g], unary[t, p]
+            if t and (gold[t - 1], g) != (pred[t - 1], p):
+                yield (pair[t, gold[t - 1] * K + g],
+                       pair[t, pred[t - 1] * K + p])
+
+
+def train_labeler(corpus, epochs, seed=1):
     """Averaged perceptron over per-head chains with the gold tree
-    structure fixed; sentence order reshuffles every epoch."""
+    structure fixed; one example is the set of chains of one tree."""
     corpus = list(corpus)
     if not corpus:
         raise ToolkitError('empty corpus')
@@ -91,82 +103,30 @@ def train_labeler(corpus, epochs, seed=1, dim_bits=DIM_BITS):
         labels.update(enc.labels)
     alphabet = sorted(labels)
     label_id = {lab: k for k, lab in enumerate(alphabet)}
-    K = len(alphabet)
-    prune = {}
+    model = LinearModel(DIM_BITS, meta={
+        'task': 'labels', 'labels': alphabet, 'hash': 'blake2b-64'})
+    examples = []
     for enc in corpus:
-        for h, m, lab in enc.arcs():
-            key = _prune_key(enc.sentence, h, m)
-            prune.setdefault(key, set()).add(label_id[lab])
-        root = enc.root()
-        key = _prune_key(enc.sentence, 0, root)
-        prune.setdefault(key, set()).add(label_id[enc.labels[root - 1]])
-    model = LinearModel(dim_bits, meta={
-        'task': 'labels', 'labels': alphabet, 'hash': 'blake2b-64',
-        'prune': {k: sorted(v) for k, v in sorted(prune.items())}})
-    trainer = AveragedTrainer(model)
-    cached = []
-    for enc in corpus:
-        per_tree = []
+        tree_chains = []
         for h, chain in _chains(enc.sentence, enc.heads):
             unary, pair = _chain_index_tables(
-                model, enc.sentence, h, chain, K)
+                model, enc.sentence, h, chain, len(alphabet))
             gold = [label_id[enc.labels[m - 1]] for m in chain]
-            per_tree.append((unary, pair, gold))
-        cached.append(per_tree)
-    rng = Rng(seed)
-    order = list(range(len(corpus)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for i in order:
-            trainer.begin_example()
-            for unary, pair, gold in cached[i]:
-                pred = _decode_chain(model.weights, unary, pair, K)
-                if pred == gold:
-                    continue
-                for t, (g, p) in enumerate(zip(gold, pred)):
-                    if g != p:
-                        trainer.update_indices(unary[t, g], 1.0)
-                        trainer.update_indices(unary[t, p], -1.0)
-                    if t and (gold[t - 1], g) != (pred[t - 1], p):
-                        trainer.update_indices(
-                            pair[t, gold[t - 1] * K + g], 1.0)
-                        trainer.update_indices(
-                            pair[t, pred[t - 1] * K + p], -1.0)
-    return trainer.average()
+            tree_chains.append((unary, pair, gold))
+        examples.append(tree_chains)
+    return perceptron.train(model, examples, epochs, seed, _chain_mistakes)
 
 
-def _prune_key(sentence, h, m):
-    hp = sentence.pos(h) if h else ROOT_TOKEN
-    return hp + '|' + ('R' if m > h else 'L')
-
-
-def label_tree(sentence, heads, model, prune=False):
-    """Label every arc of a head vector; returns an EncodedDTree.
-
-    With prune=True, candidates at each arc are restricted to labels seen
-    in training for the (head POS, direction) pair; arcs with no record
-    fall back to the full alphabet.
-    """
+def label_tree(sentence, heads, model):
+    """Label every arc of a head vector; returns an EncodedDTree."""
     alphabet = model.meta.get('labels', [])
     if not alphabet:
         raise ToolkitError('labeler model has an empty alphabet')
     K = len(alphabet)
-    prune_map = model.meta.get('prune', {}) if prune else {}
     out = [None] * len(sentence)
     for h, chain in _chains(sentence, heads):
         unary, pair = _chain_index_tables(model, sentence, h, chain, K)
-        if prune_map:
-            emis = model.weights[unary].sum(axis=2)
-            for t, m in enumerate(chain):
-                allowed = prune_map.get(_prune_key(sentence, h, m))
-                if allowed:
-                    blocked = np.ones(K, dtype=bool)
-                    blocked[allowed] = False
-                    emis[t, blocked] = -np.inf
-            trans = model.weights[pair].sum(axis=2).reshape(len(chain), K, K)
-            path, _ = viterbi_chain(emis, trans)
-        else:
-            path = _decode_chain(model.weights, unary, pair, K)
+        path = _decode_chain(model.weights, unary, pair, K)
         for m, k in zip(chain, path):
             out[m - 1] = alphabet[k]
     return EncodedDTree(sentence, tuple(heads), tuple(out))

@@ -19,7 +19,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .errors import ModelFormatError
-from .rng import GAMMA, MASK64
+from .rng import GAMMA, MASK64, Rng
 
 DIM_BITS = 22
 
@@ -57,11 +57,12 @@ def conjoin(hashes, key):
         return _mix_vec(shifted)
 
 
-def conjoin_grid(hashes, n_keys):
-    """(n_keys, len(hashes)) digest matrix, row k = conjoin(hashes, k)."""
+def conjoin_grid(hashes, keys):
+    """(len(keys), len(hashes)) digest matrix, row r = conjoin(hashes,
+    keys[r])."""
     with np.errstate(over='ignore'):
-        keys = np.arange(1, n_keys + 1, dtype=np.uint64) * _GAMMA_U64
-        return _mix_vec(hashes[None, :] + keys[:, None])
+        mixed = (np.asarray(keys, dtype=np.uint64) + np.uint64(1)) * _GAMMA_U64
+        return _mix_vec(hashes[None, :] + mixed[:, None])
 
 
 class LinearModel:
@@ -153,14 +154,8 @@ class AveragedTrainer:
     def begin_example(self):
         self._tick += 1
 
-    def update(self, hashes, delta):
-        """Add delta (scalar or per-feature array) at the hashed slots."""
-        idx = self.model.indices(np.asarray(hashes, dtype=np.uint64))
-        np.add.at(self.model.weights, idx, delta)
-        np.add.at(self._totals, idx, np.multiply(delta, float(self._tick)))
-
     def update_indices(self, idx, delta):
-        """Same, for already-masked integer indices."""
+        """Add delta (scalar or per-feature array) at masked indices."""
         np.add.at(self.model.weights, idx, delta)
         np.add.at(self._totals, idx, np.multiply(delta, float(self._tick)))
 
@@ -169,3 +164,24 @@ class AveragedTrainer:
         if self._tick:
             self.model.weights -= self._totals / self._tick
         return self.model
+
+
+def train(model, examples, epochs, seed, mistakes):
+    """The averaged-perceptron epoch loop shared by every learner.
+
+    Each epoch visits `examples` in an order reshuffled from `seed`.
+    `mistakes(model, example)` decodes one example with the current
+    weights and yields (gold indices, predicted indices) for each wrong
+    part; the loop rewards the first and penalizes the second before
+    asking for the next, so later parts of an example see the update."""
+    trainer = AveragedTrainer(model)
+    rng = Rng(seed)
+    order = list(range(len(examples)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for i in order:
+            trainer.begin_example()
+            for gold, pred in mistakes(model, examples[i]):
+                trainer.update_indices(gold, 1.0)
+                trainer.update_indices(pred, -1.0)
+    return trainer.average()

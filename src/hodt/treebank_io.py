@@ -28,7 +28,7 @@ from .encoding import ROOT_LABEL, EncodedDTree
 from .errors import TreebankFormatError
 from .trees import (
     CTree, RawLeaf, RawNode, Sentence, Token, is_continuous, preterminal,
-    proper, unlexicalize)
+    proper, unlexicalize, validate)
 
 
 def _lines_of(source):
@@ -170,7 +170,7 @@ def _parse_export_block(block, version, path):
     order = []  # (kind, key) in encounter order, for child assembly
     for lineno, line in block:
         parts = line.split()
-        if line.startswith('#') and parts[0][1:].isdigit():
+        if line.startswith('#') and parts[0][1:].isdecimal():
             node_id = int(parts[0][1:])
             if version == 4:
                 parts = parts[:1] + parts[2:]  # drop the lemma column
@@ -204,7 +204,7 @@ def _parse_export_block(block, version, path):
     tops = []
 
     def attach(parent_field, unit, lineno):
-        if not parent_field.isdigit():
+        if not parent_field.isdecimal():
             raise TreebankFormatError(
                 f'bad parent pointer {parent_field!r}', path, lineno)
         parent = int(parent_field)
@@ -223,40 +223,26 @@ def _parse_export_block(block, version, path):
         else:
             attach(nodes[key]['parent'], key, nodes[key]['line'])
 
-    building = set()
+    # every unit has one parent pointer, so a node is either reached from
+    # the top or sits on (or under) a parent cycle
+    reached = set()
 
     def build(unit):
         if isinstance(unit, RawLeaf):
             return unit
-        if unit in building:
-            raise TreebankFormatError(
-                f'cycle through node {unit}', path, nodes[unit]['line'])
-        building.add(unit)
+        reached.add(unit)
         entry = nodes[unit]
         if not entry['children']:
             raise TreebankFormatError(
                 f'node {unit} has no children', path, entry['line'])
-        node = RawNode(entry['label'],
+        return RawNode(entry['label'],
                        tuple(build(c) for c in entry['children']))
-        building.discard(unit)
-        return node
 
     built_tops = [build(u) for u in tops]
-    reachable = set()
-
-    def mark(unit):
-        if not isinstance(unit, RawLeaf):
-            reachable.add(unit)
-
-    for unit in tops:
-        mark(unit)
-    for node_id, entry in nodes.items():
-        for c in entry['children']:
-            mark(c)
     for node_id in nodes:
-        if node_id not in reachable:
+        if node_id not in reached:
             raise TreebankFormatError(
-                f'node {node_id} unreachable from the top',
+                f'node {node_id} unreachable from the top (parent cycle)',
                 path, nodes[node_id]['line'])
     if not built_tops:
         raise TreebankFormatError('empty sentence block', path)
@@ -430,7 +416,7 @@ def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
                     f'expected {_CONLL_COLUMNS} columns, got {len(cols)}',
                     path, lineno)
             ident, form, lemma, cpos, pos, feats, head, deprel = cols[:8]
-            if not ident.isdigit() or int(ident) != expected:
+            if not ident.isdecimal() or int(ident) != expected:
                 raise TreebankFormatError(
                     f'token id {ident!r}, expected {expected}', path, lineno)
             try:
@@ -507,17 +493,30 @@ def _node_to_obj(node):
             'children': [_node_to_obj(c) for c in node.children]}
 
 
-def _node_from_obj(obj, sentence, path=None):
-    try:
-        label = obj['label']
-        head = obj['head']
-    except (TypeError, KeyError):
-        raise TreebankFormatError('node needs label and head', path) from None
+def _node_from_obj(obj, sentence, path, lineno):
+    if not isinstance(obj, dict):
+        raise TreebankFormatError('node must be an object', path, lineno)
+    label, head = obj.get('label'), obj.get('head')
+    if not isinstance(label, str):
+        raise TreebankFormatError('node label must be a string', path, lineno)
+    if type(head) is not int or not 1 <= head <= len(sentence):
+        raise TreebankFormatError(
+            f'node head must be a position in 1..{len(sentence)}, '
+            f'got {head!r}', path, lineno)
     if 'children' not in obj:
-        tok = sentence.token(head)
-        return preterminal(label, head, tok.form)
-    return proper(label, head,
-                  [_node_from_obj(c, sentence, path) for c in obj['children']])
+        return preterminal(label, head, sentence.form(head))
+    children = obj['children']
+    if not isinstance(children, list) or not children:
+        raise TreebankFormatError(
+            'node children must be a non-empty list', path, lineno)
+    return proper(label, head, [_node_from_obj(c, sentence, path, lineno)
+                                for c in children])
+
+
+def _is_token_row(row):
+    return (isinstance(row, list) and len(row) == 4
+            and all(isinstance(x, str) for x in row[:2])
+            and all(x is None or isinstance(x, str) for x in row[2:]))
 
 
 def write_json_corpus(trees):
@@ -541,9 +540,21 @@ def read_json_corpus(source, path=None):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TreebankFormatError(f'bad json: {exc}', path, lineno) from None
-        tokens = tuple(
-            Token(i, form, pos, lemma, morph)
-            for i, (form, pos, lemma, morph) in enumerate(obj['tokens'], 1))
-        sentence = Sentence(tokens)
-        trees.append(CTree(_node_from_obj(obj['root'], sentence, path), sentence))
+        if not isinstance(obj, dict) or not {'tokens', 'root'} <= obj.keys():
+            raise TreebankFormatError(
+                'expected an object with tokens and root', path, lineno)
+        rows = obj['tokens']
+        if not isinstance(rows, list) or not all(map(_is_token_row, rows)):
+            raise TreebankFormatError(
+                'tokens must be a list of [form, pos, lemma, morph] rows '
+                '(lemma and morph may be null)', path, lineno)
+        sentence = Sentence(tuple(
+            Token(i, *row) for i, row in enumerate(rows, 1)))
+        tree = CTree(_node_from_obj(obj['root'], sentence, path, lineno),
+                     sentence)
+        problems = validate(tree)
+        if problems:
+            raise TreebankFormatError(
+                f'malformed tree: {problems[0]}', path, lineno)
+        trees.append(tree)
     return trees

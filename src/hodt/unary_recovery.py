@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolkitError
-from .perceptron import (
-    DIM_BITS, AveragedTrainer, LinearModel, conjoin_grid, hash_features)
-from .rng import Rng
+from . import perceptron
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_features
 from .trees import CTree, PRETERMINAL, PROPER, iter_nodes, proper, strip_unaries
 
 NULL_CLASS = 'NULL'
@@ -149,11 +148,10 @@ def extract_instances(treebank):
 
 def _instance_indices(model, inst, n_classes):
     """Masked weight indices (n_classes, 19) for this instance's own
-    preterminal flag; row c scores class c."""
+    preterminal flag; row c scores class c under key 2c + preterminal."""
     hashes = hash_features(list(inst.features))
-    grid = conjoin_grid(hashes, 2 * n_classes)
-    idx = (grid & np.uint64(model.mask)).astype(np.intp)
-    return idx[int(inst.preterminal)::2]
+    keys = 2 * np.arange(n_classes) + int(inst.preterminal)
+    return model.indices(conjoin_grid(hashes, keys))
 
 
 def _candidates(allowed, class_id, symbol):
@@ -163,38 +161,35 @@ def _candidates(allowed, class_id, symbol):
     return sorted(set(cand))
 
 
-def train_unary(data, epochs, seed=1, dim_bits=DIM_BITS):
+def _best(weights, idx, cand):
+    """The highest-scoring candidate class, first on ties."""
+    return cand[int(np.argmax(weights[idx[cand]].sum(axis=1)))]
+
+
+def _instance_mistakes(model, example):
+    idx, cand, gold = example
+    pred = _best(model.weights, idx, cand)
+    if pred != gold:
+        yield idx[gold], idx[pred]
+
+
+def train_unary(data, epochs, seed=1):
     """Averaged multi-class perceptron, candidates restricted per
     instance to NULL plus the classes observed for its symbol."""
     if not data.instances:
         raise ToolkitError('no unary instances')
     class_id = {cls: k for k, cls in enumerate(data.classes)}
-    model = LinearModel(dim_bits, meta={
+    model = LinearModel(DIM_BITS, meta={
         'task': 'unary', 'hash': 'blake2b-64',
         'classes': list(data.classes),
         'allowed': {sym: sorted(class_id[c] for c in classes)
                     for sym, classes in sorted(data.allowed.items())}})
-    trainer = AveragedTrainer(model)
-    K = len(data.classes)
-    cached = []
-    for inst in data.instances:
-        cached.append((
-            _instance_indices(model, inst, K),
-            _candidates(data.allowed, class_id, inst.symbol),
-            class_id[inst.gold]))
-    rng = Rng(seed)
-    order = list(range(len(cached)))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        for i in order:
-            idx, cand, gold = cached[i]
-            trainer.begin_example()
-            scores = model.weights[idx[cand]].sum(axis=1)
-            pred = cand[int(np.argmax(scores))]
-            if pred != gold:
-                trainer.update_indices(idx[gold], 1.0)
-                trainer.update_indices(idx[pred], -1.0)
-    return trainer.average()
+    examples = [(_instance_indices(model, inst, len(data.classes)),
+                 _candidates(data.allowed, class_id, inst.symbol),
+                 class_id[inst.gold])
+                for inst in data.instances]
+    return perceptron.train(model, examples, epochs, seed,
+                            _instance_mistakes)
 
 
 def _predict(model, tree, node):
@@ -206,8 +201,7 @@ def _predict(model, tree, node):
     inst = Instance(tuple(featurize_node(tree, node)), node.label,
                     node.kind == PRETERMINAL, NULL_CLASS)
     idx = _instance_indices(model, inst, len(classes))
-    scores = model.weights[idx[cand]].sum(axis=1)
-    return classes[cand[int(np.argmax(scores))]]
+    return classes[_best(model.weights, idx, cand)]
 
 
 def recover(tree, model):

@@ -435,6 +435,23 @@ def test_convert_export_rejects_bracketed_text(toy_file, capsys):
         assert err.startswith(f'error: {toy_file}:1: ')
 
 
+@pytest.mark.parametrize('line', [
+    '{"x": 1}', '[1]',
+    '{"tokens": [["a", "X", null, null]], "root": {"label": "X", "head": 2}}',
+    '{"tokens": [["a", "X", null, null]], "root": '
+    '{"label": "S", "head": 1, "children": []}}',
+])
+def test_check_json_rejects_malformed_lines(tmp_path, capsys, line):
+    bank = tmp_path / 'bank.json'
+    bank.write_text(line + '\n')
+    code, out, err = _run(capsys, 'check', '--format', 'json',
+                          '-i', str(bank))
+    assert code == 1
+    assert out == ''
+    assert err.startswith(f'error: {bank}:1: ')
+    assert 'Traceback' not in err
+
+
 @pytest.fixture(scope='module')
 def toy_bundle(tmp_path_factory):
     root = tmp_path_factory.mktemp('bundle')
@@ -458,6 +475,20 @@ CORRUPTIONS = {
     'labels_empty': ('labeler.json', ['meta', 'labels'], []),
     'labels_not_strings': ('labeler.json', ['meta', 'labels'], [1, 2]),
     'labels_string': ('labeler.json', ['meta', 'labels'], 'NP'),
+    'classes_cut': ('unary.json', ['meta', 'classes'], ['NULL']),
+    'classes_missing': ('unary.json', ['meta', 'classes'], DROP),
+    'classes_empty': ('unary.json', ['meta', 'classes'], []),
+    'classes_without_null': ('unary.json', ['meta', 'classes'],
+                             ['ADVP', 'NP', 'VP', 'NULL']),
+    'classes_not_strings': ('unary.json', ['meta', 'classes'],
+                            ['NULL', 1, 2, 3]),
+    'allowed_missing': ('unary.json', ['meta', 'allowed'], DROP),
+    'allowed_list': ('unary.json', ['meta', 'allowed'], [[1]]),
+    'allowed_id_too_large': ('unary.json', ['meta', 'allowed', 'N'], [4]),
+    'allowed_id_negative': ('unary.json', ['meta', 'allowed', 'N'], [-1]),
+    'allowed_id_string': ('unary.json', ['meta', 'allowed', 'N'], ['2']),
+    'allowed_id_bool': ('unary.json', ['meta', 'allowed', 'N'], [True]),
+    'allowed_ids_not_list': ('unary.json', ['meta', 'allowed', 'N'], 2),
 }
 
 
@@ -484,3 +515,22 @@ def test_parse_rejects_corrupted_bundle(tmp_path, toy_bundle, capsys,
     assert out == ''
     assert err.startswith('error: ') and name in err
     assert 'Traceback' not in err
+
+
+def test_parse_ignores_an_old_label_pruning_table(tmp_path, toy_bundle,
+                                                  capsys):
+    # bundles written before label pruning was removed carry a
+    # meta.prune table in labeler.json; it is still bundle format 1 and
+    # must parse exactly as before
+    bundle = tmp_path / 'bundle'
+    shutil.copytree(toy_bundle, bundle)
+    obj = json.loads((bundle / 'labeler.json').read_text())
+    assert 'prune' not in obj['meta']
+    obj['meta']['prune'] = {'<root>|R': [0], 'V|L': [1, 2]}
+    (bundle / 'labeler.json').write_text(json.dumps(obj, sort_keys=True))
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N sees/V a/D cat/N\nbird/N sees/V\n')
+    runs = [_run(capsys, 'parse', '-m', str(b), '-i', str(sents))
+            for b in (toy_bundle, bundle)]
+    assert runs[0][0] == 0 and runs[0][1].count('\n') == 2
+    assert runs[0] == runs[1]

@@ -1,0 +1,126 @@
+"""Fuzz the readers and the head-rule loader: any text either parses or
+raises the reader's typed error, never a bare Python exception.
+
+Texts are drawn both as arbitrary unicode and as lines assembled from
+fragments of each format, so that most examples get past the first
+line and reach the deeper checks."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from hodt.errors import HeadRuleError, TreebankFormatError
+from hodt.headrules import load_rules
+from hodt.treebank_io import (
+    read_bracketed, read_conll, read_export, read_json_corpus)
+
+FUZZ = settings(max_examples=300, deadline=None)
+
+# mostly small numbers and placeholders, plus a few awkward atoms:
+# digits that str.isdigit accepts and int() rejects, signs, padding
+ATOMS = st.sampled_from([
+    '0', '1', '2', '3', '0', '1', '2', '500', '501', '502', '_', '--',
+    'x', 'NP', '-1', '+1', ' 1', '²', '١', '', '#'])
+
+
+def _lines(fragment):
+    """Texts of up to eight lines drawn from `fragment`, or anything."""
+    assembled = st.lists(fragment, max_size=8).map('\n'.join)
+    return st.one_of(assembled, st.text(max_size=200))
+
+
+def _fields(n, sep='\t'):
+    """Lines of n fields, sometimes one field more or less."""
+    return st.lists(ATOMS, min_size=n - 1, max_size=n + 1).map(sep.join)
+
+
+BRACKETED = _lines(st.lists(
+    st.sampled_from(['(', ')', ' ', 'S', 'NP', 'a', '()', '(S', 'x)']),
+    max_size=12).map(''.join))
+
+EXPORT_BODY = st.one_of(
+    _fields(5), _fields(6, ' '),
+    st.tuples(st.sampled_from(['#500', '#501', '#502', '#5²']),
+              _fields(4)).map('\t'.join))
+
+EXPORT = st.one_of(
+    _lines(st.one_of(
+        st.sampled_from(['#BOS 1', '#EOS 1', '#BOT WORDTAG', '#EOT WORDTAG',
+                         '#FORMAT 3', '#FORMAT 4', '%% comment', '']),
+        EXPORT_BODY)),
+    st.lists(EXPORT_BODY, max_size=6).map(
+        lambda body: '\n'.join(['#BOS 1', *body, '#EOS 1'])))
+
+CONLL = _lines(st.one_of(st.just(''), _fields(10)))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(
+        ['tokens', 'root', 'label', 'head', 'children']), inner, max_size=4),
+    max_leaves=12)
+
+TOKEN_ROWS = st.lists(st.one_of(
+    st.tuples(st.text(max_size=2), st.text(max_size=2),
+              st.none(), st.none()).map(list),
+    JSON_VALUES), max_size=4)
+
+NODES = st.recursive(
+    st.fixed_dictionaries({'label': st.sampled_from(['S', 'NP', 1]),
+                           'head': st.integers(-1, 4)}),
+    lambda inner: st.fixed_dictionaries({
+        'label': st.sampled_from(['S', 'NP']),
+        'head': st.integers(0, 4),
+        'children': st.lists(inner, max_size=3)}),
+    max_leaves=6)
+
+JSON_LINES = _lines(st.one_of(
+    JSON_VALUES.map(json.dumps),
+    st.fixed_dictionaries({'tokens': TOKEN_ROWS, 'root': NODES}).map(
+        json.dumps)))
+
+RULES = _lines(st.lists(st.sampled_from(
+    ['strategy', 'default', 'table', 'leftmost', 'left', 'right', 'S', 'NP',
+     'left-to-right', 'right-to-left', '#']), max_size=5).map(' '.join))
+
+
+def _parses_or_raises(reader, text, error=TreebankFormatError):
+    try:
+        reader(text)
+    except error as exc:
+        assert str(exc)
+
+
+@FUZZ
+@given(BRACKETED)
+def test_read_bracketed_total(text):
+    _parses_or_raises(read_bracketed, text)
+
+
+@FUZZ
+@given(EXPORT)
+def test_read_export_total(text):
+    _parses_or_raises(read_export, text)
+
+
+@FUZZ
+@given(CONLL, st.sampled_from(['repair', 'reject']))
+def test_read_conll_total(text, on_root_anomaly):
+    _parses_or_raises(
+        lambda t: read_conll(t, on_root_anomaly=on_root_anomaly), text)
+
+
+@FUZZ
+@given(JSON_LINES)
+def test_read_json_corpus_total(text):
+    try:
+        read_json_corpus(text, path='in.json')
+    except TreebankFormatError as exc:
+        # every json error names the line it is on
+        assert exc.path == 'in.json' and exc.line is not None
+
+
+@FUZZ
+@given(RULES)
+def test_load_rules_total(text):
+    _parses_or_raises(load_rules, text.splitlines(), HeadRuleError)

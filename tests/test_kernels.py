@@ -95,7 +95,7 @@ def test_decoders_match_brute_force(decoder, projective):
 
 def _pruned_emissions(rng, T, K):
     """Emissions with -inf at blocked labels, at least one label left per
-    step, the way label_tree(prune=True) builds them."""
+    step."""
     emis = rng.normal(size=(T, K))
     for t in range(T):
         blocked = rng.random(K) < 0.5

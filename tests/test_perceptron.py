@@ -1,12 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from hodt.baseline_parser import train_unlabeled
+from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
+from hodt.dep_labeler import train_labeler
+from hodt.encoding import encode_direct
 from hodt.errors import ModelFormatError
 from hodt.perceptron import (AveragedTrainer, LinearModel, conjoin,
                              conjoin_grid, feature_hash, hash_features)
+from hodt.reduction import ctree_to_dtree
 from hodt.rng import Rng
+from hodt.trees import strip_unaries
+from hodt.unary_recovery import extract_instances, train_unary
 
 
 def test_feature_hash_is_stable():
@@ -31,10 +39,13 @@ def test_conjoin_changes_with_key():
     c1 = conjoin(base, 1)
     assert not np.array_equal(c0, c1)
     assert not np.array_equal(c0, base)
-    grid = conjoin_grid(base, 3)
+    grid = conjoin_grid(base, range(3))
     assert grid.shape == (3, 2)
     for k in range(3):
         assert np.array_equal(grid[k], conjoin(base, k))
+    # an explicit key list picks out those rows of the full grid
+    keys = [2, 0, 2]
+    assert np.array_equal(conjoin_grid(base, keys), grid[keys])
 
 
 def test_model_score_and_update():
@@ -43,7 +54,7 @@ def test_model_score_and_update():
     assert model.score(hashes) == 0.0
     trainer = AveragedTrainer(model)
     trainer.begin_example()
-    trainer.update(hashes, 1.0)
+    trainer.update_indices(model.indices(hashes), 1.0)
     assert model.score(hashes) == pytest.approx(3.0)
 
 
@@ -55,10 +66,10 @@ def test_averaging_favors_early_updates():
     early = hash_features(['early'])
     late = hash_features(['late'])
     trainer.begin_example()
-    trainer.update(early, 1.0)
+    trainer.update_indices(model.indices(early), 1.0)
     for _ in range(9):
         trainer.begin_example()
-    trainer.update(late, 1.0)
+    trainer.update_indices(model.indices(late), 1.0)
     trainer.average()
     assert model.score(early) > model.score(late)
 
@@ -73,7 +84,7 @@ def test_duplicate_features_accumulate():
     trainer = AveragedTrainer(model)
     trainer.begin_example()
     dup = hash_features(['same', 'same'])
-    trainer.update(dup, 1.0)
+    trainer.update_indices(model.indices(dup), 1.0)
     assert model.score(hash_features(['same'])) == pytest.approx(2.0)
 
 
@@ -81,7 +92,7 @@ def test_model_json_roundtrip(tmp_path):
     model = LinearModel(dim_bits=12, meta={'task': 'arcs', 'projective': True})
     trainer = AveragedTrainer(model)
     trainer.begin_example()
-    trainer.update(hash_features(['f1', 'f2']), 2.5)
+    trainer.update_indices(model.indices(hash_features(['f1', 'f2'])), 2.5)
     trainer.average()
     path = tmp_path / 'm.json'
     model.save(str(path))
@@ -158,3 +169,48 @@ def test_model_load_names_the_file(tmp_path):
     with pytest.raises(ModelFormatError) as err:
         LinearModel.load(str(bad))
     assert str(err.value).startswith(f'{bad}: dim_bits')
+
+
+def _weights_digest(model):
+    """SHA-256 of the nonzero (index, value) pairs of a model."""
+    nonzero = np.flatnonzero(model.weights)
+    digest = hashlib.sha256(nonzero.astype('<i8').tobytes())
+    digest.update(model.weights[nonzero].astype('<f8').tobytes())
+    return digest.hexdigest()
+
+
+def _train_pinned(learner):
+    toy = gen_toy_treebank(GenConfig(seed=7), 30)
+    if learner == 'unary':
+        return train_unary(extract_instances(toy), epochs=3, seed=2)
+    if learner == 'arcs_nonprojective':
+        disc = [gen_ctree(GenConfig(seed=7, discontinuity_probability=1.0),
+                          8, index=i) for i in range(20)]
+        corpus = [encode_direct(ctree_to_dtree(t)) for t in disc]
+        return train_unlabeled(corpus, epochs=3, seed=2, projective=False)
+    corpus = [encode_direct(ctree_to_dtree(strip_unaries(t))) for t in toy]
+    if learner == 'labels':
+        return train_labeler(corpus, epochs=3, seed=2)
+    return train_unlabeled(corpus, epochs=3, seed=2, projective=True)
+
+
+# Digests of the weights each learner produces on a small fixed corpus.
+# A change to the training loops, the featurizers or the hashing that
+# alters a single weight shows up here.
+PINNED = {
+    'arcs_projective':
+        'ce11651ab0d6c21a062e54d63c4368e97db721ba59d533a05e668a2db5d9d645',
+    'arcs_nonprojective':
+        '92fee636152b6cb55b4aaf20deb2d76ddceb20be4feff345059e6f3cfdcc61ac',
+    'labels':
+        '13615fded898d21328067afbf07bebaba64be0b87f41b1b064c7c72d273eac65',
+    'unary':
+        'b99d1f9fdc9ee38f593ac1dd47a9e8c95eeee054490514d4dbfbc728a216464c',
+}
+
+
+@pytest.mark.parametrize('learner', sorted(PINNED))
+def test_trained_weights_are_pinned(learner):
+    model = _train_pinned(learner)
+    assert np.count_nonzero(model.weights)
+    assert _weights_digest(model) == PINNED[learner]

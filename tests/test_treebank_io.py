@@ -154,6 +154,30 @@ def test_export_errors():
         read_export('#BOS 1\n#BOS 2\n#EOS 2\n')
 
 
+def test_export_rejects_a_cycle_beside_the_top():
+    # the cycle is attached to nothing, so a reader that only walks down
+    # from the top used to drop it, token included, without a word
+    text = '\n'.join([
+        '#BOS 1', 'a\tX\t--\t--\t0', 'b\tX\t--\t--\t500',
+        '#500\tA\t--\t--\t501', '#501\tB\t--\t--\t500', '#EOS 1'])
+    with pytest.raises(TreebankFormatError) as err:
+        read_export(text)
+    assert err.value.line == 4
+    assert 'cycle' in str(err.value)
+
+
+@pytest.mark.parametrize('reader, text, line', [
+    # '²' passes str.isdigit but not int()
+    (read_conll, '²\ta\t_\tX\tX\t_\t0\tL\t_\t_', 1),
+    (read_export, '#BOS 1\na\tX\t--\t--\t²\n#EOS 1', 2),
+    (read_export, '#BOS 1\na\tX\t--\t--\t5²\n#5²\tA\t--\t--\t0\n#EOS 1', 2),
+])
+def test_readers_reject_non_ascii_digits(reader, text, line):
+    with pytest.raises(TreebankFormatError) as err:
+        reader(text)
+    assert err.value.line == line
+
+
 def test_export_rejects_lines_outside_blocks():
     with pytest.raises(TreebankFormatError) as err:
         read_export('(S (NP (N dog)) (VP (V sees)))\n', 'toy.brackets')
@@ -279,3 +303,40 @@ def test_json_bad_input():
     assert err.value.line == 1
     with pytest.raises(TreebankFormatError):
         read_json_corpus('{"tokens": [["a", "X", null, null]], "root": {}}')
+
+
+_TOKEN = '["a", "X", null, null]'
+
+
+@pytest.mark.parametrize('line', [
+    '{"x": 1}',
+    '[1]',
+    'null',
+    '{"tokens": [], "root": {"label": "S", "head": 1}}',
+    '{"tokens": 3, "root": {"label": "X", "head": 1}}',
+    '{"tokens": [["a", "X"]], "root": {"label": "X", "head": 1}}',
+    '{"tokens": [["a", 1, null, null]], "root": {"label": "X", "head": 1}}',
+    '{"tokens": [["a", "X", 2, null]], "root": {"label": "X", "head": 1}}',
+    '{"tokens": [%s], "root": {"label": "X"}}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "X", "head": 2}}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "X", "head": 0}}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "X", "head": true}}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "X", "head": "1"}}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": 5, "head": 1}}' % _TOKEN,
+    '{"tokens": [%s], "root": [1]}' % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "S", "head": 1, "children": []}}'
+    % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "S", "head": 1, "children": {}}}'
+    % _TOKEN,
+    '{"tokens": [%s], "root": {"label": "S", "head": 1, "children": [3]}}'
+    % _TOKEN,
+    # well-typed, but the root covers token 1 twice
+    '{"tokens": [%s], "root": {"label": "S", "head": 1, "children": '
+    '[{"label": "X", "head": 1}, {"label": "X", "head": 1}]}}' % _TOKEN,
+])
+def test_json_rejects_malformed_objects(line):
+    text = '{"tokens": [%s], "root": {"label": "X", "head": 1}}\n\n%s\n' % (
+        _TOKEN, line)
+    with pytest.raises(TreebankFormatError) as err:
+        read_json_corpus(text, 'bank.json')
+    assert str(err.value).startswith('bank.json:3: ')
