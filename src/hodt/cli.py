@@ -134,14 +134,19 @@ def _split_csv(arg):
     return frozenset(s for s in (arg or '').split(',') if s)
 
 
-def _positive_int(arg):
-    try:
-        value = int(arg)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f'not an integer: {arg!r}') from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f'must be at least 1, got {value}')
-    return value
+def _int_at_least(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(arg):
+        try:
+            value = int(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f'not an integer: {arg!r}') from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f'must be at least {low}, got {value}')
+        return value
+    return parse
 
 
 # (fn, items) of the running _pmap; fork-started workers inherit it
@@ -474,7 +479,7 @@ def cmd_check(args):
     }
     bad = []
     for i, tree in enumerate(trees, 1):
-        report = roundtrip_check(strip_unaries(tree))
+        report = roundtrip_check(tree)
         summary['continuous'] += report.continuous
         summary['projective'] += report.projective
         summary['nested'] += report.nested
@@ -534,7 +539,7 @@ def build_parser():
     p.add_argument('--format', choices=('bracketed', 'export', 'json'))
     p.add_argument('--encoding', choices=ENCODINGS, default='direct')
     p.add_argument('--head-rules', default='leftmost')
-    p.add_argument('--jobs', type=_positive_int, default=1,
+    p.add_argument('--jobs', type=_int_at_least(1), default=1,
                    help='worker processes that lexicalize and encode '
                         'trees (default 1)')
     p.set_defaults(fn=cmd_convert)
@@ -548,7 +553,7 @@ def build_parser():
     p.add_argument('--mode', choices=MODES, default='continuous')
     p.add_argument('--head-rules', default='leftmost')
     p.add_argument('--seed', type=int, default=1)
-    p.add_argument('--epochs', type=int, default=5)
+    p.add_argument('--epochs', type=_int_at_least(0), default=5)
     p.add_argument('--no-unaries', action='store_true')
     p.set_defaults(fn=cmd_train)
 
@@ -558,7 +563,7 @@ def build_parser():
     p.add_argument('--format', choices=('bracketed', 'export', 'json'),
                    help='output tree format (default by mode)')
     p.add_argument('--no-unaries', action='store_true')
-    p.add_argument('--jobs', type=_positive_int, default=1,
+    p.add_argument('--jobs', type=_int_at_least(1), default=1,
                    help='worker processes that parse sentences (default 1)')
     p.set_defaults(fn=cmd_parse)
 
@@ -583,9 +588,9 @@ def build_parser():
     p = sub.add_parser('gen', help='generate a synthetic treebank')
     _add_io(p)
     p.add_argument('--kind', choices=('toy', 'random'), default='toy')
-    p.add_argument('-n', type=int, default=100)
+    p.add_argument('-n', type=_int_at_least(0), default=100)
     p.add_argument('--seed', type=int, default=1)
-    p.add_argument('--length', type=int, default=8,
+    p.add_argument('--length', type=_int_at_least(1), default=8,
                    help='sentence length for random trees')
     p.add_argument('--disc-prob', type=float, default=0.0)
     p.add_argument('--unary-prob', type=float, default=0.0)

@@ -19,7 +19,7 @@ the table entirely.
 from dataclasses import dataclass
 
 from .errors import HeadRuleError, TreeStructureError
-from .trees import CTree, RawLeaf, RawNode, Sentence, Token, preterminal, proper
+from .trees import CTree, RawLeaf, Sentence, Token, preterminal, proper
 
 LEFT_TO_RIGHT = 'left-to-right'
 RIGHT_TO_LEFT = 'right-to-left'
@@ -101,17 +101,11 @@ def _label_of(raw_child):
 
 def lexicalize(tree, rules):
     """Assign head positions to an unlexicalized tree, returning a CTree."""
-    leaves = sorted(
-        (n for n in _iter_raw(tree) if isinstance(n, RawLeaf)),
-        key=lambda leaf: leaf.position)
-    if [leaf.position for leaf in leaves] != list(range(1, len(leaves) + 1)):
-        raise TreeStructureError('leaf positions must enumerate 1..L')
-    sentence = Sentence(tuple(
-        Token(leaf.position, leaf.form, leaf.pos, leaf.lemma, leaf.morph)
-        for leaf in leaves))
+    leaves = []
 
     def build(node):
         if isinstance(node, RawLeaf):
+            leaves.append(node)
             return preterminal(node.pos, node.position, node.form)
         if not node.children:
             raise TreeStructureError(
@@ -121,13 +115,11 @@ def lexicalize(tree, rules):
             rules, node.label, [_label_of(c) for c in node.children])
         return proper(node.label, kids[head_idx].head, kids)
 
-    return CTree(build(tree), sentence)
-
-
-def _iter_raw(node):
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        yield n
-        if isinstance(n, RawNode):
-            stack.extend(n.children)
+    root = build(tree)
+    leaves.sort(key=lambda leaf: leaf.position)
+    if [leaf.position for leaf in leaves] != list(range(1, len(leaves) + 1)):
+        raise TreeStructureError('leaf positions must enumerate 1..L')
+    sentence = Sentence(tuple(
+        Token(leaf.position, leaf.form, leaf.pos, leaf.lemma, leaf.morph)
+        for leaf in leaves))
+    return CTree(root, sentence)

@@ -17,9 +17,11 @@ Four formats:
 
 Readers take a string or an iterable of lines, tolerate CRLF, and report
 malformed input as TreebankFormatError with file/line positions; writers
-return LF-terminated text.  Bracketed and export readers yield
-unlexicalized RawNode/RawLeaf trees (feed them to headrules.lexicalize);
-the json reader returns CTrees since the format stores head positions.
+render lexicalized CTrees and return LF-terminated text.  Bracketed and
+export readers yield unlexicalized RawNode/RawLeaf trees (feed them to
+headrules.lexicalize); the json reader returns CTrees since the format
+stores head positions.  The three tree readers reject a tree nested
+deeper than MAX_DEPTH levels.
 """
 
 import json
@@ -27,8 +29,14 @@ import json
 from .encoding import ROOT_LABEL, EncodedDTree
 from .errors import TreebankFormatError
 from .trees import (
-    CTree, RawLeaf, RawNode, Sentence, Token, is_continuous, preterminal,
-    proper, unlexicalize, validate)
+    PRETERMINAL, PROPER, CTree, RawLeaf, RawNode, Sentence, Token,
+    is_continuous, preterminal, proper, validate)
+
+# deepest nesting a tree reader accepts, counting the root and the
+# preterminal (and, in bracketed text, a label-less wrapper).  The tree
+# walkers recurse: at the default recursion limit, `hodt check` fails
+# near 250 levels, so this keeps a margin of about two
+MAX_DEPTH = 128
 
 
 def _lines_of(source):
@@ -58,11 +66,17 @@ def _tokenize_brackets(line):
 
 
 def _parse_bracket_line(line, lineno, path):
+    """The tree on one line; a constituent becomes a RawNode or RawLeaf
+    when its ) closes it, so leaves are numbered left to right."""
     stack = []
     result = None
+    leaves = 0
     expect_label = False
     for tok in _tokenize_brackets(line):
         if tok == '(':
+            if len(stack) == MAX_DEPTH:
+                raise TreebankFormatError(
+                    f'nesting deeper than {MAX_DEPTH}', path, lineno)
             stack.append([None, []])
             expect_label = True
         elif tok == ')':
@@ -75,8 +89,19 @@ def _parse_bracket_line(line, lineno, path):
                     raise TreebankFormatError(
                         'wrapper must contain exactly one tree', path, lineno)
                 node = children[0]
+            elif not children:
+                raise TreebankFormatError(
+                    f'empty constituent {label!r}', path, lineno)
+            elif len(children) == 1 and isinstance(children[0], str):
+                leaves += 1
+                node = RawLeaf(leaves, children[0], label)
             else:
-                node = (label, children)
+                for child in children:
+                    if isinstance(child, str):
+                        raise TreebankFormatError(
+                            f'word {child!r} outside a preterminal',
+                            path, lineno)
+                node = RawNode(label, tuple(children))
             if stack:
                 stack[-1][1].append(node)
             elif result is None:
@@ -99,75 +124,39 @@ def _parse_bracket_line(line, lineno, path):
     return result
 
 
-def _raw_from_parse(node, counter, lineno, path):
-    label, children = node
-    if not children:
-        raise TreebankFormatError(f'empty constituent {label!r}', path, lineno)
-    if len(children) == 1 and isinstance(children[0], str):
-        counter[0] += 1
-        return RawLeaf(counter[0], children[0], label)
-    kids = []
-    for child in children:
-        if isinstance(child, str):
-            raise TreebankFormatError(
-                f'word {child!r} outside a preterminal', path, lineno)
-        kids.append(_raw_from_parse(child, counter, lineno, path))
-    return RawNode(label, tuple(kids))
-
-
 def read_bracketed(source, path=None):
     """Parse one tree per non-blank line; returns RawNode/RawLeaf trees."""
-    trees = []
-    for lineno, line in enumerate(_lines_of(source), 1):
-        if not line.strip():
-            continue
-        parsed = _parse_bracket_line(line, lineno, path)
-        if isinstance(parsed, str):
-            raise TreebankFormatError('tree has no brackets', path, lineno)
-        counter = [0]
-        trees.append(_raw_from_parse(parsed, counter, lineno, path))
-    return trees
+    return [_parse_bracket_line(line, lineno, path)
+            for lineno, line in enumerate(_lines_of(source), 1)
+            if line.strip()]
 
 
-def _render_raw(node):
-    if isinstance(node, RawLeaf):
-        return f'({node.pos} {node.form})'
-    inner = ' '.join(_render_raw(c) for c in node.children)
+def _render(node, sentence):
+    if node.kind == PRETERMINAL:
+        return f'({node.label} {sentence.form(node.head)})'
+    inner = ' '.join(_render(c, sentence) for c in node.children)
     return f'({node.label} {inner})'
 
 
 def write_bracketed(trees, path=None):
-    """One line per tree.  Continuous trees only."""
+    """One line per tree, rendered from the lexicalized tree.  Continuous
+    trees only."""
     lines = []
     for i, tree in enumerate(trees, 1):
         if not is_continuous(tree):
             raise TreebankFormatError(
                 f'tree {i} is discontinuous; write it in the export format',
                 path)
-        lines.append(_render_raw(unlexicalize(tree)))
+        lines.append(_render(tree.root, tree.sentence))
     return '\n'.join(lines) + '\n'
 
 
 # --- export -----------------------------------------------------------------
 
-def _raw_min_position(node):
-    if isinstance(node, RawLeaf):
-        return node.position
-    return min(_raw_min_position(c) for c in node.children)
-
-
-def _canonical_raw(node):
-    if isinstance(node, RawLeaf):
-        return node
-    kids = tuple(sorted((_canonical_raw(c) for c in node.children),
-                        key=_raw_min_position))
-    return RawNode(node.label, kids)
-
-
-def _parse_export_block(block, version, path):
-    terminals = []
+def _parse_export_block(block, bos_line, version, path):
     nodes = {}
-    order = []  # (kind, key) in encounter order, for child assembly
+    units = []      # (parent field, token leaf or node id, line) in order
+    tokens = 0
     for lineno, line in block:
         parts = line.split()
         if line.startswith('#') and parts[0][1:].isdecimal():
@@ -180,9 +169,8 @@ def _parse_export_block(block, version, path):
                 raise TreebankFormatError(
                     f'duplicate node id {node_id}', path, lineno)
             nodes[node_id] = {
-                'label': parts[1], 'morph': parts[2],
-                'parent': parts[4], 'children': [], 'line': lineno}
-            order.append(('node', node_id))
+                'label': parts[1], 'children': [], 'line': lineno}
+            units.append((parts[4], node_id, lineno))
         else:
             if version == 4:
                 if len(parts) < 6:
@@ -194,16 +182,12 @@ def _parse_export_block(block, version, path):
                     raise TreebankFormatError('short token line', path, lineno)
                 form, lemma, tag, morph, parent = (
                     parts[0], None, parts[1], parts[2], parts[4])
-            position = len(terminals) + 1
-            terminals.append({
-                'leaf': RawLeaf(position, form, tag,
-                                None if lemma in (None, '--') else lemma,
-                                None if morph == '--' else morph),
-                'parent': parent, 'line': lineno})
-            order.append(('token', position - 1))
+            tokens += 1
+            units.append((parent, RawLeaf(
+                tokens, form, tag, None if lemma in (None, '--') else lemma,
+                None if morph == '--' else morph), lineno))
     tops = []
-
-    def attach(parent_field, unit, lineno):
+    for parent_field, unit, lineno in units:
         if not parent_field.isdecimal():
             raise TreebankFormatError(
                 f'bad parent pointer {parent_field!r}', path, lineno)
@@ -216,42 +200,40 @@ def _parse_export_block(block, version, path):
             raise TreebankFormatError(
                 f'dangling parent pointer {parent}', path, lineno)
 
-    for kind, key in order:
-        if kind == 'token':
-            t = terminals[key]
-            attach(t['parent'], t['leaf'], t['line'])
-        else:
-            attach(nodes[key]['parent'], key, nodes[key]['line'])
-
+    # several top-level units, or a bare token, go under a synthesized VROOT
+    vroot = len(tops) != 1 or isinstance(tops[0], RawLeaf)
     # every unit has one parent pointer, so a node is either reached from
     # the top or sits on (or under) a parent cycle
     reached = set()
 
-    def build(unit):
+    def build(unit, depth):
+        """(subtree, its smallest position), children sorted by theirs."""
         if isinstance(unit, RawLeaf):
-            return unit
+            return unit, unit.position
         reached.add(unit)
         entry = nodes[unit]
         if not entry['children']:
             raise TreebankFormatError(
                 f'node {unit} has no children', path, entry['line'])
-        return RawNode(entry['label'],
-                       tuple(build(c) for c in entry['children']))
+        if depth == MAX_DEPTH:
+            raise TreebankFormatError(
+                f'nesting deeper than {MAX_DEPTH}', path, entry['line'])
+        kids = sorted((build(c, depth + 1) for c in entry['children']),
+                      key=lambda kid: kid[1])
+        return RawNode(entry['label'], tuple(k for k, _ in kids)), kids[0][1]
 
-    built_tops = [build(u) for u in tops]
+    built = sorted((build(u, 2 if vroot else 1) for u in tops),
+                   key=lambda top: top[1])
     for node_id in nodes:
         if node_id not in reached:
             raise TreebankFormatError(
                 f'node {node_id} unreachable from the top (parent cycle)',
                 path, nodes[node_id]['line'])
-    if not built_tops:
-        raise TreebankFormatError('empty sentence block', path)
-    if len(built_tops) == 1 and isinstance(built_tops[0], RawNode):
-        root = built_tops[0]
-    else:
-        # several top-level units, or a bare token: house them under VROOT
-        root = RawNode('VROOT', tuple(built_tops))
-    return _canonical_raw(root)
+    if not built:
+        raise TreebankFormatError('empty sentence block', path, bos_line)
+    if vroot:
+        return RawNode('VROOT', tuple(t for t, _ in built))
+    return built[0][0]
 
 
 def read_export(source, path=None, version=None):
@@ -263,6 +245,7 @@ def read_export(source, path=None, version=None):
     """
     trees = []
     block = None
+    bos_line = None
     table = None    # line of the open #BOT
     declared = None
     for lineno, line in enumerate(_lines_of(source), 1):
@@ -287,12 +270,13 @@ def read_export(source, path=None, version=None):
             if block is not None:
                 raise TreebankFormatError('#BOS inside a block', path, lineno)
             block = []
+            bos_line = lineno
             continue
         if stripped.startswith('#EOS'):
             if block is None:
                 raise TreebankFormatError('#EOS outside a block', path, lineno)
             trees.append(_parse_export_block(
-                block, version or declared or 3, path))
+                block, bos_line, version or declared or 3, path))
             block = None
             continue
         if block is None:
@@ -302,53 +286,51 @@ def read_export(source, path=None, version=None):
     if table is not None:
         raise TreebankFormatError('unterminated #BOT table', path, table)
     if block is not None:
-        raise TreebankFormatError('unterminated #BOS block', path)
+        raise TreebankFormatError('unterminated #BOS block', path, bos_line)
     return trees
 
 
 def write_export(trees, version=3):
+    """Export blocks rendered from the lexicalized trees; a VROOT root is
+    implicit in the format, so its children attach at the top (0)."""
     lines = []
     if version == 4:
         lines.append('#FORMAT 4')
     for i, tree in enumerate(trees, 1):
         lines.append(f'#BOS {i}')
-        raw = unlexicalize(tree)
-        if isinstance(raw, RawNode) and raw.label == 'VROOT':
-            tops = raw.children
+        root = tree.root
+        if root.kind == PROPER and root.label == 'VROOT':
+            tops = root.children
         else:
-            tops = (raw,)
-
-        def collect(node, depth, acc):
-            if isinstance(node, RawNode):
-                acc.append((node, depth))
-                for c in node.children:
-                    collect(c, depth + 1, acc)
-
-        internal = []
-        for top in tops:
-            collect(top, 0, internal)
-        # deepest-first within a position span so ids grow bottom-up
-        internal.sort(key=lambda item: (
-            tuple(sorted(_raw_positions(item[0]))), -item[1]))
-        ids = {id(node): 500 + k for k, (node, _) in enumerate(internal)}
-        parent_of = {}
-        for node, _ in internal:
-            for c in node.children:
-                parent_of[id(c)] = ids[id(node)]
-        leaves = sorted(
-            (leaf for top in tops for leaf in _raw_leaves(top)),
-            key=lambda leaf: leaf.position)
-        for leaf in leaves:
-            parent = parent_of.get(id(leaf), 0)
-            morph = leaf.morph if leaf.morph is not None else '--'
-            if version == 4:
-                lemma = leaf.lemma if leaf.lemma is not None else '--'
-                lines.append(
-                    f'{leaf.form}\t{lemma}\t{leaf.pos}\t{morph}\t--\t{parent}')
+            tops = (root,)
+        internal = []   # (yield, -depth, node, parent), parents first
+        leaf_of = {}    # position -> (preterminal label, parent)
+        stack = [(top, None, 0) for top in reversed(tops)]
+        while stack:
+            node, parent, depth = stack.pop()
+            if node.kind == PRETERMINAL:
+                leaf_of[node.head] = (node.label, parent)
             else:
-                lines.append(f'{leaf.form}\t{leaf.pos}\t{morph}\t--\t{parent}')
-        for node, _ in internal:
-            parent = parent_of.get(id(node), 0)
+                internal.append((sorted(node.positions), -depth, node, parent))
+                stack.extend((c, node, depth + 1)
+                             for c in reversed(node.children))
+        # deepest-first within a yield so ids grow bottom-up
+        internal.sort(key=lambda entry: entry[:2])
+        ids = {id(None): 0}     # no parent: attached at the top
+        ids.update((id(node), 500 + k)
+                   for k, (_, _, node, _) in enumerate(internal))
+        for tok in tree.sentence:
+            tag, parent = leaf_of[tok.position]
+            parent = ids[id(parent)]
+            morph = tok.morph if tok.morph is not None else '--'
+            if version == 4:
+                lemma = tok.lemma if tok.lemma is not None else '--'
+                lines.append(
+                    f'{tok.form}\t{lemma}\t{tag}\t{morph}\t--\t{parent}')
+            else:
+                lines.append(f'{tok.form}\t{tag}\t{morph}\t--\t{parent}')
+        for _, _, node, parent in internal:
+            parent = ids[id(parent)]
             if version == 4:
                 lines.append(
                     f'#{ids[id(node)]}\t--\t{node.label}\t--\t--\t{parent}')
@@ -357,23 +339,6 @@ def write_export(trees, version=3):
                     f'#{ids[id(node)]}\t{node.label}\t--\t--\t{parent}')
         lines.append(f'#EOS {i}')
     return '\n'.join(lines) + '\n'
-
-
-def _raw_positions(node):
-    if isinstance(node, RawLeaf):
-        return (node.position,)
-    out = []
-    for c in node.children:
-        out.extend(_raw_positions(c))
-    return tuple(out)
-
-
-def _raw_leaves(node):
-    if isinstance(node, RawLeaf):
-        yield node
-        return
-    for c in node.children:
-        yield from _raw_leaves(c)
 
 
 # --- conll ------------------------------------------------------------------
@@ -493,7 +458,7 @@ def _node_to_obj(node):
             'children': [_node_to_obj(c) for c in node.children]}
 
 
-def _node_from_obj(obj, sentence, path, lineno):
+def _node_from_obj(obj, sentence, path, lineno, depth=1):
     if not isinstance(obj, dict):
         raise TreebankFormatError('node must be an object', path, lineno)
     label, head = obj.get('label'), obj.get('head')
@@ -509,8 +474,12 @@ def _node_from_obj(obj, sentence, path, lineno):
     if not isinstance(children, list) or not children:
         raise TreebankFormatError(
             'node children must be a non-empty list', path, lineno)
-    return proper(label, head, [_node_from_obj(c, sentence, path, lineno)
-                                for c in children])
+    if depth == MAX_DEPTH:
+        raise TreebankFormatError(
+            f'nesting deeper than {MAX_DEPTH}', path, lineno)
+    return proper(label, head, [
+        _node_from_obj(c, sentence, path, lineno, depth + 1)
+        for c in children])
 
 
 def _is_token_row(row):
@@ -540,6 +509,9 @@ def read_json_corpus(source, path=None):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TreebankFormatError(f'bad json: {exc}', path, lineno) from None
+        except RecursionError:
+            raise TreebankFormatError(
+                f'nesting deeper than {MAX_DEPTH}', path, lineno) from None
         if not isinstance(obj, dict) or not {'tokens', 'root'} <= obj.keys():
             raise TreebankFormatError(
                 'expected an object with tokens and root', path, lineno)

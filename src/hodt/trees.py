@@ -216,13 +216,10 @@ def _descendant_sets(heads):
     return desc
 
 
-def is_projective(tree, ignore_order=True):
+def is_projective(tree):
     """Projectivity of the arc structure: for every arc, all positions
-    strictly between head and modifier descend from the head.
-
-    With ignore_order=False a HeadOrderedDTree must additionally be nested
-    (see is_nested), i.e. the full continuity condition.
-    """
+    strictly between head and modifier descend from the head.  Order
+    indices are ignored; see is_nested for them."""
     heads = _heads_of(tree)
     desc = _descendant_sets(heads)
     for m, h in enumerate(heads, 1):
@@ -232,8 +229,6 @@ def is_projective(tree, ignore_order=True):
         for between in range(lo + 1, hi):
             if between not in desc[h]:
                 return False
-    if not ignore_order and isinstance(tree, HeadOrderedDTree):
-        return is_nested(tree)
     return True
 
 
@@ -286,8 +281,8 @@ def strip_unaries(tree):
 
 
 def unlexicalize(tree):
-    """Project a CTree back to the RawNode/RawLeaf form used by readers
-    and writers (labels, tags and forms; head positions dropped)."""
+    """Project a CTree back to the RawNode/RawLeaf form the treebank
+    readers return (labels, tags and forms; head positions dropped)."""
 
     def conv(node):
         if node.kind == PRETERMINAL:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ToolkitError
 from . import perceptron
 from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_features
-from .trees import CTree, PRETERMINAL, PROPER, iter_nodes, proper, strip_unaries
+from .trees import CTree, PRETERMINAL, PROPER, proper, strip_unaries
 
 NULL_CLASS = 'NULL'
 CHAIN_SEP = '->'
@@ -42,23 +42,25 @@ class UnaryData:
     allowed: dict
 
 
-def _parent_of(tree, node):
-    for cand in iter_nodes(tree.root):
-        for c in cand.children:
-            if c is node:
-                return cand
-    return None
+def _with_parents(root):
+    """(node, parent) for every node, in the order of trees.iter_nodes;
+    the root's parent is None."""
+    stack = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        yield node, parent
+        stack.extend((c, node) for c in reversed(node.children))
 
 
 def _child_labels(node):
     return ' '.join(c.label for c in node.children)
 
 
-def featurize_node(tree, node):
-    """19 feature strings describing a node in its tree; boundary slots
-    fall back to the sentinel NONE so the count is constant."""
+def featurize_node(tree, node, parent):
+    """19 feature strings describing a node under its parent (None at the
+    root); boundary slots fall back to the sentinel NONE so the count is
+    constant."""
     sent = tree.sentence
-    parent = _parent_of(tree, node)
     if parent is None:
         par_label = _NONE
         above = _NONE
@@ -131,13 +133,13 @@ def extract_instances(treebank):
     for tree in treebank:
         chains = _survivor_chains(tree)
         stripped = strip_unaries(tree)
-        for node in iter_nodes(stripped.root):
+        for node, parent in _with_parents(stripped.root):
             if node.kind not in (PROPER, PRETERMINAL):
                 continue
             chain = chains.get(node.positions)
             gold = CHAIN_SEP.join(chain) if chain else NULL_CLASS
             instances.append(Instance(
-                tuple(featurize_node(stripped, node)), node.label,
+                tuple(featurize_node(stripped, node, parent)), node.label,
                 node.kind == PRETERMINAL, gold))
             if gold != NULL_CLASS:
                 observed.setdefault(node.label, set()).add(gold)
@@ -192,13 +194,13 @@ def train_unary(data, epochs, seed=1):
                             _instance_mistakes)
 
 
-def _predict(model, tree, node):
+def _predict(model, tree, node, parent):
     classes = model.meta['classes']
     allowed = model.meta['allowed']
     cand = sorted({0, *allowed.get(node.label, ())})
     if cand == [0]:
         return NULL_CLASS
-    inst = Instance(tuple(featurize_node(tree, node)), node.label,
+    inst = Instance(tuple(featurize_node(tree, node, parent)), node.label,
                     node.kind == PRETERMINAL, NULL_CLASS)
     idx = _instance_indices(model, inst, len(classes))
     return classes[_best(model.weights, idx, cand)]
@@ -209,16 +211,16 @@ def recover(tree, model):
     tree; features are read off the input tree, so decisions at distinct
     nodes do not interact."""
 
-    def rebuild(node):
+    def rebuild(node, parent):
         if node.kind == PRETERMINAL:
             base = node
         else:
             base = proper(node.label, node.head,
-                          [rebuild(c) for c in node.children])
-        cls = _predict(model, tree, node)
+                          [rebuild(c, node) for c in node.children])
+        cls = _predict(model, tree, node, parent)
         if cls != NULL_CLASS:
             for label in reversed(cls.split(CHAIN_SEP)):
                 base = proper(label, node.head, (base,))
         return base
 
-    return CTree(rebuild(tree.root), tree.sentence)
+    return CTree(rebuild(tree.root, None), tree.sentence)

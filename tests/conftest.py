@@ -17,6 +17,18 @@ def make_sentence(*pairs):
         Token(i, form, pos) for i, (form, pos) in enumerate(pairs, 1)))
 
 
+def deep_tree(depth):
+    """A right-branching tree whose lowest preterminals sit `depth`
+    levels down, counting the root and the preterminal."""
+    n = depth   # one word per level, two at the bottom
+    sent = Sentence(tuple(Token(i, f'w{i}', 'A') for i in range(1, n + 1)))
+    node = proper('X', n - 1, (preterminal('A', n - 1, f'w{n - 1}'),
+                               preterminal('A', n, f'w{n}')))
+    for i in range(n - 2, 0, -1):
+        node = proper('X', i, (preterminal('A', i, f'w{i}'), node))
+    return CTree(node, sent)
+
+
 @pytest.fixture(scope='session')
 def english_tree():
     sent = make_sentence(

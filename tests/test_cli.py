@@ -8,7 +8,10 @@ import pytest
 
 from hodt import cli
 from hodt.cli import main
-from hodt.treebank_io import read_bracketed, read_conll, read_json_corpus
+from hodt.treebank_io import (
+    MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
+    write_export, write_json_corpus)
+from tests.conftest import deep_tree
 
 
 def _run(capsys, *argv):
@@ -332,6 +335,49 @@ def test_jobs_must_be_a_positive_integer(capsys, cmd, jobs):
         main(argv)
     assert exc.value.code == 2
     assert '--jobs' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize('argv, flag', [
+    (['gen', '--kind', 'random', '--length', '0'], '--length'),
+    (['gen', '--kind', 'random', '--length', '-2'], '--length'),
+    (['gen', '-n', '-1'], '-n'),
+    (['gen', '-n', 'many'], '-n'),
+    (['train', '-m', 'unused', '--epochs', '-1'], '--epochs'),
+])
+def test_counts_out_of_range_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_sentences_and_zero_epochs_are_valid(tmp_path, capsys,
+                                                  toy_file):
+    empty = tmp_path / 'empty.export'
+    code, _, _ = _run(capsys, 'gen', '--kind', 'random', '-n', '0',
+                      '--format', 'export', '-o', str(empty))
+    assert code == 0
+    assert empty.read_text() == '\n'
+    code, _, _ = _run(capsys, 'train', '-i', toy_file, '-m',
+                      str(tmp_path / 'm'), '--epochs', '0')
+    assert code == 0
+
+
+@pytest.mark.parametrize('fmt, write', [
+    ('bracketed', write_bracketed), ('export', write_export),
+    ('json', write_json_corpus)])
+def test_check_and_convert_at_the_nesting_limit(tmp_path, capsys, fmt,
+                                                 write):
+    for depth, want in ((MAX_DEPTH, 0), (MAX_DEPTH + 1, 1)):
+        path = tmp_path / f'deep{depth}.{fmt}'
+        path.write_text(write([deep_tree(depth)]))
+        for cmd in ('check', 'convert'):
+            code, _, err = _run(capsys, cmd, '-i', str(path),
+                                '-o', str(tmp_path / 'out'))
+            assert code == want, err
+            if want:
+                assert err.startswith(f'error: {path}:')
+                assert f'nesting deeper than {MAX_DEPTH}' in err
 
 
 def test_pmap_forks_no_more_workers_than_items(monkeypatch):

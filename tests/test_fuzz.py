@@ -3,16 +3,21 @@ raises the reader's typed error, never a bare Python exception.
 
 Texts are drawn both as arbitrary unicode and as lines assembled from
 fragments of each format, so that most examples get past the first
-line and reach the deeper checks."""
+line and reach the deeper checks.  Generated trees written by each
+writer must read back as the same tree."""
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
+from hodt.corpus_gen import GenConfig, gen_ctree
 from hodt.errors import HeadRuleError, TreebankFormatError
 from hodt.headrules import load_rules
 from hodt.treebank_io import (
-    read_bracketed, read_conll, read_export, read_json_corpus)
+    read_bracketed, read_conll, read_export, read_json_corpus,
+    write_bracketed, write_export, write_json_corpus)
+from hodt.trees import (
+    CTree, RawLeaf, RawNode, Sentence, Token, is_continuous, unlexicalize)
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -124,3 +129,58 @@ def test_read_json_corpus_total(text):
 @given(RULES)
 def test_load_rules_total(text):
     _parses_or_raises(load_rules, text.splitlines(), HeadRuleError)
+
+
+# --- writer -> reader round trips -------------------------------------------
+
+@st.composite
+def generated_trees(draw, disc=(0.0, 0.5, 1.0)):
+    """gen_ctree trees, with unary chains and some lemmas and morphology."""
+    cfg = GenConfig(seed=draw(st.integers(0, 2 ** 16)),
+                    label_count=draw(st.integers(1, 4)),
+                    discontinuity_probability=draw(st.sampled_from(disc)),
+                    unary_probability=draw(st.sampled_from([0.0, 0.3, 0.7])),
+                    binary_only=draw(st.booleans()))
+    tree = gen_ctree(cfg, draw(st.integers(1, 12)),
+                     index=draw(st.integers(0, 50)))
+    extras = st.tuples(st.sampled_from([None, 'lem', 'x-y']),
+                       st.sampled_from([None, 'Pl', 'Sg|3']))
+    tokens = tuple(Token(t.position, t.form, t.pos, *draw(extras))
+                   for t in tree.sentence)
+    return CTree(tree.root, Sentence(tokens))
+
+
+def _unlexicalized(tree, lemma=True, morph=True):
+    """unlexicalize(tree), dropping what the format does not store."""
+    tokens = tuple(Token(t.position, t.form, t.pos,
+                         t.lemma if lemma else None,
+                         t.morph if morph else None)
+                   for t in tree.sentence)
+    return unlexicalize(CTree(tree.root, Sentence(tokens)))
+
+
+@FUZZ
+@given(st.lists(generated_trees(), min_size=1, max_size=4),
+       st.sampled_from([3, 4]))
+def test_export_roundtrip(trees, version):
+    expected = []
+    for tree in trees:
+        raw = _unlexicalized(tree, lemma=version == 4)
+        # a bare preterminal root comes back under a synthesized VROOT
+        expected.append(RawNode('VROOT', (raw,))
+                        if isinstance(raw, RawLeaf) else raw)
+    assert read_export(write_export(trees, version)) == expected
+
+
+@FUZZ
+@given(st.lists(generated_trees(disc=(0.0,)), min_size=1, max_size=4))
+def test_bracketed_roundtrip(trees):
+    assert all(map(is_continuous, trees))
+    assert read_bracketed(write_bracketed(trees)) == [
+        _unlexicalized(t, lemma=False, morph=False) for t in trees]
+
+
+@FUZZ
+@given(st.lists(generated_trees(), max_size=4))
+def test_json_roundtrip(trees):
+    assert read_json_corpus(write_json_corpus(trees)) == trees

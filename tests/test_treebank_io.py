@@ -6,9 +6,10 @@ from hodt.errors import TreebankFormatError
 from hodt.headrules import lexicalize, load_rules
 from hodt.reduction import ctree_to_dtree
 from hodt.treebank_io import (
-    read_bracketed, read_conll, read_export, read_json_corpus,
+    MAX_DEPTH, read_bracketed, read_conll, read_export, read_json_corpus,
     write_bracketed, write_conll, write_export, write_json_corpus)
 from hodt.trees import RawLeaf, RawNode, Sentence, Token, unlexicalize
+from tests.conftest import deep_tree
 
 ENGLISH_LINE = ('(S (NP (DT The) (NN public)) (VP (VBZ is) (ADVP (RB still))'
                 ' (ADJP (JJ cautious))) (. .))')
@@ -147,8 +148,14 @@ def test_export_errors():
     with pytest.raises(TreebankFormatError):
         read_export(cycle)
 
-    with pytest.raises(TreebankFormatError):
-        read_export('#BOS 1\na\tX\t--\t--\t0\n')   # unterminated
+    with pytest.raises(TreebankFormatError) as err:
+        read_export('#BOS 1\na\tX\t--\t--\t0\n', 'u.ex')   # unterminated
+    assert str(err.value).startswith('u.ex:1: ')
+
+    with pytest.raises(TreebankFormatError) as err:
+        read_export('#BOS 1\na\tX\t--\t--\t0\n#EOS 1\n\n#BOS 2\n#EOS 2\n',
+                    'e.ex')
+    assert str(err.value).startswith('e.ex:5: empty sentence block')
 
     with pytest.raises(TreebankFormatError):
         read_export('#BOS 1\n#BOS 2\n#EOS 2\n')
@@ -340,3 +347,54 @@ def test_json_rejects_malformed_objects(line):
     with pytest.raises(TreebankFormatError) as err:
         read_json_corpus(text, 'bank.json')
     assert str(err.value).startswith('bank.json:3: ')
+
+
+DEEP_WRITERS = {
+    'bracketed': (write_bracketed, read_bracketed),
+    'export': (write_export, read_export),
+    'json': (write_json_corpus, read_json_corpus),
+}
+
+
+@pytest.mark.parametrize('fmt', sorted(DEEP_WRITERS))
+def test_readers_limit_the_nesting(fmt):
+    write, read = DEEP_WRITERS[fmt]
+    at_limit = deep_tree(MAX_DEPTH)
+    (tree,) = read(write([at_limit]))
+    assert tree == (at_limit if fmt == 'json' else unlexicalize(at_limit))
+    text = '\n' + write([deep_tree(MAX_DEPTH + 1)])
+    with pytest.raises(TreebankFormatError) as err:
+        read(text, 'deep')
+    assert str(err.value).startswith('deep:')
+    assert f'nesting deeper than {MAX_DEPTH}' in str(err.value)
+    if fmt == 'export':     # the line of the node at the limit
+        node_line = text.split('\n')[err.value.line - 1]
+        assert node_line.startswith(f'#{500 + MAX_DEPTH - 1}\t')
+    else:
+        assert err.value.line == 2
+
+
+def test_export_counts_the_synthesized_vroot():
+    def with_top_level_token(depth):
+        # a second unit at the top puts the tree under a VROOT
+        return write_export([deep_tree(depth)]).replace(
+            '#BOS 1\n', '#BOS 1\nJa\tADV\t--\t--\t0\n')
+
+    (tree,) = read_export(with_top_level_token(MAX_DEPTH - 1))
+    assert tree.label == 'VROOT'
+    with pytest.raises(TreebankFormatError) as err:
+        read_export(with_top_level_token(MAX_DEPTH))
+    assert f'nesting deeper than {MAX_DEPTH}' in str(err.value)
+
+
+def test_bracketed_wrapper_counts_toward_the_nesting():
+    line = write_bracketed([deep_tree(MAX_DEPTH)]).strip()
+    with pytest.raises(TreebankFormatError) as err:
+        read_bracketed(f'({line})')
+    assert err.value.line == 1
+
+
+def test_json_nesting_past_the_parser_is_a_format_error():
+    with pytest.raises(TreebankFormatError) as err:
+        read_json_corpus('[' * 100_000 + ']' * 100_000, 'deep.json')
+    assert str(err.value).startswith('deep.json:1: ')

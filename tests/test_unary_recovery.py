@@ -33,10 +33,10 @@ def test_allowed_map_restricts_candidates():
 
 def test_feature_vector_shape(english_tree):
     node = english_tree.root
-    feats = featurize_node(english_tree, node)
+    feats = featurize_node(english_tree, node, None)
     assert len(feats) == 19
     child = english_tree.root.children[0]   # the NP
-    feats_np = featurize_node(english_tree, child)
+    feats_np = featurize_node(english_tree, child, node)
     assert len(feats_np) == 19
     assert feats != feats_np
 
@@ -44,7 +44,7 @@ def test_feature_vector_shape(english_tree):
 def test_production_above_feature(english_tree):
     # the NP under S sees the plain parent production
     np_node = english_tree.root.children[0]
-    feats = featurize_node(english_tree, np_node)
+    feats = featurize_node(english_tree, np_node, english_tree.root)
     assert any('S->NP VP' in f for f in feats)
 
 
