@@ -32,9 +32,9 @@ from .perceptron import LinearModel
 from .reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
                         roundtrip_check)
 from .treebank_io import (read_bracketed, read_conll, read_export,
-                          read_json_corpus, write_bracketed, write_conll,
-                          write_export, write_json_corpus)
-from .trees import CTree, DTree, Sentence, Token, strip_unaries, validate
+                          read_json_corpus, read_sentences, write_bracketed,
+                          write_conll, write_export, write_json_corpus)
+from .trees import CTree, DTree, strip_unaries, validate
 from .unary_recovery import (NULL_CLASS, extract_instances, recover,
                              train_unary)
 
@@ -339,51 +339,6 @@ def _check_unary_meta(meta):
             f'in 0..{len(classes) - 1}')
 
 
-def _read_sentences(text):
-    first = None
-    for line in text.split('\n'):
-        if line.strip():
-            first = line
-            break
-    if first is None:
-        raise ToolkitError('empty input')
-    sentences = []
-    if '\t' in first:
-        block = []
-        for line in text.split('\n') + ['']:
-            if line.strip():
-                block.append(line)
-                continue
-            if not block:
-                continue
-            tokens = []
-            for row in block:
-                cols = row.split('\t')
-                if len(cols) < 6:
-                    raise ToolkitError(
-                        f'token row needs at least 6 columns: {row!r}')
-                pos = cols[4] if cols[4] != '_' else cols[3]
-                tokens.append(Token(
-                    len(tokens) + 1, cols[1], pos,
-                    cols[2] if cols[2] != '_' else None,
-                    cols[5] if cols[5] != '_' else None))
-            sentences.append(Sentence(tuple(tokens)))
-            block = []
-    else:
-        for line in text.split('\n'):
-            if not line.strip():
-                continue
-            tokens = []
-            for item in line.split():
-                if '/' not in item:
-                    raise ToolkitError(
-                        f'expected form/POS tokens, got {item!r}')
-                form, pos = item.rsplit('/', 1)
-                tokens.append(Token(len(tokens) + 1, form, pos))
-            sentences.append(Sentence(tuple(tokens)))
-    return sentences
-
-
 def _parse_one(sentence, parser_model, labeler_model, unary_model,
                scheme, continuous):
     heads = parse_heads(parser_model, sentence)
@@ -404,7 +359,7 @@ def cmd_parse(args):
     manifest, parser_model, labeler_model, unary_model = _load_bundle(
         args.model, want_unaries=not args.no_unaries)
     continuous = manifest['mode'] == 'continuous'
-    sentences = _read_sentences(_read_input(args.input))
+    sentences = read_sentences(_read_input(args.input), args.input)
     worker = functools.partial(
         _parse_one, parser_model=parser_model, labeler_model=labeler_model,
         unary_model=unary_model, scheme=manifest['encoding'],

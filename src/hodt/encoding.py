@@ -46,20 +46,11 @@ class EncodedDTree:
                 yield h, m, self.labels[m - 1]
 
 
-@dataclass(frozen=True)
-class SpineAnnotation:
-    """Proper-node labels above one token, topmost first."""
-    position: int
-    labels: tuple[str, ...]
-
-
 @dataclass
 class DecodeResult:
-    """Per-token (label, order index) pairs, None at the root slot; for
-    the hn scheme also every token's spine."""
+    """Per-token (label, order index) pairs, None at the root slot."""
     pairs: tuple
     warnings: int = 0
-    spines: tuple[SpineAnnotation, ...] | None = None
 
 
 def escape_label(label):
@@ -278,9 +269,7 @@ def _decode_hn(enc):
             else:
                 label = raw
         pairs[m - 1] = (label, idx)
-    annotations = tuple(
-        SpineAnnotation(p, spines.get(p, ())) for p in range(1, n + 1))
-    return DecodeResult(tuple(pairs), warnings, annotations)
+    return DecodeResult(tuple(pairs), warnings)
 
 
 def label_alphabet(corpus):

@@ -104,124 +104,81 @@ def eisner_decode(scores):
     return heads[1:], best
 
 
-def _tree_total(heads, sc):
-    total = 0.0
-    for v in range(1, len(heads)):
-        total += sc[heads[v]][v]
-    return total
-
-
-def _greedy_heads(nodes, arcs, root):
-    best = {}
-    for v in nodes:
-        bu = root
-        bs = arcs.get((root, v), NEG_INF)
-        for u in nodes:
-            if u == v:
-                continue
-            s = arcs.get((u, v), NEG_INF)
-            if s > bs:
-                bs = s
-                bu = u
-        best[v] = bu
-    return best
-
-
-def _cle_rec(nodes, arcs, root):
-    # nodes ascending; arcs: (head, dep) -> score, deps drawn from nodes
-    best = _greedy_heads(nodes, arcs, root)
-    cycle = None
-    color = {}
-    for start in nodes:
-        if start in color:
-            continue
-        path = []
-        v = start
-        while v != root and v not in color:
-            color[v] = start
-            path.append(v)
-            v = best[v]
-        if v != root and color[v] == start:
-            cycle = path[path.index(v):]
-            break
-    if cycle is None:
-        return best
-    cyc_set = set(cycle)
-    cnode = max(nodes) + 1
-    cyc_score = {v: arcs.get((best[v], v), NEG_INF) for v in cycle}
-    new_arcs = {}
-    enter_src = {}
-    leave_src = {}
-    for (u, v), s in sorted(arcs.items()):
-        if u in cyc_set and v not in cyc_set:
-            if (cnode, v) not in new_arcs or s > new_arcs[(cnode, v)]:
-                new_arcs[(cnode, v)] = s
-                leave_src[v] = u
-        elif u not in cyc_set and v in cyc_set:
-            adj = s - cyc_score[v]
-            if (u, cnode) not in new_arcs or adj > new_arcs[(u, cnode)]:
-                new_arcs[(u, cnode)] = adj
-                enter_src[u] = v
-        elif u not in cyc_set:
-            new_arcs[(u, v)] = s
-    new_nodes = sorted(v for v in nodes if v not in cyc_set) + [cnode]
-    parent = _cle_rec(new_nodes, new_arcs, root)
-    result = {}
-    for v, u in parent.items():
-        if v == cnode:
-            continue
-        result[v] = leave_src[v] if u == cnode else u
-    entry_v = enter_src[parent[cnode]]
-    for v in cycle:
-        result[v] = parent[cnode] if v == entry_v else best[v]
-    return result
-
-
 def cle_decode(scores):
-    """Best unrestricted (possibly non-projective) tree, single root.
+    """Best unrestricted (possibly non-projective) tree with exactly one root.
 
-    Runs greedy-plus-contraction from the virtual root; if that yields
-    several root arcs, re-runs once per candidate root with the others
-    blocked and keeps the highest-scoring tree (first such root on ties).
+    One Chu-Liu/Edmonds pass over a dense copy of the scores.  Every root
+    arc is first lowered by 1 + n * (max - min) of the arc scores, more
+    than two tree totals can differ, so the best arborescence has exactly
+    one root arc and is the best single-rooted tree (Stanojevic & Cohen,
+    "A Root of a Problem", EMNLP 2021).  A -inf arc is raised to a floor
+    below every tree of finite arcs beforehand, so a tree comes back even
+    when every tree needs one; its total is then -inf.
+
+    Greedy heads take the first maximum (the root, then ascending words),
+    and a contracted cycle takes the slot of its lowest member.  The total
+    is summed over the original scores.
     """
-    n = len(scores) - 1
+    sc = np.asarray(scores, dtype=float)
+    n = len(sc) - 1
     if n < 1:
         return [], 0.0
-    sc = [[float(x) for x in row] for row in scores]
-    nodes = list(range(1, n + 1))
-
-    def run(matrix):
-        arcs = {}
-        for v in nodes:
-            for u in range(0, n + 1):
-                if u != v and matrix[u][v] > NEG_INF:
-                    arcs[(u, v)] = matrix[u][v]
-        parent = _cle_rec(nodes, arcs, 0)
-        heads = [0] * (n + 1)
-        for v in nodes:
-            heads[v] = parent[v]
-        return heads
-
-    heads = run(sc)
-    roots = [v for v in nodes if heads[v] == 0]
-    if len(roots) != 1:
-        best_heads = None
-        best_total = NEG_INF
-        for r in nodes:
-            forced = [row[:] for row in sc]
-            for v in nodes:
-                if v != r:
-                    forced[0][v] = NEG_INF
-            for u in nodes:
-                if u != r:
-                    forced[u][r] = NEG_INF
-            cand = run(forced)
-            total = _tree_total(cand, sc)
-            if total > best_total:
-                best_total = total
-                best_heads = cand
-        heads = best_heads
-    return heads[1:], _tree_total(heads, sc)
+    arc = ~np.eye(n + 1, dtype=bool)
+    arc[:, 0] = False
+    finite = arc & np.isfinite(sc)
+    lo, hi = (sc[finite].min(), sc[finite].max()) if finite.any() \
+        else (0.0, 0.0)
+    w = np.where(finite, sc, lo - 1 - n * (hi - lo))
+    w[0] -= 1 + n * (w[arc].max() - w[arc].min())
+    w[~arc] = NEG_INF
+    live = list(range(1, n + 1))
+    undo = []
+    while True:
+        best = w.argmax(axis=0)
+        heads = best.tolist()
+        cycle = None
+        seen = {}
+        for start in live:
+            v = start
+            while v and v not in seen:
+                seen[v] = start
+                v = heads[v]
+            if v and seen[v] == start:
+                cycle = [v]
+                u = heads[v]
+                while u != v:
+                    cycle.append(u)
+                    u = heads[u]
+                break
+        if cycle is None:
+            break
+        # contract the cycle into the slot c of its lowest member; record
+        # for each outside node which member its arc into or out of c uses
+        members = np.array(sorted(cycle))
+        c = members[0]
+        into = w[:, members] - w[best[members], members]
+        out = w[members]
+        undo.append((c, members, best[members],
+                     members[into.argmax(axis=1)], members[out.argmax(axis=0)]))
+        w[:, c] = into.max(axis=1)
+        w[c] = out.max(axis=0)
+        w[members[1:]] = NEG_INF
+        w[:, members[1:]] = NEG_INF
+        w[c, c] = NEG_INF
+        live = [v for v in live if v == c or v not in cycle]
+    # expand the cycles innermost first; heads of slots still contracted
+    # are stale until their own cycle is expanded
+    for c, members, cycle_heads, enters, leaves in reversed(undo):
+        p = best[c]
+        moved = best == c
+        best[moved] = leaves[moved]
+        best[members] = cycle_heads
+        best[enters[p]] = p
+    heads = best.tolist()
+    total = 0.0
+    for m in range(1, n + 1):
+        total += float(sc[heads[m], m])
+    return heads[1:], total
 
 
 def viterbi_chain(emis, trans):

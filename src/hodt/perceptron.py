@@ -162,7 +162,9 @@ class AveragedTrainer:
     def average(self):
         """Replace the working weights with their running average."""
         if self._tick:
-            self.model.weights -= self._totals / self._tick
+            # in place: no third dense vector at the learner's peak
+            self._totals /= self._tick
+            self.model.weights -= self._totals
         return self.model
 
 

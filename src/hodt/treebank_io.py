@@ -15,6 +15,9 @@ Four formats:
 * json: a canonical one-line-per-tree dump of lexicalized trees, used for
   golden files and debugging.
 
+read_sentences reads the input of ``hodt parse``: ``form/POS`` lines or
+CoNLL token columns.
+
 Readers take a string or an iterable of lines, tolerate CRLF, and report
 malformed input as TreebankFormatError with file/line positions; writers
 render lexicalized CTrees and return LF-terminated text.  Bracketed and
@@ -346,6 +349,18 @@ def write_export(trees, version=3):
 _CONLL_COLUMNS = 10
 
 
+def _conll_token(cols, expected, path, lineno):
+    """The token of a CoNLL row whose ID must be `expected`; POS falls
+    back to CPOS, and `_` in LEMMA or FEATS means none."""
+    ident, form, lemma, cpos, pos, feats = cols[:6]
+    if not ident.isdecimal() or int(ident) != expected:
+        raise TreebankFormatError(
+            f'token id {ident!r}, expected {expected}', path, lineno)
+    return Token(expected, form, pos if pos != '_' else cpos,
+                 None if lemma == '_' else lemma,
+                 None if feats == '_' else feats)
+
+
 def _conll_rows(source):
     sentence = []
     for lineno, line in enumerate(_lines_of(source), 1):
@@ -380,20 +395,13 @@ def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
                 raise TreebankFormatError(
                     f'expected {_CONLL_COLUMNS} columns, got {len(cols)}',
                     path, lineno)
-            ident, form, lemma, cpos, pos, feats, head, deprel = cols[:8]
-            if not ident.isdecimal() or int(ident) != expected:
-                raise TreebankFormatError(
-                    f'token id {ident!r}, expected {expected}', path, lineno)
+            tokens.append(_conll_token(cols, expected, path, lineno))
+            head, deprel = cols[6:8]
             try:
-                head_i = int(head)
+                heads.append(int(head))
             except ValueError:
                 raise TreebankFormatError(
                     f'HEAD {head!r} is not an integer', path, lineno) from None
-            tokens.append(Token(
-                expected, form, pos if pos != '_' else cpos,
-                None if lemma == '_' else lemma,
-                None if feats == '_' else feats))
-            heads.append(head_i)
             labels.append(deprel)
         n = len(tokens)
         for lineno, cols in rows:
@@ -447,6 +455,48 @@ def write_conll(corpus):
                 feats, str(head), label, '_', '_')))
         blocks.append('\n'.join(rows))
     return '\n\n'.join(blocks) + '\n'
+
+
+# --- parser input -----------------------------------------------------------
+
+def read_sentences(source, path=None):
+    """Sentences to parse, in one of two layouts picked by the first
+    non-blank line: CoNLL token columns if it holds a tab (ID, FORM,
+    LEMMA, CPOS, POS, FEATS and any further columns, one token per row,
+    a blank line after each sentence), else one sentence per line of
+    whitespace-separated ``form/POS`` tokens."""
+    sentences = []
+    tokens = []
+    conll = None
+    for lineno, line in enumerate(_lines_of(source), 1):
+        if not line.strip():
+            if tokens:
+                sentences.append(Sentence(tuple(tokens)))
+                tokens = []
+            continue
+        if conll is None:
+            conll = '\t' in line
+        if conll:
+            cols = line.split('\t')
+            if len(cols) < 6:
+                raise TreebankFormatError(
+                    f'token row needs at least 6 columns, got {len(cols)}',
+                    path, lineno)
+            tokens.append(_conll_token(cols, len(tokens) + 1, path, lineno))
+            continue
+        for item in line.split():
+            if '/' not in item:
+                raise TreebankFormatError(
+                    f'expected form/POS tokens, got {item!r}', path, lineno)
+            form, pos = item.rsplit('/', 1)
+            tokens.append(Token(len(tokens) + 1, form, pos))
+        sentences.append(Sentence(tuple(tokens)))
+        tokens = []
+    if tokens:
+        sentences.append(Sentence(tuple(tokens)))
+    if not sentences:
+        raise TreebankFormatError('empty input', path)
+    return sentences
 
 
 # --- canonical json ---------------------------------------------------------

@@ -580,3 +580,21 @@ def test_parse_ignores_an_old_label_pruning_table(tmp_path, toy_bundle,
             for b in (toy_bundle, bundle)]
     assert runs[0][0] == 0 and runs[0][1].count('\n') == 2
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize('text,message', [
+    ('1\tthe\t_\tD\tD\t_\n2\tdog\t_\tN\n',
+     '2: token row needs at least 6 columns, got 4'),
+    ('1\tthe\t_\tD\tD\t_\n5\tdog\t_\tN\tN\t_\n',
+     "2: token id '5', expected 2"),
+    ('the/D dog/N\nthe dog/N\n', "2: expected form/POS tokens, got 'the'"),
+])
+def test_parse_input_errors_name_the_line(tmp_path, toy_bundle, capsys,
+                                          text, message):
+    sents = tmp_path / 'in.txt'
+    sents.write_text(text)
+    code, out, err = _run(capsys, 'parse', '-m', str(toy_bundle),
+                          '-i', str(sents))
+    assert code == 1
+    assert out == ''
+    assert err == f'error: {sents}:{message}\n'

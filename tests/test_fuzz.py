@@ -15,7 +15,7 @@ from hodt.errors import HeadRuleError, TreebankFormatError
 from hodt.headrules import load_rules
 from hodt.treebank_io import (
     read_bracketed, read_conll, read_export, read_json_corpus,
-    write_bracketed, write_export, write_json_corpus)
+    read_sentences, write_bracketed, write_export, write_json_corpus)
 from hodt.trees import (
     CTree, RawLeaf, RawNode, Sentence, Token, is_continuous, unlexicalize)
 
@@ -84,6 +84,11 @@ JSON_LINES = _lines(st.one_of(
     st.fixed_dictionaries({'tokens': TOKEN_ROWS, 'root': NODES}).map(
         json.dumps)))
 
+SENTENCES = _lines(st.one_of(
+    _fields(6), _fields(10),
+    st.lists(st.sampled_from(['the/D', 'a/b/X', 'dog', '/', 'x/']),
+             max_size=4).map(' '.join)))
+
 RULES = _lines(st.lists(st.sampled_from(
     ['strategy', 'default', 'table', 'leftmost', 'left', 'right', 'S', 'NP',
      'left-to-right', 'right-to-left', '#']), max_size=5).map(' '.join))
@@ -123,6 +128,15 @@ def test_read_json_corpus_total(text):
     except TreebankFormatError as exc:
         # every json error names the line it is on
         assert exc.path == 'in.json' and exc.line is not None
+
+
+@FUZZ
+@given(SENTENCES)
+def test_read_sentences_total(text):
+    try:
+        read_sentences(text, path='in.txt')
+    except TreebankFormatError as exc:
+        assert exc.path == 'in.txt'
 
 
 @FUZZ

@@ -93,6 +93,64 @@ def test_decoders_match_brute_force(decoder, projective):
         assert achieved == pytest.approx(total, abs=1e-9)
 
 
+def _forced_root(sc, r):
+    """sc with word r the only possible root: the other root arcs and
+    every arc into r blocked."""
+    forced = sc.copy()
+    forced[0, 1:] = -np.inf
+    forced[0, r] = sc[0, r]
+    forced[1:, r] = -np.inf
+    return forced
+
+
+@pytest.mark.parametrize('draw', ['normal', 'integer'])
+def test_cle_total_is_the_best_over_forced_roots(draw):
+    # the one-pass root constraint against one decode per possible root;
+    # totals, not heads, because integer scores tie
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = 2 + trial % 39
+        if draw == 'normal':
+            sc = rng.normal(size=(n + 1, n + 1))
+        else:
+            sc = rng.integers(-3, 4, size=(n + 1, n + 1)).astype(float)
+        heads, total = cle_decode(sc)
+        assert _spanning_single_root(heads)
+        assert sum(sc[h][m] for m, h in enumerate(heads, 1)) == \
+            pytest.approx(total, abs=1e-9)
+        best = max(cle_decode(_forced_root(sc, r))[1]
+                   for r in range(1, n + 1))
+        assert total == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize('decoder', [eisner_decode, cle_decode])
+def test_decoders_return_a_tree_when_every_tree_is_blocked(decoder):
+    rng = np.random.default_rng(3)
+    for n in range(1, 8):
+        no_arcs = np.full((n + 1, n + 1), -np.inf)
+        no_root = rng.normal(size=(n + 1, n + 1))
+        no_root[0] = -np.inf
+        for sc in (no_arcs, no_root):
+            heads, total = decoder(sc)
+            assert _spanning_single_root(heads)
+            assert total == -np.inf
+
+
+@pytest.mark.parametrize('decoder,projective', [
+    (eisner_decode, True), (cle_decode, False)])
+def test_decoders_avoid_blocked_arcs(decoder, projective):
+    rng = np.random.default_rng(8)
+    for trial in range(200):
+        n = 1 + trial % 5
+        sc = rng.normal(size=(n + 1, n + 1))
+        sc[rng.random(size=sc.shape) < 0.4] = -np.inf
+        heads, total = decoder(sc)
+        assert _spanning_single_root(heads)
+        assert total == pytest.approx(brute_best(sc, projective), abs=1e-9)
+        assert sum(sc[h][m] for m, h in enumerate(heads, 1)) == \
+            pytest.approx(total, abs=1e-9)
+
+
 def _pruned_emissions(rng, T, K):
     """Emissions with -inf at blocked labels, at least one label left per
     step."""
@@ -166,7 +224,7 @@ def test_single_root_enforced():
 # which of several equal-scoring answers comes back.
 
 def test_decoders_tie_break_on_equal_scores():
-    for n in range(1, 7):
+    for n in range(1, 41):
         for value in (0.0, 1.5):
             sc = np.full((n + 1, n + 1), value)
             assert eisner_decode(sc) == (list(range(n)), value * n)

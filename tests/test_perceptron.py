@@ -201,7 +201,7 @@ PINNED = {
     'arcs_projective':
         'ce11651ab0d6c21a062e54d63c4368e97db721ba59d533a05e668a2db5d9d645',
     'arcs_nonprojective':
-        '92fee636152b6cb55b4aaf20deb2d76ddceb20be4feff345059e6f3cfdcc61ac',
+        '8d24a9d829e0d67fc471acbb1ce91829a0af9ef809c85624eb0acd8dba4d38f1',
     'labels':
         '13615fded898d21328067afbf07bebaba64be0b87f41b1b064c7c72d273eac65',
     'unary':

@@ -7,7 +7,8 @@ from hodt.headrules import lexicalize, load_rules
 from hodt.reduction import ctree_to_dtree
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_export, read_json_corpus,
-    write_bracketed, write_conll, write_export, write_json_corpus)
+    read_sentences, write_bracketed, write_conll, write_export,
+    write_json_corpus)
 from hodt.trees import RawLeaf, RawNode, Sentence, Token, unlexicalize
 from tests.conftest import deep_tree
 
@@ -296,6 +297,46 @@ def test_conll_errors():
         read_conll('5\ta\t_\tX\tX\t_\t0\tL\t_\t_')   # id mismatch
     with pytest.raises(TreebankFormatError):
         read_conll('1\ta\tX\t0\tL')                  # wrong column count
+
+
+def test_read_sentences_tagged_lines():
+    sents = read_sentences('the/D dog/N\n\n  a/b/X  cat/N  \n')
+    assert sents == [
+        Sentence((Token(1, 'the', 'D'), Token(2, 'dog', 'N'))),
+        Sentence((Token(1, 'a/b', 'X'), Token(2, 'cat', 'N')))]
+
+
+def test_read_sentences_token_columns():
+    text = ('1\tthe\t_\tD\t_\t_\t0\t_\t_\t_\n'
+            '2\tdogs\tdog\tN\tNNS\tNum=Pl\n'
+            '\n\n'
+            '1\tbark\t_\tV\tVB\t_\n')
+    assert read_sentences(text) == [
+        Sentence((Token(1, 'the', 'D'),
+                  Token(2, 'dogs', 'NNS', 'dog', 'Num=Pl'))),
+        Sentence((Token(1, 'bark', 'VB'),))]
+
+
+@pytest.mark.parametrize('text,line,message', [
+    ('1\tthe\t_\tD\tD\t_\n2\tdog\t_\tN\n', 2,
+     'token row needs at least 6 columns, got 4'),
+    ('1\tthe\t_\tD\tD\t_\n5\tdog\t_\tN\tN\t_\n', 2,
+     "token id '5', expected 2"),
+    ('1\tthe\t_\tD\tD\t_\n\n2\tdog\t_\tN\tN\t_\n', 3,
+     "token id '2', expected 1"),
+    ('x\tthe\t_\tD\tD\t_\n', 1, "token id 'x', expected 1"),
+    ('a/D b/N\n\nthe/D dog\n', 3, "expected form/POS tokens, got 'dog'"),
+])
+def test_read_sentences_errors(text, line, message):
+    with pytest.raises(TreebankFormatError) as err:
+        read_sentences(text, path='in.txt')
+    assert str(err.value) == f'in.txt:{line}: {message}'
+
+
+def test_read_sentences_empty_input():
+    with pytest.raises(TreebankFormatError) as err:
+        read_sentences(' \n\n', path='in.txt')
+    assert str(err.value) == 'in.txt: empty input'
 
 
 def test_json_roundtrip(english_tree, german_tree):
