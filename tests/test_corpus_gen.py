@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hodt.corpus_gen import (
     TOY_HEAD_RULES, GenConfig, enumerate_ctrees, gen_ctree, gen_toy_treebank)
 from hodt.headrules import lexicalize, load_rules
+from hodt.treebank_io import write_bracketed, write_export
 from hodt.trees import (
     PROPER, is_continuous, iter_nodes, strip_unaries, unlexicalize, validate)
 
@@ -178,3 +180,30 @@ def test_toy_heads_match_shipped_rules(toy_rules):
 def test_toy_rules_text_loads():
     rules = load_rules(TOY_HEAD_RULES.splitlines())
     assert rules is not None
+
+
+# SHA-256 of what `hodt gen` writes for banks shaped like the benchmark's:
+# 20 trees on each of three seeds spaced like its train, held-out and
+# extra train banks.  Taken before the two random-tree builders were
+# merged; the benchmark's workloads depend on these bytes.
+GEN_BANKS = {
+    'long': (40, {}, write_bracketed,
+             '93110c32e73ed1ae4f413161da2da513969ad627139324072d14a0a528a04154'),
+    'disc': (40, {'discontinuity_probability': 1.0}, write_export,
+             'cb8476d9134befe26c1679067eb9bc9b1b2a19d8a3dd8df6ec815f7646f733a3'),
+    'batch': (25, {'discontinuity_probability': 0.3,
+                   'unary_probability': 0.1}, write_export,
+              'f222394c28c608823466662dd3d645e9c9649c4775e86019fe009a4da36c62fa'),
+    'binary': (25, {'binary_only': True, 'discontinuity_probability': 0.5,
+                    'unary_probability': 0.2}, write_export,
+               'c525a3a81a34ea47fba69d351dc44178337f25cff9a35f9a55b4cc6346e00e23'),
+}
+
+
+@pytest.mark.parametrize('name', sorted(GEN_BANKS))
+def test_gen_banks_are_pinned(name):
+    length, options, write, digest = GEN_BANKS[name]
+    trees = [gen_ctree(GenConfig(seed=seed, **options), length, index=i)
+             for seed in (1, 1_000_004, 2_000_004) for i in range(20)]
+    text = write(trees)
+    assert hashlib.sha256(text.encode('utf-8')).hexdigest() == digest
