@@ -5,7 +5,7 @@ splitmix64 streams in hodt.rng, so corpora are reproducible bit for bit.
 gen_ctree draws a single tree (optionally discontinuous, optionally with
 unary chains); enumerate_ctrees lists every unaryless tree over a small
 sentence with every head choice; gen_toy_treebank expands a fixed little
-grammar whose head conventions match data/toy.rules.
+grammar whose head conventions match TOY_HEAD_RULES.
 """
 
 from dataclasses import dataclass
@@ -15,16 +15,18 @@ from .rng import Rng
 from .trees import CTree, Sentence, Token, preterminal, proper, is_continuous
 
 
+POS_COUNT = 3        # POS tags P0.. of random trees
+MAX_BRANCHING = 4    # children of a random non-binary constituent
+MAX_UNARY_CHAIN = 2  # unary nodes stacked above one node
+
+
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 1
     label_count: int = 3
-    pos_count: int = 3
     discontinuity_probability: float = 0.0
     unary_probability: float = 0.0
     binary_only: bool = False
-    max_branching: int = 4
-    max_unary_chain: int = 2
 
 
 def _labels(cfg):
@@ -33,7 +35,7 @@ def _labels(cfg):
 
 def _maybe_unary(cfg, rng, node):
     chain = 0
-    while chain < cfg.max_unary_chain and rng.chance(cfg.unary_probability):
+    while chain < MAX_UNARY_CHAIN and rng.chance(cfg.unary_probability):
         node = proper(rng.choice(_labels(cfg)), node.head, (node,))
         chain += 1
     return node
@@ -42,39 +44,26 @@ def _maybe_unary(cfg, rng, node):
 def _branching(cfg, rng, size):
     if cfg.binary_only:
         return 2
-    return min(size, 2 + rng.below(max(1, cfg.max_branching - 1)))
+    return min(size, 2 + rng.below(MAX_BRANCHING - 1))
 
 
-def _continuous_node(cfg, rng, lo, hi, sentence):
-    if lo == hi:
-        tok = sentence.token(lo)
-        return _maybe_unary(cfg, rng, preterminal(tok.pos, lo, tok.form))
-    k = _branching(cfg, rng, hi - lo + 1)
-    cuts = list(range(lo, hi))
-    rng.shuffle(cuts)
-    cuts = sorted(cuts[:k - 1])
-    bounds = [lo - 1] + cuts + [hi]
-    children = [
-        _continuous_node(cfg, rng, bounds[i] + 1, bounds[i + 1], sentence)
-        for i in range(len(bounds) - 1)]
-    head = children[rng.below(len(children))].head
-    return _maybe_unary(cfg, rng, proper(rng.choice(_labels(cfg)), head, children))
-
-
-def _scattered_node(cfg, rng, positions, sentence):
+def _random_node(cfg, rng, positions, sentence, scatter):
+    """A random subtree over the ascending `positions`.  The children
+    split them into runs at random cuts, taken in order, or with scatter
+    after a shuffle, so that children may be discontinuous."""
     if len(positions) == 1:
         tok = sentence.token(positions[0])
         return _maybe_unary(cfg, rng, preterminal(tok.pos, tok.position, tok.form))
     k = _branching(cfg, rng, len(positions))
-    shuffled = list(positions)
-    rng.shuffle(shuffled)
-    cuts = list(range(1, len(shuffled)))
+    if scatter:
+        positions = list(positions)
+        rng.shuffle(positions)
+    cuts = list(range(1, len(positions)))
     rng.shuffle(cuts)
-    cuts = sorted(cuts[:k - 1])
-    bounds = [0] + cuts + [len(shuffled)]
-    blocks = [sorted(shuffled[bounds[i]:bounds[i + 1]])
-              for i in range(len(bounds) - 1)]
-    children = [_scattered_node(cfg, rng, b, sentence) for b in blocks]
+    bounds = [0] + sorted(cuts[:k - 1]) + [len(positions)]
+    children = [
+        _random_node(cfg, rng, sorted(positions[lo:hi]), sentence, scatter)
+        for lo, hi in zip(bounds, bounds[1:])]
     head = children[rng.below(len(children))].head
     return _maybe_unary(cfg, rng, proper(rng.choice(_labels(cfg)), head, children))
 
@@ -83,25 +72,24 @@ def gen_ctree(cfg, length, index=0):
     """One random tree over `length` tokens; stream `index` of cfg.seed.
 
     With discontinuity_probability p, a fraction p of the trees is drawn
-    from a scattered-partition builder and redrawn (bounded retries) until
-    actually discontinuous, so p=1 yields discontinuous trees essentially
-    always once length permits.
+    with scattered children and redrawn (bounded retries) until actually
+    discontinuous, so p=1 yields discontinuous trees essentially always
+    once length permits.
     """
     rng = Rng(cfg.seed, stream=index)
     tokens = tuple(
-        Token(i, f'w{i}', f'P{rng.below(cfg.pos_count)}')
+        Token(i, f'w{i}', f'P{rng.below(POS_COUNT)}')
         for i in range(1, length + 1))
     sentence = Sentence(tokens)
-    if rng.chance(cfg.discontinuity_probability):
-        tree = CTree(_scattered_node(cfg, rng, list(range(1, length + 1)),
-                                     sentence), sentence)
-        attempts = 0
-        while is_continuous(tree) and attempts < 40:
-            attempts += 1
-            tree = CTree(_scattered_node(cfg, rng, list(range(1, length + 1)),
-                                         sentence), sentence)
-        return tree
-    return CTree(_continuous_node(cfg, rng, 1, length, sentence), sentence)
+    positions = list(range(1, length + 1))
+    scatter = rng.chance(cfg.discontinuity_probability)
+    tree = CTree(_random_node(cfg, rng, positions, sentence, scatter), sentence)
+    attempts = 0
+    while scatter and is_continuous(tree) and attempts < 40:
+        attempts += 1
+        tree = CTree(_random_node(cfg, rng, positions, sentence, scatter),
+                     sentence)
+    return tree
 
 
 def _set_partitions(items):

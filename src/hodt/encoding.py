@@ -19,14 +19,19 @@ restored by decode.  decode never raises on predicted input: unparseable
 labels fall back to (full string, 1) and bump a warning counter.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import TreeStructureError
 from .reduction import ctree_to_dtree
-from .trees import PROPER, is_nested, is_projective, spine as tree_spine
+from .trees import (
+    PROPER, head_outward, is_nested, is_projective, spine as tree_spine)
 
 ROOT_LABEL = '_root_'
 EMPTY_SPINE = '∅'
+# one character of an escaped label: an escape pair, a lone trailing
+# backslash, or any other character
+_CHAR = re.compile(r'\\.|\\\Z|[^\\]', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -59,52 +64,26 @@ def escape_label(label):
 
 
 def unescape_label(label):
-    out = []
-    i = 0
-    while i < len(label):
-        if label[i] == '\\' and i + 1 < len(label):
-            out.append(label[i + 1])
-            i += 2
-        else:
-            out.append(label[i])
-            i += 1
-    return ''.join(out)
+    return ''.join(c[-1] for c in _CHAR.findall(label))
 
 
 def _split_tail(label):
     """Split at the last unescaped '#'; returns (body, tail) or None."""
-    i = len(label) - 1
-    while i >= 0:
-        if label[i] == '#':
-            backslashes = 0
-            j = i - 1
-            while j >= 0 and label[j] == '\\':
-                backslashes += 1
-                j -= 1
-            if backslashes % 2 == 0:
-                return label[:i], label[i + 1:]
-        i -= 1
+    chars = _CHAR.findall(label)
+    for k in range(len(chars) - 1, -1, -1):
+        if chars[k] == '#':
+            return ''.join(chars[:k]), ''.join(chars[k + 1:])
     return None
 
 
 def _split_spine(body):
     """Split an hn spine body at unescaped '|' separators."""
-    parts = []
-    current = []
-    i = 0
-    while i < len(body):
-        if body[i] == '\\' and i + 1 < len(body):
-            current.append(body[i])
-            current.append(body[i + 1])
-            i += 2
-        elif body[i] == '|':
-            parts.append(''.join(current))
-            current = []
-            i += 1
+    parts = ['']
+    for c in _CHAR.findall(body):
+        if c == '|':
+            parts.append('')
         else:
-            current.append(body[i])
-            i += 1
-    parts.append(''.join(current))
+            parts[-1] += c
     return parts
 
 
@@ -116,12 +95,6 @@ def encode_direct(dtree):
     return EncodedDTree(dtree.sentence, dtree.heads(), tuple(labels))
 
 
-def _sides(positions, h):
-    """Modifiers of h split by side, each sorted head-outward."""
-    return (sorted((m for m in positions if m < h), key=lambda m: h - m),
-            sorted((m for m in positions if m > h), key=lambda m: m - h))
-
-
 def encode_delta(dtree):
     """Difference-encode order indices per side of each head."""
     if not (is_projective(dtree) and is_nested(dtree)):
@@ -130,7 +103,7 @@ def encode_delta(dtree):
     labels = [ROOT_LABEL] * len(dtree.sentence)
     arcs_of = {arc.modifier: arc for arc in dtree.arcs}
     for h, arcs in dtree.modifiers_by_head().items():
-        for side in _sides([a.modifier for a in arcs], h):
+        for side in head_outward(h, [a.modifier for a in arcs]):
             previous = None
             for m in side:
                 arc = arcs_of[m]
@@ -219,7 +192,7 @@ def _decode_delta(enc):
         parsed[m] = (unescape_label(body) if ok else body, d)
         by_head.setdefault(h, []).append(m)
     for h, positions in by_head.items():
-        for side in _sides(positions, h):
+        for side in head_outward(h, positions):
             previous = None
             for m in side:
                 body, d = parsed[m]

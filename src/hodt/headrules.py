@@ -1,9 +1,8 @@
-"""Head-child selection: rule tables and positional strategies.
+"""Head-child selection by rule tables.
 
 Rule files are plain text, one directive or rule per line:
 
     # comment
-    strategy table          # or leftmost / rightmost (default: table)
     default right           # fallback direction (default: left)
     S   right-to-left  VP S SBAR
     NP  right-to-left  NN NNS NP
@@ -12,33 +11,31 @@ A rule line reads: for a parent with this label, try each candidate label
 in priority order, scanning the children in the given direction; the first
 match wins.  Several lines for the same parent are tried in file order.
 When nothing matches (or the parent has no rules) the fallback direction
-picks the first or last child.  The leftmost/rightmost strategies ignore
-the table entirely.
+picks the first or last child, so a table with no rules heads every node
+by its leftmost (default left) or rightmost (default right) child.
 """
 
 from dataclasses import dataclass
 
 from .errors import HeadRuleError, TreeStructureError
-from .trees import CTree, RawLeaf, Sentence, Token, preterminal, proper
+from .trees import CTree, Sentence, Token, preterminal, proper
 
 LEFT_TO_RIGHT = 'left-to-right'
 RIGHT_TO_LEFT = 'right-to-left'
-STRATEGIES = ('table', 'leftmost', 'rightmost')
 
 
 @dataclass(frozen=True)
 class HeadRuleSet:
     default_direction: str = 'left'
     rules: dict = None
-    strategy: str = 'table'
 
     def __post_init__(self):
         if self.rules is None:
             object.__setattr__(self, 'rules', {})
 
 
-LEFTMOST = HeadRuleSet(strategy='leftmost')
-RIGHTMOST = HeadRuleSet(strategy='rightmost')
+LEFTMOST = HeadRuleSet('left')
+RIGHTMOST = HeadRuleSet('right')
 
 
 def load_rules(source):
@@ -47,19 +44,13 @@ def load_rules(source):
         with open(source, encoding='utf-8') as f:
             return load_rules(f.read().splitlines())
     default_direction = 'left'
-    strategy = 'table'
     rules = {}
     for lineno, raw in enumerate(source, 1):
         line = raw.strip()
         if not line or line.startswith('#'):
             continue
         parts = line.split()
-        if parts[0] == 'strategy':
-            if len(parts) != 2 or parts[1] not in STRATEGIES:
-                raise HeadRuleError(
-                    f'strategy must be one of {", ".join(STRATEGIES)}', lineno)
-            strategy = parts[1]
-        elif parts[0] == 'default':
+        if parts[0] == 'default':
             if len(parts) != 2 or parts[1] not in ('left', 'right'):
                 raise HeadRuleError('default must be left or right', lineno)
             default_direction = parts[1]
@@ -73,7 +64,7 @@ def load_rules(source):
                     f'rule for {parts[0]!r} lists no candidate labels', lineno)
             rules.setdefault(parts[0], []).append((parts[1], tuple(parts[2:])))
     rules = {parent: tuple(entries) for parent, entries in rules.items()}
-    return HeadRuleSet(default_direction, rules, strategy)
+    return HeadRuleSet(default_direction, rules)
 
 
 def find_head_child(rules, parent_label, child_labels):
@@ -82,10 +73,6 @@ def find_head_child(rules, parent_label, child_labels):
     if not child_labels:
         raise TreeStructureError('cannot pick a head among zero children')
     n = len(child_labels)
-    if rules.strategy == 'leftmost':
-        return 0
-    if rules.strategy == 'rightmost':
-        return n - 1
     for direction, candidates in rules.rules.get(parent_label, ()):
         order = range(n) if direction == LEFT_TO_RIGHT else range(n - 1, -1, -1)
         for cand in candidates:
@@ -96,15 +83,16 @@ def find_head_child(rules, parent_label, child_labels):
 
 
 def _label_of(raw_child):
-    return raw_child.pos if isinstance(raw_child, RawLeaf) else raw_child.label
+    return raw_child.pos if isinstance(raw_child, Token) else raw_child.label
 
 
 def lexicalize(tree, rules):
-    """Assign head positions to an unlexicalized tree, returning a CTree."""
+    """Assign head positions to an unlexicalized tree, returning a CTree
+    whose sentence is made of the tree's Token leaves."""
     leaves = []
 
     def build(node):
-        if isinstance(node, RawLeaf):
+        if isinstance(node, Token):
             leaves.append(node)
             return preterminal(node.pos, node.position, node.form)
         if not node.children:
@@ -119,7 +107,4 @@ def lexicalize(tree, rules):
     leaves.sort(key=lambda leaf: leaf.position)
     if [leaf.position for leaf in leaves] != list(range(1, len(leaves) + 1)):
         raise TreeStructureError('leaf positions must enumerate 1..L')
-    sentence = Sentence(tuple(
-        Token(leaf.position, leaf.form, leaf.pos, leaf.lemma, leaf.morph)
-        for leaf in leaves))
-    return CTree(root, sentence)
+    return CTree(root, Sentence(tuple(leaves)))

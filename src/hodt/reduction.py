@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 from .errors import TreeStructureError
 from .trees import (
-    Arc, CTree, HeadOrderedDTree, is_continuous, is_nested, is_projective,
-    postorder_proper, preterminal, proper, strip_unaries)
+    Arc, CTree, HeadOrderedDTree, head_outward, is_continuous, is_nested,
+    is_projective, postorder_proper, preterminal, proper, strip_unaries)
 
 
-def ctree_to_dtree(tree, stats=None):
+def ctree_to_dtree(tree):
     """Reduce a constituent tree to a head-ordered dependency tree.
 
     Unary constituents advance their head's counter but emit no arcs, so
@@ -31,17 +31,13 @@ def ctree_to_dtree(tree, stats=None):
     """
     next_index = {}
     arcs = []
-    visits = 0
     for node in postorder_proper(tree.root):
-        visits += 1
         h = node.head
         j = next_index.get(h, 1)
         for child in node.children:
             if child.head != h:
                 arcs.append(Arc(h, child.head, node.label, j))
         next_index[h] = j + 1
-    if stats is not None:
-        stats['visits'] = visits
     return HeadOrderedDTree.from_arcs(tree.sentence, arcs, tree.root.head)
 
 
@@ -59,7 +55,7 @@ def _dep_postorder(heads, root):
     return out
 
 
-def dtree_to_ctree(dtree, stats=None):
+def dtree_to_ctree(dtree):
     """Rebuild the constituent tree encoded by a head-ordered d-tree.
 
     Rejects trees where two same-index arcs of a head disagree on the
@@ -69,9 +65,7 @@ def dtree_to_ctree(dtree, stats=None):
     heads = dtree.heads()
     by_head = dtree.modifiers_by_head()
     psi = {}
-    visits = 0
     for h in _dep_postorder(heads, dtree.root):
-        visits += 1
         tok = sentence.token(h)
         node = preterminal(tok.pos, h, tok.form)
         classes = {}
@@ -87,8 +81,6 @@ def dtree_to_ctree(dtree, stats=None):
                 group[0].label, h,
                 [node] + [psi[arc.modifier] for arc in group])
         psi[h] = node
-    if stats is not None:
-        stats['visits'] = visits
     return CTree(psi[dtree.root], sentence)
 
 
@@ -137,9 +129,7 @@ def recover_order(tree, continuous_mode=False):
     for h in sorted(mods):
         positions = mods[h]
         if continuous_mode:
-            for side in (
-                    sorted((m for m in positions if m < h), key=lambda m: h - m),
-                    sorted((m for m in positions if m > h), key=lambda m: m - h)):
+            for side in head_outward(h, positions):
                 cap = None  # index of the next modifier outward
                 for m in reversed(side):
                     if cap is not None and index[m] > cap:

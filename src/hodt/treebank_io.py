@@ -21,8 +21,8 @@ CoNLL token columns.
 Readers take a string or an iterable of lines, tolerate CRLF, and report
 malformed input as TreebankFormatError with file/line positions; writers
 render lexicalized CTrees and return LF-terminated text.  Bracketed and
-export readers yield unlexicalized RawNode/RawLeaf trees (feed them to
-headrules.lexicalize); the json reader returns CTrees since the format
+export readers yield unlexicalized RawNode trees over Token leaves (feed
+them to headrules.lexicalize); the json reader returns CTrees since the format
 stores head positions.  The three tree readers reject a tree nested
 deeper than MAX_DEPTH levels.
 """
@@ -32,7 +32,7 @@ import json
 from .encoding import ROOT_LABEL, EncodedDTree
 from .errors import TreebankFormatError
 from .trees import (
-    PRETERMINAL, PROPER, CTree, RawLeaf, RawNode, Sentence, Token,
+    PRETERMINAL, PROPER, CTree, RawNode, Sentence, Token,
     is_continuous, preterminal, proper, validate)
 
 # deepest nesting a tree reader accepts, counting the root and the
@@ -69,8 +69,8 @@ def _tokenize_brackets(line):
 
 
 def _parse_bracket_line(line, lineno, path):
-    """The tree on one line; a constituent becomes a RawNode or RawLeaf
-    when its ) closes it, so leaves are numbered left to right."""
+    """The tree on one line; a constituent becomes a RawNode or a Token
+    leaf when its ) closes it, so leaves are numbered left to right."""
     stack = []
     result = None
     leaves = 0
@@ -97,7 +97,7 @@ def _parse_bracket_line(line, lineno, path):
                     f'empty constituent {label!r}', path, lineno)
             elif len(children) == 1 and isinstance(children[0], str):
                 leaves += 1
-                node = RawLeaf(leaves, children[0], label)
+                node = Token(leaves, children[0], label)
             else:
                 for child in children:
                     if isinstance(child, str):
@@ -128,7 +128,7 @@ def _parse_bracket_line(line, lineno, path):
 
 
 def read_bracketed(source, path=None):
-    """Parse one tree per non-blank line; returns RawNode/RawLeaf trees."""
+    """Parse one tree per non-blank line; returns RawNode trees."""
     return [_parse_bracket_line(line, lineno, path)
             for lineno, line in enumerate(_lines_of(source), 1)
             if line.strip()]
@@ -186,7 +186,7 @@ def _parse_export_block(block, bos_line, version, path):
                 form, lemma, tag, morph, parent = (
                     parts[0], None, parts[1], parts[2], parts[4])
             tokens += 1
-            units.append((parent, RawLeaf(
+            units.append((parent, Token(
                 tokens, form, tag, None if lemma in (None, '--') else lemma,
                 None if morph == '--' else morph), lineno))
     tops = []
@@ -204,14 +204,14 @@ def _parse_export_block(block, bos_line, version, path):
                 f'dangling parent pointer {parent}', path, lineno)
 
     # several top-level units, or a bare token, go under a synthesized VROOT
-    vroot = len(tops) != 1 or isinstance(tops[0], RawLeaf)
+    vroot = len(tops) != 1 or isinstance(tops[0], Token)
     # every unit has one parent pointer, so a node is either reached from
     # the top or sits on (or under) a parent cycle
     reached = set()
 
     def build(unit, depth):
         """(subtree, its smallest position), children sorted by theirs."""
-        if isinstance(unit, RawLeaf):
+        if isinstance(unit, Token):
             return unit, unit.position
         reached.add(unit)
         entry = nodes[unit]

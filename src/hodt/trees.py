@@ -1,8 +1,8 @@
 """Core data types: sentences, constituent trees, dependency trees.
 
 Constituent trees (CTree) carry an explicit head position on every node;
-unlexicalized trees coming out of treebank readers are represented as
-RawNode/RawLeaf and must go through headrules.lexicalize first.  Dependency
+unlexicalized trees coming out of treebank readers are RawNodes over
+Token leaves and must go through headrules.lexicalize first.  Dependency
 trees come in two flavours: plain DTree (a head vector, optionally labeled)
 and HeadOrderedDTree, whose arcs additionally carry the order index that
 records at which step of the head's spine each modifier attaches.
@@ -56,18 +56,9 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class RawLeaf:
-    """Terminal of an unlexicalized tree as read from a treebank file."""
-    position: int
-    form: str
-    pos: str
-    lemma: str | None = None
-    morph: str | None = None
-
-
-@dataclass(frozen=True)
 class RawNode:
-    """Unlexicalized constituent; children are RawNode or RawLeaf."""
+    """Unlexicalized constituent; children are RawNode or Token, a Token
+    standing for a preterminal whose label is its pos."""
     label: str
     children: tuple
 
@@ -232,17 +223,21 @@ def is_projective(tree):
     return True
 
 
+def head_outward(h, modifiers):
+    """Modifier positions of head h split by side, (left, right), each
+    sorted from the head outward."""
+    return (sorted((m for m in modifiers if m < h), reverse=True),
+            sorted(m for m in modifiers if m > h))
+
+
 def is_nested(tree):
     """Order indices never decrease moving outward on either side of a
     head: if m1 is closer to h than m2 (same side), index(m1) <= index(m2)."""
     for h, arcs in tree.modifiers_by_head().items():
-        for side in (  # left of h, right of h
-                sorted((a for a in arcs if a.modifier < h),
-                       key=lambda a: h - a.modifier),
-                sorted((a for a in arcs if a.modifier > h),
-                       key=lambda a: a.modifier - h)):
+        index = {a.modifier: a.order_index for a in arcs}
+        for side in head_outward(h, index):
             for closer, farther in zip(side, side[1:]):
-                if closer.order_index > farther.order_index:
+                if index[closer] > index[farther]:
                     return False
     return True
 
@@ -281,13 +276,13 @@ def strip_unaries(tree):
 
 
 def unlexicalize(tree):
-    """Project a CTree back to the RawNode/RawLeaf form the treebank
-    readers return (labels, tags and forms; head positions dropped)."""
+    """Project a CTree back to the RawNode form the treebank readers
+    return (labels, tags and forms; head positions dropped)."""
 
     def conv(node):
         if node.kind == PRETERMINAL:
             tok = tree.sentence.token(node.head)
-            return RawLeaf(node.head, tok.form, node.label, tok.lemma, tok.morph)
+            return Token(node.head, tok.form, node.label, tok.lemma, tok.morph)
         return RawNode(node.label, tuple(conv(c) for c in node.children))
 
     return conv(tree.root)

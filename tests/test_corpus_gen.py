@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 from hodt.corpus_gen import (
-    TOY_HEAD_RULES, GenConfig, enumerate_ctrees, gen_ctree, gen_toy_treebank)
+    MAX_UNARY_CHAIN, TOY_HEAD_RULES, GenConfig, enumerate_ctrees, gen_ctree,
+    gen_toy_treebank)
 from hodt.headrules import lexicalize, load_rules
 from hodt.treebank_io import write_bracketed, write_export
 from hodt.trees import (
@@ -133,7 +134,7 @@ def test_gen_ctree_binary_only():
 
 
 def test_gen_ctree_unary_chains_bounded():
-    cfg = GenConfig(seed=7, unary_probability=0.8, max_unary_chain=2)
+    cfg = GenConfig(seed=7, unary_probability=0.8)
     saw_unary = False
     for i in range(20):
         t = gen_ctree(cfg, 4, index=i)
@@ -143,7 +144,7 @@ def test_gen_ctree_unary_chains_bounded():
             while cur.kind == PROPER and len(cur.children) == 1:
                 chain += 1
                 cur = cur.children[0]
-            assert chain <= cfg.max_unary_chain
+            assert chain <= MAX_UNARY_CHAIN
             saw_unary = saw_unary or chain > 0
     assert saw_unary
 

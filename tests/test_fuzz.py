@@ -17,7 +17,7 @@ from hodt.treebank_io import (
     read_bracketed, read_conll, read_export, read_json_corpus,
     read_sentences, write_bracketed, write_export, write_json_corpus)
 from hodt.trees import (
-    CTree, RawLeaf, RawNode, Sentence, Token, is_continuous, unlexicalize)
+    CTree, RawNode, Sentence, Token, is_continuous, unlexicalize)
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -182,7 +182,7 @@ def test_export_roundtrip(trees, version):
         raw = _unlexicalized(tree, lemma=version == 4)
         # a bare preterminal root comes back under a synthesized VROOT
         expected.append(RawNode('VROOT', (raw,))
-                        if isinstance(raw, RawLeaf) else raw)
+                        if isinstance(raw, Token) else raw)
     assert read_export(write_export(trees, version)) == expected
 
 

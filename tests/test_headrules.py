@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from hodt.corpus_gen import TOY_HEAD_RULES
 from hodt.errors import HeadRuleError
 from hodt.headrules import (LEFTMOST, RIGHTMOST, find_head_child, lexicalize,
                             load_rules)
@@ -56,9 +57,14 @@ def test_load_rules_errors():
         load_rules(['strategy nonsense'])
 
 
-def test_strategy_directive():
-    rules = load_rules(['strategy rightmost'])
-    assert find_head_child(rules, 'ANY', ['A', 'B', 'C']) == 2
+def test_strategy_directive_is_gone():
+    # an empty table with `default left|right` does what it did
+    with pytest.raises(HeadRuleError) as err:
+        load_rules(['# positional', 'default right', 'strategy leftmost'])
+    assert err.value.line == 3
+    assert str(err.value).startswith('line 3: ')
+    assert load_rules(['default left']) == LEFTMOST
+    assert load_rules(['default right']) == RIGHTMOST
 
 
 def test_lexicalize_propagates_heads(toy_rules):
@@ -103,7 +109,6 @@ def test_shipped_rule_files_parse():
     assert find_head_child(collins, 'VP', ['TO', 'VP']) == 0
     assert find_head_child(collins, 'NP', ['DT', 'NN', 'POS']) == 2
     assert find_head_child(collins, 'PP', ['IN', 'NP']) == 0
-    toy = load_rules(os.path.join(data, 'toy.rules'))
+    toy = load_rules(TOY_HEAD_RULES.splitlines())
     assert find_head_child(toy, 'S', ['NP', 'VP']) == 1
-    left = load_rules(os.path.join(data, 'leftmost.rules'))
-    assert find_head_child(left, 'Q', ['A', 'B']) == 0
+    assert find_head_child(toy, 'Q', ['A', 'B']) == 1

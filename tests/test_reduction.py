@@ -177,18 +177,3 @@ def test_recover_order_token_count_agrees_with_repairs():
             assert (stats.tokens_changed == 0) == (stats.total() == 0)
             assert stats.tokens_changed <= stats.total()
 
-
-def test_conversion_visit_count_is_linear():
-    cfg = GenConfig(seed=9)
-    tree = gen_ctree(cfg, 10, index=0)
-    stats = {}
-    ctree_to_dtree(tree, stats=stats)
-    proper_nodes = sum(1 for _ in _iter_proper(tree.root))
-    assert stats['visits'] == proper_nodes
-
-
-def _iter_proper(node):
-    if node.kind == 'proper':
-        yield node
-    for c in node.children:
-        yield from _iter_proper(c)

@@ -9,7 +9,7 @@ from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_export, read_json_corpus,
     read_sentences, write_bracketed, write_conll, write_export,
     write_json_corpus)
-from hodt.trees import RawLeaf, RawNode, Sentence, Token, unlexicalize
+from hodt.trees import RawNode, Sentence, Token, unlexicalize
 from tests.conftest import deep_tree
 
 ENGLISH_LINE = ('(S (NP (DT The) (NN public)) (VP (VBZ is) (ADVP (RB still))'
@@ -25,7 +25,7 @@ GERMAN_RULES = load_rules([
 
 def _canonical(raw):
     """format-neutral shape: children ordered by leftmost position."""
-    if isinstance(raw, RawLeaf):
+    if isinstance(raw, Token):
         return ('leaf', raw.position, raw.form, raw.pos, raw.lemma, raw.morph)
     kids = sorted((_canonical(c) for c in raw.children), key=lambda t: t[1])
     return ('node', kids[0][1], raw.label, tuple(kids))
@@ -34,16 +34,16 @@ def _canonical(raw):
 def test_read_bracketed_english_shape():
     (tree,) = read_bracketed(ENGLISH_LINE)
     assert tree == RawNode('S', (
-        RawNode('NP', (RawLeaf(1, 'The', 'DT'), RawLeaf(2, 'public', 'NN'))),
-        RawNode('VP', (RawLeaf(3, 'is', 'VBZ'),
-                       RawNode('ADVP', (RawLeaf(4, 'still', 'RB'),)),
-                       RawNode('ADJP', (RawLeaf(5, 'cautious', 'JJ'),)))),
-        RawLeaf(6, '.', '.')))
+        RawNode('NP', (Token(1, 'The', 'DT'), Token(2, 'public', 'NN'))),
+        RawNode('VP', (Token(3, 'is', 'VBZ'),
+                       RawNode('ADVP', (Token(4, 'still', 'RB'),)),
+                       RawNode('ADJP', (Token(5, 'cautious', 'JJ'),)))),
+        Token(6, '.', '.')))
 
 
 def test_read_bracketed_wrapper():
     (tree,) = read_bracketed('((X (T w)))')
-    assert tree == RawNode('X', (RawLeaf(1, 'w', 'T'),))
+    assert tree == RawNode('X', (Token(1, 'w', 'T'),))
 
 
 def test_read_bracketed_blank_lines_skipped():
@@ -103,7 +103,7 @@ def test_export_v4_preserves_lemma_morph():
 
 
 def _iter_leaves(raw):
-    if isinstance(raw, RawLeaf):
+    if isinstance(raw, Token):
         yield raw
         return
     for c in raw.children:
@@ -126,7 +126,7 @@ def test_export_vroot_synthesis():
 def test_export_single_token_block():
     block = '#BOS 1\nJa\tADV\t--\t--\t0\n#EOS 1\n'
     (raw,) = read_export(block)
-    assert raw == RawNode('VROOT', (RawLeaf(1, 'Ja', 'ADV'),))
+    assert raw == RawNode('VROOT', (Token(1, 'Ja', 'ADV'),))
 
 
 def test_export_errors():
