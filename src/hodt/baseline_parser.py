@@ -111,14 +111,20 @@ def score_matrix(model, table):
 def _gold_items(treebank):
     items = []
     for tree in treebank:
-        heads = tree.heads() if callable(getattr(tree, 'heads', None)) \
-            else tuple(tree.heads)
+        heads = tree.heads
         if len(heads) != len(tree.sentence):
             raise ToolkitError(
                 f'tree with {len(heads)} heads over '
                 f'{len(tree.sentence)} tokens')
         items.append((tree.sentence, list(heads)))
     return items
+
+
+def _decode(model, scores):
+    """Best tree under the scores: Eisner for a projective model,
+    Chu-Liu/Edmonds otherwise."""
+    decode = eisner_decode if model.meta['projective'] else cle_decode
+    return decode(scores)
 
 
 def train_unlabeled(treebank, epochs, seed=1, projective=True):
@@ -131,13 +137,12 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
     model = LinearModel(DIM_BITS, meta={
         'task': 'arcs', 'projective': bool(projective),
         'hash': 'blake2b-64', 'features_per_arc': FEATURES_PER_ARC})
-    decode = eisner_decode if projective else cle_decode
     examples = [(arc_index_table(model, sentence), gold)
                 for sentence, gold in items]
 
     def mistakes(model, example):
         table, gold = example
-        pred, _ = decode(score_matrix(model, table))
+        pred, _ = _decode(model, score_matrix(model, table))
         for m, (g, p) in enumerate(zip(gold, pred), 1):
             if g != p:
                 yield table[g, m], table[p, m]
@@ -148,8 +153,6 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
 def parse_heads(model, sentence):
     """Decode one sentence with a trained model, projectively or not as
     the model was trained."""
-    scores = score_matrix(model, arc_index_table(model, sentence))
-    decode = eisner_decode if model.meta.get('projective', True) \
-        else cle_decode
-    heads, _ = decode(scores)
+    heads, _ = _decode(model, score_matrix(
+        model, arc_index_table(model, sentence)))
     return heads

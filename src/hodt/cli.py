@@ -153,28 +153,46 @@ def _int_at_least(low):
 _WORK = None
 
 
+def _guarded(fn, item):
+    """(fn(item), None), or (None, message) when fn raises a ToolkitError."""
+    try:
+        return fn(item), None
+    except ToolkitError as exc:
+        return None, str(exc)
+
+
 def _run(i):
     fn, items = _WORK
-    return fn(items[i])
+    return _guarded(fn, items[i])
 
 
 def _pmap(fn, items, jobs):
     """[fn(item) for item in items] over at most `jobs` forked workers.
 
     The workers inherit fn and items, which may hold whole models; only
-    item indices are sent to them and only results come back.
+    item indices are sent to them and only results come back.  A
+    ToolkitError comes back as a value, and the first one in input order
+    is raised as "sentence N: ...", so the message does not depend on
+    `jobs`.
     """
     global _WORK
     workers = min(jobs, len(items))
     if workers < 2:
-        return [fn(item) for item in items]
-    from multiprocessing import get_context
-    _WORK = (fn, items)
-    try:
-        with get_context('fork').Pool(workers) as pool:
-            return pool.map(_run, range(len(items)))
-    finally:
-        _WORK = None
+        results = (_guarded(fn, item) for item in items)
+    else:
+        from multiprocessing import get_context
+        _WORK = (fn, items)
+        try:
+            with get_context('fork').Pool(workers) as pool:
+                results = pool.map(_run, range(len(items)))
+        finally:
+            _WORK = None
+    out = []
+    for i, (value, error) in enumerate(results, 1):
+        if error is not None:
+            raise ToolkitError(f'sentence {i}: {error}')
+        out.append(value)
+    return out
 
 
 # --- conversion -------------------------------------------------------------
@@ -194,20 +212,6 @@ def _convert_one(tree, rules, scheme):
     return _encode_tree(_lexicalize(tree, rules), scheme, strip=False)
 
 
-def _encode_corpus(trees, worker, jobs):
-    try:
-        return _pmap(worker, trees, jobs)
-    except ToolkitError:
-        # rerun serially so the failing sentence can be named
-        out = []
-        for i, tree in enumerate(trees, 1):
-            try:
-                out.append(worker(tree))
-            except ToolkitError as exc:
-                raise ToolkitError(f'sentence {i}: {exc}') from None
-        return out
-
-
 def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
@@ -215,7 +219,7 @@ def cmd_convert(args):
     trees = _read_trees(text, fmt, args.input)
     worker = functools.partial(_convert_one, rules=rules,
                                scheme=args.encoding)
-    corpus = _encode_corpus(trees, worker, args.jobs)
+    corpus = _pmap(worker, trees, args.jobs)
     _write_output(args.output, write_conll(corpus))
     alphabet = label_alphabet(corpus)
     arcs = sum(count for _, count in alphabet)
@@ -244,7 +248,7 @@ def cmd_train(args):
     # chains back at parse time); hn keeps them inside the spine labels
     worker = functools.partial(_encode_tree, scheme=args.encoding,
                                strip=args.encoding != 'hn')
-    corpus = _encode_corpus(trees, worker, jobs=1)
+    corpus = _pmap(worker, trees, jobs=1)
     projective = args.mode == 'continuous'
     parser_model = train_unlabeled(corpus, args.epochs, seed=args.seed,
                                    projective=projective)
@@ -305,6 +309,8 @@ def _load_bundle(bundle_dir, want_unaries):
     labeler_model = LinearModel.load(os.path.join(bundle_dir, 'labeler.json'))
     if parser_model.meta.get('task') != 'arcs':
         raise ModelFormatError('parser.json: not an arc scorer')
+    if not isinstance(parser_model.meta.get('projective'), bool):
+        raise ModelFormatError('parser.json: projective must be a boolean')
     if labeler_model.meta.get('task') != 'labels':
         raise ModelFormatError('labeler.json: not a label scorer')
     labels = labeler_model.meta.get('labels')
@@ -475,10 +481,10 @@ def cmd_gen(args):
 
 # --- argument wiring --------------------------------------------------------
 
-def _add_io(sub, output_default='-'):
+def _add_io(sub):
     sub.add_argument('-i', '--input', default='-',
                      help="input path, '-' for stdin")
-    sub.add_argument('-o', '--output', default=output_default,
+    sub.add_argument('-o', '--output', default='-',
                      help="output path, '-' for stdout")
 
 

@@ -10,14 +10,13 @@ legacy skip list, every sentence scores.
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .trees import PRETERMINAL, PROPER, iter_nodes
+from .trees import PROPER, iter_nodes
 
 
 @dataclass(frozen=True)
 class EvalConfig:
     punctuation_pos: frozenset = frozenset()
     ignore_root_labels: frozenset = frozenset()
-    include_preterminals: bool = False
     length_cutoffs: tuple = ()
 
 
@@ -48,8 +47,7 @@ class ScoreReport:
 def brackets(tree, cfg):
     """Multiset of (label, yield) after the filters: punctuation
     positions removed from every yield, root-label skips applied from the
-    top down, preterminals excluded unless configured, empty yields
-    dropped."""
+    top down, preterminals excluded, empty yields dropped."""
     punct = frozenset(
         p for p in range(1, len(tree.sentence) + 1)
         if tree.sentence.pos(p) in cfg.punctuation_pos)
@@ -65,8 +63,7 @@ def brackets(tree, cfg):
     for node in iter_nodes(tree.root):
         if id(node) in skipped:
             continue
-        if node.kind == PROPER or (
-                cfg.include_preterminals and node.kind == PRETERMINAL):
+        if node.kind == PROPER:
             yld = node.positions - punct
             if yld:
                 out[(node.label, frozenset(yld))] += 1

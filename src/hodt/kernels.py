@@ -8,6 +8,8 @@ Score matrices are (n+1, n+1); entry [h][m] is the arc h -> m with words
 numbered from 1, and row 0 holds the root-selection scores.
 """
 
+import math
+
 import numpy as np
 
 # the one implementation, named in benchmark metadata
@@ -113,7 +115,11 @@ def cle_decode(scores):
     one root arc and is the best single-rooted tree (Stanojevic & Cohen,
     "A Root of a Problem", EMNLP 2021).  A -inf arc is raised to a floor
     below every tree of finite arcs beforehand, so a tree comes back even
-    when every tree needs one; its total is then -inf.
+    when every tree needs one; its total is then -inf.  The floor, the
+    penalty and contracted scores stay within 4 (n+1)**3 times the largest
+    finite score; only where that could overflow, a copy of the scores
+    scaled down by a power of two is decoded instead, which leaves every
+    comparison of large scores as it was.
 
     Greedy heads take the first maximum (the root, then ascending words),
     and a contracted cycle takes the slot of its lowest member.  The total
@@ -128,7 +134,12 @@ def cle_decode(scores):
     finite = arc & np.isfinite(sc)
     lo, hi = (sc[finite].min(), sc[finite].max()) if finite.any() \
         else (0.0, 0.0)
-    w = np.where(finite, sc, lo - 1 - n * (hi - lo))
+    shift = (math.frexp(max(abs(lo), abs(hi)))[1]
+             + 3 * (n + 1).bit_length() + 2 - 1023)
+    w = sc
+    if shift > 0:
+        w, lo, hi = (np.ldexp(x, -shift) for x in (sc, lo, hi))
+    w = np.where(finite, w, lo - 1 - n * (hi - lo))
     w[0] -= 1 + n * (w[arc].max() - w[arc].min())
     w[~arc] = NEG_INF
     live = list(range(1, n + 1))

@@ -239,9 +239,8 @@ def _parse_export_block(block, bos_line, version, path):
     return built[0][0]
 
 
-def read_export(source, path=None, version=None):
-    """Parse export blocks; version 3/4 taken from a #FORMAT line when not
-    given explicitly (default 3).
+def read_export(source, path=None):
+    """Parse export blocks of format 3, or 4 after a ``#FORMAT 4`` line.
 
     Outside the #BOS..#EOS blocks only blank lines, #FORMAT lines, %%
     comments and #BOT..#EOT header tables may appear.
@@ -250,7 +249,7 @@ def read_export(source, path=None, version=None):
     block = None
     bos_line = None
     table = None    # line of the open #BOT
-    declared = None
+    version = 3
     for lineno, line in enumerate(_lines_of(source), 1):
         stripped = line.strip()
         if not stripped:
@@ -262,7 +261,7 @@ def read_export(source, path=None, version=None):
         if stripped.startswith('#FORMAT'):
             parts = stripped.split()
             if len(parts) == 2 and parts[1] in ('3', '4'):
-                declared = int(parts[1])
+                version = int(parts[1])
             continue
         if block is None and stripped.startswith('%%'):
             continue
@@ -279,7 +278,7 @@ def read_export(source, path=None, version=None):
             if block is None:
                 raise TreebankFormatError('#EOS outside a block', path, lineno)
             trees.append(_parse_export_block(
-                block, bos_line, version or declared or 3, path))
+                block, bos_line, version, path))
             block = None
             continue
         if block is None:

@@ -156,11 +156,9 @@ def _instance_indices(model, inst, n_classes):
     return model.indices(conjoin_grid(hashes, keys))
 
 
-def _candidates(allowed, class_id, symbol):
-    cand = [0]
-    for cls in allowed.get(symbol, ()):
-        cand.append(class_id[cls])
-    return sorted(set(cand))
+def _candidates(model, symbol):
+    """Ids of NULL and the classes observed for `symbol`, ascending."""
+    return sorted({0, *model.meta['allowed'].get(symbol, ())})
 
 
 def _best(weights, idx, cand):
@@ -187,7 +185,7 @@ def train_unary(data, epochs, seed=1):
         'allowed': {sym: sorted(class_id[c] for c in classes)
                     for sym, classes in sorted(data.allowed.items())}})
     examples = [(_instance_indices(model, inst, len(data.classes)),
-                 _candidates(data.allowed, class_id, inst.symbol),
+                 _candidates(model, inst.symbol),
                  class_id[inst.gold])
                 for inst in data.instances]
     return perceptron.train(model, examples, epochs, seed,
@@ -196,8 +194,7 @@ def train_unary(data, epochs, seed=1):
 
 def _predict(model, tree, node, parent):
     classes = model.meta['classes']
-    allowed = model.meta['allowed']
-    cand = sorted({0, *allowed.get(node.label, ())})
+    cand = _candidates(model, node.label)
     if cand == [0]:
         return NULL_CLASS
     inst = Instance(tuple(featurize_node(tree, node, parent)), node.label,

@@ -10,9 +10,7 @@ from hodt.reduction import ctree_to_dtree
 from conftest import make_sentence
 
 
-def _toy_corpus(n, seed=1, rules=None):
-    from hodt.corpus_gen import TOY_HEAD_RULES
-    from hodt.headrules import load_rules
+def _toy_corpus(n, seed=1):
     trees = gen_toy_treebank(GenConfig(seed=seed), n)
     return [encode_direct(ctree_to_dtree(t)) for t in trees]
 

@@ -8,9 +8,11 @@ import pytest
 
 from hodt import cli
 from hodt.cli import main
+from hodt.corpus_gen import GenConfig, gen_ctree
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
     write_export, write_json_corpus)
+from hodt.trees import is_continuous
 from tests.conftest import deep_tree
 
 
@@ -426,6 +428,23 @@ def test_convert_jobs_names_the_failing_sentence(tmp_path, capsys):
     assert parallel == serial
 
 
+def test_jobs_name_the_first_of_two_failing_sentences(tmp_path, capsys):
+    # sentences 3 and 5 are discontinuous, which delta cannot encode
+    cont = GenConfig(seed=3)
+    disc = GenConfig(seed=3, discontinuity_probability=1.0)
+    trees = [gen_ctree(disc if i in (3, 5) else cont, 6, index=i)
+             for i in range(1, 7)]
+    assert [is_continuous(t) for t in trees] == [
+        True, True, False, True, False, True]
+    bank = tmp_path / 'two_bad.export'
+    bank.write_text(write_export(trees))
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'convert', '-i', str(bank), '--encoding', 'delta')
+    assert serial == (1, None, 'error: sentence 3: delta encoding needs '
+                               'a projective and nested tree\n')
+    assert parallel == serial
+
+
 def test_parse_jobs_continuous_identical(tmp_path, toy_file, capsys):
     bundle = _train(tmp_path, capsys, toy_file)
     code, out, _ = _run(capsys, 'convert', '-i', toy_file,
@@ -516,6 +535,8 @@ DROP = object()
 CORRUPTIONS = {
     'dim_bits_too_large': ('parser.json', ['dim_bits'], 40),
     'weight_pair_short': ('parser.json', ['weights'], [[1]]),
+    'projective_missing': ('parser.json', ['meta', 'projective'], DROP),
+    'projective_string': ('parser.json', ['meta', 'projective'], 'yes'),
     'meta_missing': ('unary.json', ['meta'], DROP),
     'labels_missing': ('labeler.json', ['meta', 'labels'], DROP),
     'labels_empty': ('labeler.json', ['meta', 'labels'], []),
@@ -580,6 +601,24 @@ def test_parse_ignores_an_old_label_pruning_table(tmp_path, toy_bundle,
             for b in (toy_bundle, bundle)]
     assert runs[0][0] == 0 and runs[0][1].count('\n') == 2
     assert runs[0] == runs[1]
+
+
+def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
+                                        monkeypatch):
+    real = cli._parse_one
+
+    def failing(sentence, *args, **kwargs):
+        if len(sentence) == 1:
+            raise cli.ToolkitError('no parse')
+        return real(sentence, *args, **kwargs)
+
+    monkeypatch.setattr(cli, '_parse_one', failing)
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N\nsees/V\nthe/D cat/N\nbird/N\n')
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'parse', '-m', str(toy_bundle), '-i', str(sents))
+    assert serial == (1, None, 'error: sentence 2: no parse\n')
+    assert parallel == serial
 
 
 @pytest.mark.parametrize('text,message', [

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
-from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, EncodedDTree, decode,
-                           encode_delta, encode_direct, encode_hn,
-                           escape_label, label_alphabet, unescape_label)
+from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, EncodedDTree,
+                           _split_spine, _split_tail, decode, encode_delta,
+                           encode_direct, encode_hn, escape_label,
+                           label_alphabet, unescape_label)
 from hodt.errors import TreeStructureError
 from hodt.reduction import ctree_to_dtree, dtree_to_ctree, recover_order
 from hodt.trees import DTree, is_nested, is_projective, strip_unaries
@@ -94,6 +96,40 @@ def test_escaping_roundtrip():
         result = decode(enc, scheme)
         assert result.warnings == 0
         assert result.pairs[0] == ('X#Y|Z\\W', 1)
+
+
+# labels over the characters the codec treats specially, and a few more
+LABELS = st.text(alphabet='\\#|a1-é∅0 \n', max_size=10)
+
+
+@given(LABELS)
+def test_unescape_inverts_escape(label):
+    assert unescape_label(escape_label(label)) == label
+
+
+@given(LABELS, st.integers(-3, 30))
+def test_split_tail_finds_the_appended_index(label, k):
+    body = escape_label(label)
+    assert _split_tail(f'{body}#{k}') == (body, str(k))
+
+
+@given(st.lists(LABELS, min_size=1, max_size=4))
+def test_split_spine_returns_the_escaped_parts(parts):
+    escaped = [escape_label(p) for p in parts]
+    assert _split_spine('|'.join(escaped)) == escaped
+
+
+@pytest.mark.parametrize('label,unescaped,tail,spine', [
+    # a lone trailing backslash escapes nothing and is kept
+    ('a\\', 'a\\', None, ['a\\']),
+    ('\\\\#3', '\\#3', ('\\\\', '3'), ['\\\\#3']),
+    ('a\\#b#2', 'a#b#2', ('a\\#b', '2'), ['a\\#b#2']),
+    ('\\\\|b|\\', '\\|b|\\', None, ['\\\\', 'b', '\\']),
+])
+def test_odd_labels_are_pinned(label, unescaped, tail, spine):
+    assert unescape_label(label) == unescaped
+    assert _split_tail(label) == tail
+    assert _split_spine(label) == spine
 
 
 def test_decode_is_total_on_garbage():

@@ -49,12 +49,6 @@ def test_brackets_single_preterminal():
     assert _brack(tree) == Counter()
 
 
-def test_brackets_preterminals_opt_in(english_tree_unaryless):
-    got = _brack(english_tree_unaryless, include_preterminals=True)
-    assert ('DT', frozenset({1})) in got
-    assert sum(got.values()) == 3 + 6
-
-
 def test_evalb_identity(english_tree_unaryless):
     rep = evalb([english_tree_unaryless], [english_tree_unaryless])
     assert rep.precision == rep.recall == rep.f1 == rep.exact == 1.0

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_cle_total_is_the_best_over_forced_roots(draw):
         best = max(cle_decode(_forced_root(sc, r))[1]
                    for r in range(1, n + 1))
         assert total == pytest.approx(best, abs=1e-9)
+
+
+def test_cle_scores_near_the_float_limit():
+    # the root penalty of scores near 1e307 overflows float64 unless they
+    # are scaled down first; an exact power-of-two scale must not change
+    # the tree
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter('error')
+        for _ in range(300):
+            sc = rng.normal(size=(6, 6)) * 1e307
+            heads, _ = cle_decode(sc)
+            assert _spanning_single_root(heads)
+            assert heads == cle_decode(sc * 2.0 ** -60)[0]
 
 
 @pytest.mark.parametrize('decoder', [eisner_decode, cle_decode])

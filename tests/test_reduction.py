@@ -5,9 +5,8 @@ from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.errors import TreeStructureError
 from hodt.reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
                             roundtrip_check)
-from hodt.trees import (Arc, CTree, DTree, HeadOrderedDTree, is_continuous,
-                        is_nested, preterminal, proper, strip_unaries,
-                        validate)
+from hodt.trees import (Arc, CTree, DTree, HeadOrderedDTree, is_nested,
+                        preterminal, proper, strip_unaries, validate)
 
 from conftest import arc_set, make_sentence
 

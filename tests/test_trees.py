@@ -1,8 +1,6 @@
-import pytest
-
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.reduction import ctree_to_dtree
-from hodt.trees import (CTree, DTree, Sentence, Token, is_continuous,
+from hodt.trees import (CTree, DTree, head_outward, is_continuous,
                         is_nested, is_projective, iter_nodes, preterminal,
                         proper, spine, strip_unaries, validate)
 
@@ -132,3 +130,9 @@ def test_iter_nodes_covers_every_node(english_tree):
     assert kinds.count('terminal') == 6
     assert kinds.count('preterminal') == 6
     assert kinds.count('proper') == 5
+
+
+def test_head_outward_orders_each_side_from_the_head():
+    assert head_outward(4, [7, 1, 5, 3, 9]) == ([3, 1], [5, 7, 9])
+    assert head_outward(1, (2,)) == ([], [2])
+    assert head_outward(3, {}) == ([], [])

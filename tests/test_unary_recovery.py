@@ -1,5 +1,3 @@
-import pytest
-
 from hodt.corpus_gen import GenConfig, gen_toy_treebank
 from hodt.trees import strip_unaries, validate
 from hodt.unary_recovery import (NULL_CLASS, extract_instances, featurize_node,
