@@ -15,7 +15,7 @@ picks the first or last child, so a table with no rules heads every node
 by its leftmost (default left) or rightmost (default right) child.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import HeadRuleError, TreeStructureError
 from .trees import CTree, Sentence, Token, preterminal, proper
@@ -27,11 +27,7 @@ RIGHT_TO_LEFT = 'right-to-left'
 @dataclass(frozen=True)
 class HeadRuleSet:
     default_direction: str = 'left'
-    rules: dict = None
-
-    def __post_init__(self):
-        if self.rules is None:
-            object.__setattr__(self, 'rules', {})
+    rules: dict = field(default_factory=dict)
 
 
 LEFTMOST = HeadRuleSet('left')
