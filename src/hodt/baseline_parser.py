@@ -29,12 +29,14 @@ direction plus the binned distance |h - m| (bins 1,2,3,4,5,6-10,>10), so
 every arc yields exactly 34 features.
 """
 
+import itertools
+
 import numpy as np
 
 from .errors import ToolkitError
 from .kernels import cle_decode, eisner_decode
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, hash_features
+from .perceptron import DIM_BITS, LinearModel, hash_distinct
 
 ROOT_TOKEN = '<root>'
 NONE_TOKEN = '<none>'
@@ -93,14 +95,15 @@ def featurize_arc(sentence, h, m):
 def arc_index_table(model, sentence):
     """Masked weight indices of every candidate arc, shape
     (n+1, n+1, 34); entry [h, m] covers arc h -> m.  The diagonal and the
-    m = 0 column are left at zero and must not be read."""
+    m = 0 column are left at zero and must not be read.  The strings of
+    all arcs go through one hash_distinct call."""
     n = len(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
-    for m in range(1, n + 1):
-        for h in range(0, n + 1):
-            if h != m:
-                table[h, m] = model.indices(
-                    hash_features(featurize_arc(sentence, h, m)))
+    arcs = [(h, m) for m in range(1, n + 1) for h in range(n + 1) if h != m]
+    hashes = hash_distinct(itertools.chain.from_iterable(
+        featurize_arc(sentence, h, m) for h, m in arcs))
+    heads, mods = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
+    table[heads, mods] = model.indices(hashes).reshape(-1, FEATURES_PER_ARC)
     return table
 
 

@@ -25,7 +25,8 @@ from .corpus_gen import GenConfig, TOY_HEAD_RULES, gen_ctree, gen_toy_treebank
 from .dep_labeler import label_tree, train_labeler
 from .encoding import (decode, encode_delta, encode_direct, encode_hn,
                        label_alphabet)
-from .errors import ModelFormatError, ToolkitError, TreebankFormatError
+from .errors import (HeadRuleError, ModelFormatError, ToolkitError,
+                     TreebankFormatError, read_utf8)
 from .evaluation import EvalConfig, attachment_scores, evalb
 from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
@@ -45,10 +46,7 @@ MODES = ('continuous', 'discontinuous')
 # --- i/o plumbing -----------------------------------------------------------
 
 def _read_input(path):
-    if path == '-':
-        return sys.stdin.read()
-    with open(path, encoding='utf-8') as f:
-        return f.read()
+    return read_utf8(path, TreebankFormatError)
 
 
 def _write_output(path, text):
@@ -87,14 +85,10 @@ def _resolve_rules(spec):
     if spec == 'toy':
         return load_rules(TOY_HEAD_RULES.splitlines()), TOY_HEAD_RULES
     if spec == 'collins-english':
-        data = os.path.join(os.path.dirname(__file__), 'data',
+        spec = os.path.join(os.path.dirname(__file__), 'data',
                             'collins_english.rules')
-        with open(data, encoding='utf-8') as f:
-            text = f.read()
-        return load_rules(text.splitlines()), text
     if os.path.exists(spec):
-        with open(spec, encoding='utf-8') as f:
-            text = f.read()
+        text = read_utf8(spec, HeadRuleError)
         return load_rules(text.splitlines()), text
     raise ToolkitError(
         f'head rules {spec!r}: not a file and not one of '
@@ -147,6 +141,18 @@ def _int_at_least(low):
                 f'must be at least {low}, got {value}')
         return value
     return parse
+
+
+def _probability(arg):
+    """argparse type: a real number in [0, 1]."""
+    try:
+        value = float(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f'not a number: {arg!r}') from None
+    if not 0.0 <= value <= 1.0:  # false for NaN too
+        raise argparse.ArgumentTypeError(
+            f'must be a probability in [0, 1], got {arg}')
+    return value
 
 
 # (fn, items) of the running _pmap; fork-started workers inherit it
@@ -290,8 +296,7 @@ def cmd_train(args):
 def _load_bundle(bundle_dir, want_unaries):
     manifest_path = os.path.join(bundle_dir, 'manifest.json')
     try:
-        with open(manifest_path, encoding='utf-8') as f:
-            manifest = json.load(f)
+        manifest = json.loads(read_utf8(manifest_path, ModelFormatError))
     except FileNotFoundError:
         raise ModelFormatError(f'{bundle_dir}: not a model bundle '
                                '(no manifest.json)') from None
@@ -553,8 +558,8 @@ def build_parser():
     p.add_argument('--seed', type=int, default=1)
     p.add_argument('--length', type=_int_at_least(1), default=8,
                    help='sentence length for random trees')
-    p.add_argument('--disc-prob', type=float, default=0.0)
-    p.add_argument('--unary-prob', type=float, default=0.0)
+    p.add_argument('--disc-prob', type=_probability, default=0.0)
+    p.add_argument('--unary-prob', type=_probability, default=0.0)
     p.add_argument('--binary', action='store_true')
     p.add_argument('--format', choices=('bracketed', 'export', 'json'))
     p.set_defaults(fn=cmd_gen)

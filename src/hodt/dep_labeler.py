@@ -13,15 +13,19 @@ like any others.
 Ties break toward the first label in the sorted alphabet.
 """
 
+import itertools
+
 import numpy as np
 
-from .baseline_parser import ROOT_TOKEN, featurize_arc
+from .baseline_parser import FEATURES_PER_ARC, ROOT_TOKEN, featurize_arc
 from .encoding import EncodedDTree
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_features
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
 from .trees import validate
+
+PAIR_FEATURES = 4
 
 
 def featurize_pairwise(sentence, h, m, m2):
@@ -50,21 +54,33 @@ def _chains(sentence, heads):
     return [(h, sorted(ms)) for h, ms in sorted(by_head.items())]
 
 
-def _chain_index_tables(model, sentence, h, chain, n_labels):
-    """Pre-masked weight indices for one chain: unary (T, K, 34) and
-    pairwise (T, K*K, 4); pairwise row 0 is unused and stays zero."""
-    T = len(chain)
-    unary = np.empty((T, n_labels, 34), dtype=np.intp)
-    pair = np.zeros((T, n_labels * n_labels, 4), dtype=np.intp)
-    for t, m in enumerate(chain):
-        hashes = hash_features(featurize_arc(sentence, h, m))
-        unary[t] = model.indices(conjoin_grid(hashes, range(n_labels)))
-        if t:
-            hashes = hash_features(
-                featurize_pairwise(sentence, h, chain[t - 1], m))
-            pair[t] = model.indices(
-                conjoin_grid(hashes, range(n_labels * n_labels)))
-    return unary, pair
+def _chain_tables(model, sentence, heads, n_labels):
+    """(chain, unary, pair) for every chain of a tree, in _chains order,
+    with the chain's pre-masked weight indices: unary (T, K, 34)
+    and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.  The
+    arc and pairwise strings of all chains go through one hash_distinct
+    call; the tables of the chains are slices of two sentence tables."""
+    chains = _chains(sentence, heads)
+    arcs = [(h, m) for h, chain in chains for m in chain]
+    pairs = [(h, chain[t - 1], chain[t])
+             for h, chain in chains for t in range(1, len(chain))]
+    hashes = hash_distinct(itertools.chain.from_iterable(itertools.chain(
+        (featurize_arc(sentence, h, m) for h, m in arcs),
+        (featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs))))
+    split = len(arcs) * FEATURES_PER_ARC
+    unary = model.indices(conjoin_grid(
+        hashes[:split].reshape(len(arcs), FEATURES_PER_ARC),
+        range(n_labels)))
+    pair = np.zeros((len(arcs), n_labels * n_labels, PAIR_FEATURES),
+                    dtype=np.intp)
+    starts = np.cumsum([0] + [len(chain) for _, chain in chains])
+    later = np.ones(len(arcs), dtype=bool)
+    later[starts[:-1]] = False
+    pair[later] = model.indices(conjoin_grid(
+        hashes[split:].reshape(len(pairs), PAIR_FEATURES),
+        range(n_labels * n_labels)))
+    return [(chain, unary[a:b], pair[a:b])
+            for (_, chain), a, b in zip(chains, starts, starts[1:])]
 
 
 def _decode_chain(weights, unary, pair, n_labels):
@@ -105,15 +121,11 @@ def train_labeler(corpus, epochs, seed=1):
     label_id = {lab: k for k, lab in enumerate(alphabet)}
     model = LinearModel(DIM_BITS, meta={
         'task': 'labels', 'labels': alphabet, 'hash': 'blake2b-64'})
-    examples = []
-    for enc in corpus:
-        tree_chains = []
-        for h, chain in _chains(enc.sentence, enc.heads):
-            unary, pair = _chain_index_tables(
-                model, enc.sentence, h, chain, len(alphabet))
-            gold = [label_id[enc.labels[m - 1]] for m in chain]
-            tree_chains.append((unary, pair, gold))
-        examples.append(tree_chains)
+    examples = [
+        [(unary, pair, [label_id[enc.labels[m - 1]] for m in chain])
+         for chain, unary, pair in _chain_tables(
+             model, enc.sentence, enc.heads, len(alphabet))]
+        for enc in corpus]
     return perceptron.train(model, examples, epochs, seed, _chain_mistakes)
 
 
@@ -124,8 +136,7 @@ def label_tree(sentence, heads, model):
         raise ToolkitError('labeler model has an empty alphabet')
     K = len(alphabet)
     out = [None] * len(sentence)
-    for h, chain in _chains(sentence, heads):
-        unary, pair = _chain_index_tables(model, sentence, h, chain, K)
+    for chain, unary, pair in _chain_tables(model, sentence, heads, K):
         path = _decode_chain(model.weights, unary, pair, K)
         for m, k in zip(chain, path):
             out[m - 1] = alphabet[k]

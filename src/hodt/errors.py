@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one text reader
+that turns a byte that is not UTF-8 into one of them."""
+
+import sys
 
 
 class ToolkitError(Exception):
@@ -37,3 +40,17 @@ class HeadRuleError(ToolkitError):
 
 class ModelFormatError(ToolkitError):
     """A model file does not match the expected versioned layout."""
+
+
+def read_utf8(path, error):
+    """The whole text of a UTF-8 file, or of stdin for '-'.  A byte that
+    does not decode raises `error` with the path and the byte's offset."""
+    try:
+        if path == '-':
+            # the bytes, not sys.stdin's text: it may escape bad bytes
+            return sys.stdin.buffer.read().decode('utf-8')
+        with open(path, encoding='utf-8') as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise error(f'{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} '
+                    f'at offset {exc.start}') from None

@@ -17,7 +17,7 @@ by its leftmost (default left) or rightmost (default right) child.
 
 from dataclasses import dataclass, field
 
-from .errors import HeadRuleError, TreeStructureError
+from .errors import HeadRuleError, TreeStructureError, read_utf8
 from .trees import CTree, Sentence, Token, preterminal, proper
 
 LEFT_TO_RIGHT = 'left-to-right'
@@ -37,8 +37,7 @@ RIGHTMOST = HeadRuleSet('right')
 def load_rules(source):
     """Parse a rule file from a path or an iterable of lines."""
     if isinstance(source, str):
-        with open(source, encoding='utf-8') as f:
-            return load_rules(f.read().splitlines())
+        return load_rules(read_utf8(source, HeadRuleError).splitlines())
     default_direction = 'left'
     rules = {}
     for lineno, raw in enumerate(source, 1):

@@ -6,6 +6,13 @@ conjoined with a small integer key (a class id, a direction bucket) by a
 splitmix64 round.  No vocabulary is stored: collisions are accepted and
 the training loop never materializes feature names.
 
+Many feature strings repeat within a sentence (the bias, every template
+of a fixed head or modifier, the POS-only and between-POS templates), so
+each learner hashes a sentence's strings through `hash_distinct`, which
+digests each distinct string once.  The digest of a string does not
+depend on how many times it is met, so weights and outputs are the same
+as hashing every string.
+
 Averaging uses the running-totals trick: alongside w we keep
 u = sum of t * delta over all updates, where t counts examples seen, and
 the averaged vector is w - u / T.  A model trained for zero epochs stays
@@ -18,7 +25,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ModelFormatError, read_utf8
 from .rng import GAMMA, MASK64, Rng
 
 DIM_BITS = 22
@@ -28,26 +35,38 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
+def hash_features(texts):
+    """uint64 array of digests for a list of feature strings: the first
+    8 bytes of each string's blake2b digest, read little-endian."""
+    return np.fromiter(
+        (int.from_bytes(blake2b(text.encode('utf-8'), digest_size=8).digest(),
+                        'little') for text in texts),
+        dtype=np.uint64, count=len(texts))
+
+
 def feature_hash(text):
     """Full 64-bit digest of one feature string."""
-    digest = blake2b(text.encode('utf-8'), digest_size=8).digest()
-    return int.from_bytes(digest, 'little')
+    return int(hash_features([text])[0])
 
 
-def hash_features(texts):
-    """uint64 array of digests for a list of feature strings."""
-    out = np.empty(len(texts), dtype=np.uint64)
-    for i, text in enumerate(texts):
-        out[i] = feature_hash(text)
-    return out
+def hash_distinct(texts):
+    """hash_features of an iterable of feature strings, hashing each
+    distinct string once: the strings are streamed into one row per
+    distinct string, and the digests are gathered back in input order."""
+    slot = {}
+    rows = np.fromiter((slot.setdefault(text, len(slot)) for text in texts),
+                       dtype=np.intp)
+    return hash_features(list(slot))[rows]
 
 
 def _mix_vec(x):
-    x = x ^ (x >> np.uint64(30))
-    x = x * _M1
-    x = x ^ (x >> np.uint64(27))
-    x = x * _M2
-    return x ^ (x >> np.uint64(31))
+    """The splitmix64 finalizer, in place on a freshly computed x."""
+    x ^= x >> np.uint64(30)
+    x *= _M1
+    x ^= x >> np.uint64(27)
+    x *= _M2
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def conjoin(hashes, key):
@@ -58,11 +77,13 @@ def conjoin(hashes, key):
 
 
 def conjoin_grid(hashes, keys):
-    """(len(keys), len(hashes)) digest matrix, row r = conjoin(hashes,
-    keys[r])."""
+    """conjoin(hashes[..., :], key) for every key, with the keys on the
+    second-to-last axis: (len(keys), len(hashes)) for a digest vector,
+    (rows, len(keys), width) for a (rows, width) digest matrix.  keys of
+    shape (rows, k) give each row its own keys."""
     with np.errstate(over='ignore'):
         mixed = (np.asarray(keys, dtype=np.uint64) + np.uint64(1)) * _GAMMA_U64
-        return _mix_vec(hashes[None, :] + mixed[:, None])
+        return _mix_vec(hashes[..., None, :] + mixed[..., None])
 
 
 class LinearModel:
@@ -81,7 +102,8 @@ class LinearModel:
         self.meta = dict(meta or {})
 
     def indices(self, hashes):
-        return (hashes & np.uint64(self.mask)).astype(np.intp)
+        # a masked digest is below 2**30, so its bits read the same as intp
+        return np.bitwise_and(hashes, np.uint64(self.mask)).view(np.intp)
 
     def score(self, hashes):
         return float(self.weights[self.indices(hashes)].sum())
@@ -135,8 +157,7 @@ class LinearModel:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding='utf-8') as f:
-            text = f.read()
+        text = read_utf8(path, ModelFormatError)
         try:
             return cls.from_json(text)
         except ModelFormatError as exc:

@@ -11,18 +11,21 @@ conjoined at scoring time with (class, node-is-preterminal) so chains
 above POS nodes and above constituents get separate weight.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ToolkitError
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_features
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
 from .trees import CTree, PRETERMINAL, PROPER, proper, strip_unaries
 
 NULL_CLASS = 'NULL'
 CHAIN_SEP = '->'
 _NONE = 'NONE'
+FEATURES_PER_NODE = 19
+MIX_BLOCK = 64  # instances whose keys are mixed at once
 
 
 @dataclass(frozen=True)
@@ -57,9 +60,9 @@ def _child_labels(node):
 
 
 def featurize_node(tree, node, parent):
-    """19 feature strings describing a node under its parent (None at the
-    root); boundary slots fall back to the sentinel NONE so the count is
-    constant."""
+    """FEATURES_PER_NODE strings describing a node under its parent (None
+    at the root); boundary slots fall back to the sentinel NONE so the
+    count is constant."""
     sent = tree.sentence
     if parent is None:
         par_label = _NONE
@@ -148,12 +151,23 @@ def extract_instances(treebank):
     return UnaryData(tuple(instances), classes, observed)
 
 
-def _instance_indices(model, inst, n_classes):
-    """Masked weight indices (n_classes, 19) for this instance's own
-    preterminal flag; row c scores class c under key 2c + preterminal."""
-    hashes = hash_features(list(inst.features))
-    keys = 2 * np.arange(n_classes) + int(inst.preterminal)
-    return model.indices(conjoin_grid(hashes, keys))
+def _instance_indices(model, instances, n_classes):
+    """One (n_classes, 19) array of masked weight indices per instance,
+    under the instance's own preterminal flag: row c scores class c under
+    key 2c + preterminal.  The strings of all instances go through one
+    hash_distinct call; the keys are mixed in MIX_BLOCK instances at a
+    time, so the transient digest grids stay small however many
+    instances there are."""
+    hashes = hash_distinct(itertools.chain.from_iterable(
+        inst.features for inst in instances))
+    hashes = hashes.reshape(len(instances), FEATURES_PER_NODE)
+    flags = np.array([inst.preterminal for inst in instances], dtype=int)
+    keys = 2 * np.arange(n_classes) + flags[:, None]
+    rows = []
+    for start in range(0, len(instances), MIX_BLOCK):
+        block = slice(start, start + MIX_BLOCK)
+        rows.extend(model.indices(conjoin_grid(hashes[block], keys[block])))
+    return rows
 
 
 def _candidates(model, symbol):
@@ -184,29 +198,32 @@ def train_unary(data, epochs, seed=1):
         'classes': list(data.classes),
         'allowed': {sym: sorted(class_id[c] for c in classes)
                     for sym, classes in sorted(data.allowed.items())}})
-    examples = [(_instance_indices(model, inst, len(data.classes)),
-                 _candidates(model, inst.symbol),
-                 class_id[inst.gold])
-                for inst in data.instances]
+    indices = _instance_indices(model, data.instances, len(data.classes))
+    examples = [(idx, _candidates(model, inst.symbol), class_id[inst.gold])
+                for idx, inst in zip(indices, data.instances)]
     return perceptron.train(model, examples, epochs, seed,
                             _instance_mistakes)
 
 
-def _predict(model, tree, node, parent):
-    classes = model.meta['classes']
-    cand = _candidates(model, node.label)
-    if cand == [0]:
-        return NULL_CLASS
-    inst = Instance(tuple(featurize_node(tree, node, parent)), node.label,
-                    node.kind == PRETERMINAL, NULL_CLASS)
-    idx = _instance_indices(model, inst, len(classes))
-    return classes[_best(model.weights, idx, cand)]
-
-
 def recover(tree, model):
     """Insert predicted unary chains above the nodes of an unaryless
-    tree; features are read off the input tree, so decisions at distinct
-    nodes do not interact."""
+    tree.  Features are read off the input tree, so decisions at distinct
+    nodes do not interact: every node that has a class besides NULL to
+    choose is decided first, in one batch, and the tree is rebuilt
+    after."""
+    classes = model.meta['classes']
+    nodes = []
+    for node, parent in _with_parents(tree.root):
+        if node.kind in (PROPER, PRETERMINAL):
+            cand = _candidates(model, node.label)
+            if cand != [0]:
+                nodes.append((node, parent, cand))
+    instances = [Instance(tuple(featurize_node(tree, node, parent)),
+                          node.label, node.kind == PRETERMINAL, NULL_CLASS)
+                 for node, parent, _ in nodes]
+    indices = _instance_indices(model, instances, len(classes))
+    chosen = {(id(node), id(parent)): classes[_best(model.weights, idx, cand)]
+              for (node, parent, cand), idx in zip(nodes, indices)}
 
     def rebuild(node, parent):
         if node.kind == PRETERMINAL:
@@ -214,7 +231,7 @@ def recover(tree, model):
         else:
             base = proper(node.label, node.head,
                           [rebuild(c, node) for c in node.children])
-        cls = _predict(model, tree, node, parent)
+        cls = chosen.get((id(node), id(parent)), NULL_CLASS)
         if cls != NULL_CLASS:
             for label in reversed(cls.split(CHAIN_SEP)):
                 base = proper(label, node.head, (base,))

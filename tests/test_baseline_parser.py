@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
-from hodt.baseline_parser import (FEATURES_PER_ARC, featurize_arc,
-                                  parse_heads, train_unlabeled)
-from hodt.corpus_gen import GenConfig, gen_toy_treebank
+from hodt import perceptron
+from hodt.baseline_parser import (FEATURES_PER_ARC, arc_index_table,
+                                  featurize_arc, parse_heads,
+                                  train_unlabeled)
+from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
 from hodt.errors import ToolkitError
+from hodt.perceptron import LinearModel, feature_hash
 from hodt.reduction import ctree_to_dtree
 
 from conftest import make_sentence
@@ -87,3 +91,55 @@ def test_length_mismatch_rejected():
 
     with pytest.raises(ToolkitError):
         train_unlabeled([Broken()], epochs=1)
+
+
+def _reference_arc_table(model, sentence):
+    """One arc at a time: featurize_arc, feature_hash of each string, the
+    model's mask."""
+    n = len(sentence)
+    table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
+    for m in range(1, n + 1):
+        for h in range(n + 1):
+            if h != m:
+                digests = np.array(
+                    [feature_hash(f) for f in featurize_arc(sentence, h, m)],
+                    dtype=np.uint64)
+                table[h, m] = model.indices(digests)
+    return table
+
+
+SENTENCES = {
+    'toy': lambda: [t.sentence for t in
+                    gen_toy_treebank(GenConfig(seed=4), 6)],
+    'long': lambda: [gen_ctree(GenConfig(seed=4), 40).sentence],
+    'disc': lambda: [gen_ctree(GenConfig(
+        seed=4, discontinuity_probability=1.0), 40).sentence],
+    'one': lambda: [make_sentence(('a', 'A'))],
+    'empty': lambda: [make_sentence()],
+}
+
+
+@pytest.mark.parametrize('kind', sorted(SENTENCES))
+def test_arc_index_table_matches_per_arc_hashing(kind):
+    model = LinearModel(dim_bits=20)
+    for sentence in SENTENCES[kind]():
+        table = arc_index_table(model, sentence)
+        n = len(sentence)
+        assert table.shape == (n + 1, n + 1, FEATURES_PER_ARC)
+        assert table.dtype == np.intp
+        assert np.array_equal(table, _reference_arc_table(model, sentence))
+
+
+def test_arc_index_table_hashes_each_distinct_string_once(monkeypatch):
+    sentence = gen_ctree(GenConfig(seed=4), 12).sentence
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+    arc_index_table(LinearModel(), sentence)
+    every = [f for m in range(1, 13) for h in range(13) if h != m
+             for f in featurize_arc(sentence, h, m)]
+    (hashed,) = calls
+    assert sorted(hashed) == sorted(set(every))
+    assert len(hashed) < len(every)

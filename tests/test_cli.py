@@ -9,6 +9,9 @@ import pytest
 from hodt import cli
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree
+from hodt.errors import HeadRuleError, ModelFormatError, TreebankFormatError
+from hodt.headrules import load_rules
+from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
     write_export, write_json_corpus)
@@ -75,7 +78,7 @@ def test_convert_sniffs_format(toy_file, capsys):
 
 
 def test_convert_empty_input(monkeypatch, capsys):
-    monkeypatch.setattr('sys.stdin', io.StringIO(''))
+    monkeypatch.setattr('sys.stdin', io.TextIOWrapper(io.BytesIO(b'')))
     code, _, err = _run(capsys, 'convert')
     assert code == 1
     assert err.startswith('error:')
@@ -345,12 +348,100 @@ def test_jobs_must_be_a_positive_integer(capsys, cmd, jobs):
     (['gen', '-n', '-1'], '-n'),
     (['gen', '-n', 'many'], '-n'),
     (['train', '-m', 'unused', '--epochs', '-1'], '--epochs'),
+    (['gen', '--disc-prob', '1.5'], '--disc-prob'),
+    (['gen', '--disc-prob', '-0.5'], '--disc-prob'),
+    (['gen', '--disc-prob', 'inf'], '--disc-prob'),
+    (['gen', '--disc-prob', 'nan'], '--disc-prob'),
+    (['gen', '--disc-prob', 'half'], '--disc-prob'),
+    (['gen', '--unary-prob', '1.5'], '--unary-prob'),
+    (['gen', '--unary-prob', '-inf'], '--unary-prob'),
+    (['gen', '--unary-prob', 'nan'], '--unary-prob'),
 ])
 def test_counts_out_of_range_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_probabilities_at_both_ends_are_valid(tmp_path, capsys):
+    for prob in ('0', '1', '1e-3'):
+        code, out, _ = _run(capsys, 'gen', '--kind', 'random', '-n', '2',
+                            '--length', '5', '--disc-prob', prob,
+                            '--unary-prob', prob, '--format', 'json')
+        assert code == 0
+        assert len(read_json_corpus(out)) == 2
+
+
+# (bad bytes, offset of the byte that is not UTF-8) for each kind of file
+_NOT_UTF8 = {
+    'trees': (b'(S (N a\xff) (V b))\n', 7),
+    'tokens': (b'the/D \xff/N\n', 6),
+    'manifest': (b'{\xff}', 1),
+    'model': (b'{"kind": "\xff"}', 10),
+    'rules': (b'S left-to-right \xff\n', 16),
+}
+
+
+@pytest.mark.parametrize('case, kind', [
+    ('convert', 'trees'), ('convert_stdin', 'trees'), ('check', 'trees'),
+    ('train', 'trees'), ('eval_gold', 'trees'), ('eval_pred', 'trees'),
+    ('parse', 'tokens'), ('parse_stdin', 'tokens'),
+    ('parse_manifest.json', 'manifest'), ('parse_parser.json', 'model'),
+    ('parse_labeler.json', 'model'), ('parse_unary.json', 'model'),
+    ('convert_rules', 'rules'), ('train_rules', 'rules'),
+])
+def test_input_that_is_not_utf8_is_an_error(
+        tmp_path, capsys, monkeypatch, toy_file, case, kind):
+    data, offset = _NOT_UTF8[kind]
+    command, _, what = case.partition('_')
+    where = tmp_path / 'bad'
+    if what == 'stdin':
+        # as the interpreter sets up stdin in a UTF-8 or C locale
+        monkeypatch.setattr('sys.stdin', io.TextIOWrapper(
+            io.BytesIO(data), encoding='utf-8', errors='surrogateescape'))
+        where = '-'
+    if command == 'parse':
+        bundle = _train(tmp_path, capsys, toy_file)
+        if what.endswith('.json'):
+            where = bundle / what
+        tokens = tmp_path / 'tokens.txt'
+        tokens.write_text('the/D horse/N chases/V\n')
+        argv = ['parse', '-m', bundle,
+                '-i', where if kind == 'tokens' else tokens]
+    elif command == 'eval':
+        argv = ['eval', *([toy_file, where] if what == 'pred'
+                          else [where, toy_file])]
+    elif what == 'rules':
+        argv = [command, '-i', toy_file, '--head-rules', where]
+    else:
+        argv = [command, '-i', where]
+    if command == 'train':
+        argv += ['-m', tmp_path / 'm']
+    if where != '-':
+        where.write_bytes(data)
+    code, _, err = _run(capsys, *map(str, argv))
+    assert code == 1
+    assert err == (f'error: {where}: not UTF-8: byte 0xff '
+                   f'at offset {offset}\n')
+
+
+@pytest.mark.parametrize('kind, name, read, error', [
+    ('trees', 'bad', cli._read_input, TreebankFormatError),
+    ('manifest', 'manifest.json',
+     lambda path: cli._load_bundle(os.path.dirname(path), True),
+     ModelFormatError),
+    ('model', 'bad', LinearModel.load, ModelFormatError),
+    ('rules', 'bad', cli._resolve_rules, HeadRuleError),
+    ('rules', 'bad', load_rules, HeadRuleError),
+])
+def test_not_utf8_error_types(tmp_path, kind, name, read, error):
+    data, offset = _NOT_UTF8[kind]
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    with pytest.raises(error, match=f'{re.escape(str(bad))}: not UTF-8: '
+                                    f'byte 0xff at offset {offset}$'):
+        read(str(bad))
 
 
 def test_zero_sentences_and_zero_epochs_are_valid(tmp_path, capsys,

@@ -1,12 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
 
-from hodt.corpus_gen import GenConfig, gen_toy_treebank
-from hodt.dep_labeler import (featurize_pairwise, label_tree, train_labeler)
+from hodt import perceptron
+from hodt.baseline_parser import featurize_arc
+from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
+from hodt.dep_labeler import (_chain_tables, _chains, featurize_pairwise,
+                              label_tree, train_labeler)
 from hodt.encoding import ROOT_LABEL, encode_direct
 from hodt.errors import ToolkitError
+from hodt.perceptron import LinearModel, conjoin_grid, feature_hash
 from hodt.reduction import ctree_to_dtree
+from hodt.trees import strip_unaries
 
 from conftest import make_sentence
 
@@ -82,18 +88,15 @@ def test_chain_decode_matches_brute_force():
     # every assignment over each head's modifier chain
     corpus = _corpus(18, seed=2)
     model = train_labeler(corpus, epochs=3, seed=2)
-    from hodt.dep_labeler import _chain_index_tables, _chains
-    import numpy as np
     K = len(model.meta['labels'])
     checked = 0
     for enc in corpus[:6]:
         out = label_tree(enc.sentence, list(enc.heads), model)
         chosen = {i + 1: lab for i, lab in enumerate(out.labels)}
-        for h, chain in _chains(enc.sentence, list(enc.heads)):
+        for chain, unary, pair in _chain_tables(
+                model, enc.sentence, list(enc.heads), K):
             if not 1 <= len(chain) <= 3:
                 continue
-            unary, pair = _chain_index_tables(
-                model, enc.sentence, h, chain, K)
             emis = model.weights[unary].sum(axis=2)
             trans = model.weights[pair].sum(axis=2).reshape(
                 len(chain), K, K)
@@ -113,3 +116,65 @@ def test_chain_decode_matches_brute_force():
             assert got == pytest.approx(best, abs=1e-9)
             checked += 1
     assert checked >= 10
+
+
+def _digests(features):
+    return np.array([feature_hash(f) for f in features], dtype=np.uint64)
+
+
+def _reference_chain_tables(model, sentence, h, chain, n_labels):
+    """One chain at a time, one arc or pair at a time, one feature_hash
+    per string: unary (T, K, 34), pairwise (T, K*K, 4) with row 0 zero."""
+    T = len(chain)
+    unary = np.empty((T, n_labels, 34), dtype=np.intp)
+    pair = np.zeros((T, n_labels * n_labels, 4), dtype=np.intp)
+    for t, m in enumerate(chain):
+        unary[t] = model.indices(conjoin_grid(
+            _digests(featurize_arc(sentence, h, m)), range(n_labels)))
+        if t:
+            pair[t] = model.indices(conjoin_grid(
+                _digests(featurize_pairwise(sentence, h, chain[t - 1], m)),
+                range(n_labels * n_labels)))
+    return unary, pair
+
+
+TREES = {
+    'toy': lambda: gen_toy_treebank(GenConfig(seed=6), 8),
+    'long': lambda: [gen_ctree(GenConfig(seed=6), 40)],
+    'disc': lambda: [gen_ctree(GenConfig(
+        seed=6, discontinuity_probability=1.0), 40)],
+}
+
+
+@pytest.mark.parametrize('kind', sorted(TREES))
+def test_chain_tables_match_per_chain_hashing(kind):
+    model = LinearModel(dim_bits=20)
+    for tree in TREES[kind]():
+        enc = encode_direct(ctree_to_dtree(strip_unaries(tree)))
+        for K in (1, 3):
+            got = _chain_tables(model, enc.sentence, enc.heads, K)
+            chains = _chains(enc.sentence, enc.heads)
+            assert [c for c, _, _ in got] == [c for _, c in chains]
+            for (h, chain), (_, unary, pair) in zip(chains, got):
+                ref_unary, ref_pair = _reference_chain_tables(
+                    model, enc.sentence, h, chain, K)
+                assert np.array_equal(unary, ref_unary)
+                assert np.array_equal(pair, ref_pair)
+
+
+def test_chain_tables_hash_each_distinct_string_once(monkeypatch):
+    enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+    _chain_tables(LinearModel(), enc.sentence, enc.heads, 2)
+    every = []
+    for h, chain in _chains(enc.sentence, enc.heads):
+        for t, m in enumerate(chain):
+            every += featurize_arc(enc.sentence, h, m)
+            if t:
+                every += featurize_pairwise(enc.sentence, h, chain[t - 1], m)
+    (hashed,) = calls
+    assert sorted(hashed) == sorted(set(every))

@@ -9,8 +9,10 @@ from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import train_labeler
 from hodt.encoding import encode_direct
 from hodt.errors import ModelFormatError
+from hodt import perceptron
 from hodt.perceptron import (AveragedTrainer, LinearModel, conjoin,
-                             conjoin_grid, feature_hash, hash_features)
+                             conjoin_grid, feature_hash, hash_distinct,
+                             hash_features)
 from hodt.reduction import ctree_to_dtree
 from hodt.rng import Rng
 from hodt.trees import strip_unaries
@@ -31,6 +33,49 @@ def test_hash_features_vectorized_matches_scalar():
     arr = hash_features(feats)
     assert arr.dtype == np.uint64
     assert [int(x) for x in arr] == [feature_hash(f) for f in feats]
+
+
+def test_hash_features_is_the_blake2b_digest():
+    feats = ['b', 'hp:VBZ', 'mf:Straße', '']
+    want = [int.from_bytes(hashlib.blake2b(f.encode('utf-8'),
+                                           digest_size=8).digest(), 'little')
+            for f in feats]
+    assert [int(x) for x in hash_features(feats)] == want
+    assert hash_features([]).dtype == np.uint64
+    assert hash_features([]).shape == (0,)
+
+
+def test_hash_distinct_matches_hash_features():
+    feats = ['a', 'bc', 'a', 'def', 'bc', 'a']
+    got = hash_distinct(iter(feats))
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, hash_features(feats))
+    empty = hash_distinct(iter(()))
+    assert empty.dtype == np.uint64
+    assert empty.shape == (0,)
+
+
+def test_hash_distinct_hashes_each_distinct_string_once(monkeypatch):
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+    hash_distinct(['x', 'y', 'x', 'x', 'z', 'y'])
+    assert calls == [['x', 'y', 'z']]
+
+
+def test_conjoin_grid_broadcasts_over_rows():
+    base = hash_features(['p', 'q', 'r', 's', 't', 'u']).reshape(2, 3)
+    grid = conjoin_grid(base, range(4))
+    assert grid.shape == (2, 4, 3)
+    for r in range(2):
+        assert np.array_equal(grid[r], conjoin_grid(base[r], range(4)))
+    keys = np.array([[0, 2], [1, 3]])
+    rows = conjoin_grid(base, keys)
+    assert rows.shape == (2, 2, 3)
+    for r in range(2):
+        assert np.array_equal(rows[r], conjoin_grid(base[r], keys[r]))
 
 
 def test_conjoin_changes_with_key():

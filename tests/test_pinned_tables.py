@@ -17,7 +17,7 @@ import pytest
 from hodt.baseline_parser import arc_index_table
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
-from hodt.dep_labeler import _chain_index_tables, _chains
+from hodt.dep_labeler import _chain_tables
 from hodt.encoding import encode_direct
 from hodt.perceptron import LinearModel
 from hodt.reduction import ctree_to_dtree
@@ -57,16 +57,15 @@ def _label_tables(bank):
     n_labels = len({label for enc in corpus for label in enc.labels})
     model = LinearModel()
     for enc in corpus:
-        for h, chain in _chains(enc.sentence, enc.heads):
-            yield from _chain_index_tables(
-                model, enc.sentence, h, chain, n_labels)
+        for _, unary, pair in _chain_tables(
+                model, enc.sentence, enc.heads, n_labels):
+            yield from (unary, pair)
 
 
 def _unary_rows(bank):
     data = extract_instances(BANKS[bank]())
     model = LinearModel()
-    for inst in data.instances:
-        yield _instance_indices(model, inst, len(data.classes))
+    yield from _instance_indices(model, data.instances, len(data.classes))
 
 
 TABLES = {'arcs': _arc_tables, 'labels': _label_tables,

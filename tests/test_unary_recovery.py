@@ -1,7 +1,12 @@
-from hodt.corpus_gen import GenConfig, gen_toy_treebank
+import numpy as np
+
+from hodt import perceptron
+from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
+from hodt.perceptron import LinearModel, conjoin_grid, feature_hash
 from hodt.trees import strip_unaries, validate
-from hodt.unary_recovery import (NULL_CLASS, extract_instances, featurize_node,
-                                 recover, train_unary)
+from hodt.unary_recovery import (NULL_CLASS, _instance_indices,
+                                 extract_instances, featurize_node, recover,
+                                 train_unary)
 
 
 def _toy(n, seed=1):
@@ -104,3 +109,34 @@ def test_determinism():
     a = train_unary(data, epochs=3, seed=2)
     b = train_unary(data, epochs=3, seed=2)
     assert a.to_json() == b.to_json()
+
+
+def test_instance_indices_match_per_instance_hashing():
+    trees = _toy(20) + [gen_ctree(GenConfig(
+        seed=2, discontinuity_probability=1.0, unary_probability=0.3), 12)]
+    data = extract_instances(trees)
+    model = LinearModel(dim_bits=20)
+    K = len(data.classes)
+    got = _instance_indices(model, data.instances, K)
+    assert np.shape(got) == (len(data.instances), K, 19)
+    for inst, rows in zip(data.instances, got):
+        digests = np.array([feature_hash(f) for f in inst.features],
+                           dtype=np.uint64)
+        keys = 2 * np.arange(K) + int(inst.preterminal)
+        assert np.array_equal(rows,
+                              model.indices(conjoin_grid(digests, keys)))
+    assert _instance_indices(model, (), K) == []
+
+
+def test_recover_hashes_each_tree_once(monkeypatch):
+    trees = _toy(40)
+    model = train_unary(extract_instances(trees), epochs=2, seed=1)
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+    for t in trees[:5]:
+        recover(strip_unaries(t), model)
+    assert len(calls) == 5
+    assert all(len(c) == len(set(c)) for c in calls)
