@@ -6,8 +6,8 @@ then happens with plain dependency machinery and the tree is rebuilt.
 See the README for the pipeline and the file formats.
 """
 
-from .encoding import (DecodeResult, EncodedDTree, decode, encode_delta,
-                       encode_direct, encode_hn, label_alphabet)
+from .encoding import (DecodeResult, decode, encode_delta, encode_direct,
+                       encode_hn, label_alphabet)
 from .errors import (HeadRuleError, ModelFormatError, ToolkitError,
                      TreebankFormatError, TreeStructureError)
 from .evaluation import EvalConfig, ScoreReport, attachment_scores, evalb
@@ -22,10 +22,10 @@ from .trees import (Arc, CNode, CTree, DTree, HeadOrderedDTree, Sentence,
 __version__ = '0.1.0'
 
 __all__ = [
-    'Arc', 'CNode', 'CTree', 'DTree', 'DecodeResult', 'EncodedDTree',
-    'EvalConfig', 'HeadOrderedDTree', 'HeadRuleError', 'HeadRuleSet',
-    'LEFTMOST', 'ModelFormatError', 'RIGHTMOST', 'RepairStats',
-    'RoundtripReport', 'ScoreReport', 'Sentence', 'Token', 'ToolkitError',
+    'Arc', 'CNode', 'CTree', 'DTree', 'DecodeResult', 'EvalConfig',
+    'HeadOrderedDTree', 'HeadRuleError', 'HeadRuleSet', 'LEFTMOST',
+    'ModelFormatError', 'RIGHTMOST', 'RepairStats', 'RoundtripReport',
+    'ScoreReport', 'Sentence', 'Token', 'ToolkitError',
     'TreeStructureError', 'TreebankFormatError', 'attachment_scores',
     'ctree_to_dtree', 'decode', 'dtree_to_ctree', 'encode_delta',
     'encode_direct', 'encode_hn', 'evalb', 'is_continuous', 'is_nested',

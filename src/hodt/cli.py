@@ -302,6 +302,8 @@ def _load_bundle(bundle_dir, want_unaries):
                                '(no manifest.json)') from None
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f'{manifest_path}: {exc}') from None
+    if not isinstance(manifest, dict):
+        raise ModelFormatError(f'{manifest_path}: not a JSON object')
     if manifest.get('bundle') != 1:
         raise ModelFormatError(f'{manifest_path}: unsupported bundle format')
     if manifest.get('encoding') not in ENCODINGS:
@@ -475,11 +477,12 @@ def cmd_gen(args):
         trees = gen_toy_treebank(GenConfig(seed=args.seed), args.n)
     else:
         cfg = GenConfig(seed=args.seed,
-                        discontinuity_probability=args.disc_prob,
-                        unary_probability=args.unary_prob,
-                        binary_only=args.binary)
-        trees = [gen_ctree(cfg, args.length, index=i) for i in range(args.n)]
-    fmt = args.format or ('export' if args.disc_prob > 0 else 'bracketed')
+                        discontinuity_probability=args.disc_prob or 0.0,
+                        unary_probability=args.unary_prob or 0.0,
+                        binary_only=bool(args.binary))
+        trees = [gen_ctree(cfg, args.length or 8, index=i)
+                 for i in range(args.n)]
+    fmt = args.format or ('export' if args.disc_prob else 'bracketed')
     _write_output(args.output, _write_trees(trees, fmt, args.output))
     return 0
 
@@ -552,22 +555,28 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser('gen', help='generate a synthetic treebank')
-    _add_io(p)
+    p.add_argument('-o', '--output', default='-')
     p.add_argument('--kind', choices=('toy', 'random'), default='toy')
     p.add_argument('-n', type=_int_at_least(0), default=100)
     p.add_argument('--seed', type=int, default=1)
-    p.add_argument('--length', type=_int_at_least(1), default=8,
-                   help='sentence length for random trees')
-    p.add_argument('--disc-prob', type=_probability, default=0.0)
-    p.add_argument('--unary-prob', type=_probability, default=0.0)
-    p.add_argument('--binary', action='store_true')
+    # None unless given, so that main can refuse them with --kind toy
+    p.add_argument('--length', type=_int_at_least(1),
+                   help='sentence length for random trees (default 8)')
+    p.add_argument('--disc-prob', type=_probability)
+    p.add_argument('--unary-prob', type=_probability)
+    p.add_argument('--binary', action='store_true', default=None)
     p.add_argument('--format', choices=('bracketed', 'export', 'json'))
     p.set_defaults(fn=cmd_gen)
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == 'gen' and args.kind == 'toy':
+        for flag in ('--length', '--disc-prob', '--unary-prob', '--binary'):
+            if getattr(args, flag[2:].replace('-', '_')) is not None:
+                parser.error(f'gen --kind toy takes no {flag}')
     try:
         return args.fn(args)
     except (ToolkitError, TreebankFormatError, ModelFormatError,

@@ -53,7 +53,7 @@ def _random_node(cfg, rng, positions, sentence, scatter):
     after a shuffle, so that children may be discontinuous."""
     if len(positions) == 1:
         tok = sentence.token(positions[0])
-        return _maybe_unary(cfg, rng, preterminal(tok.pos, tok.position, tok.form))
+        return _maybe_unary(cfg, rng, preterminal(tok.pos, tok.position))
     k = _branching(cfg, rng, len(positions))
     if scatter:
         positions = list(positions)
@@ -120,7 +120,7 @@ def enumerate_ctrees(length, binary=False):
             return memo[positions]
         items = sorted(positions)
         if len(items) == 1:
-            result = [preterminal('P', items[0], f'w{items[0]}')]
+            result = [preterminal('P', items[0])]
         else:
             result = []
             for part in _set_partitions(items):
@@ -163,7 +163,7 @@ def _toy_sentence(rng):
         form = rng.choice(_TOY_VOCAB[pos])
         position = len(tokens) + 1
         tokens.append(Token(position, form, pos))
-        return preterminal(pos, position, form)
+        return preterminal(pos, position)
 
     def noun_phrase():
         if rng.chance(0.6):

@@ -18,12 +18,11 @@ import itertools
 import numpy as np
 
 from .baseline_parser import FEATURES_PER_ARC, ROOT_TOKEN, featurize_arc
-from .encoding import EncodedDTree
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
 from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
-from .trees import validate
+from .trees import DTree, validate
 
 PAIR_FEATURES = 4
 
@@ -130,7 +129,8 @@ def train_labeler(corpus, epochs, seed=1):
 
 
 def label_tree(sentence, heads, model):
-    """Label every arc of a head vector; returns an EncodedDTree."""
+    """Label every arc of a head vector; returns a DTree of encoded
+    labels."""
     alphabet = model.meta.get('labels', [])
     if not alphabet:
         raise ToolkitError('labeler model has an empty alphabet')
@@ -140,4 +140,4 @@ def label_tree(sentence, heads, model):
         path = _decode_chain(model.weights, unary, pair, K)
         for m, k in zip(chain, path):
             out[m - 1] = alphabet[k]
-    return EncodedDTree(sentence, tuple(heads), tuple(out))
+    return DTree(sentence, tuple(heads), tuple(out))

@@ -25,30 +25,13 @@ from dataclasses import dataclass
 from .errors import TreeStructureError
 from .reduction import ctree_to_dtree
 from .trees import (
-    PROPER, head_outward, is_nested, is_projective, spine as tree_spine)
+    PROPER, DTree, head_outward, is_nested, is_projective, spine as tree_spine)
 
 ROOT_LABEL = '_root_'
 EMPTY_SPINE = '∅'
 # one character of an escaped label: an escape pair, a lone trailing
 # backslash, or any other character
 _CHAR = re.compile(r'\\.|\\\Z|[^\\]', re.DOTALL)
-
-
-@dataclass(frozen=True)
-class EncodedDTree:
-    """Dependency tree with one encoded label per token; the root slot
-    holds ROOT_LABEL (or the root spine for the hn scheme)."""
-    sentence: 'Sentence'
-    heads: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def root(self):
-        return self.heads.index(0) + 1
-
-    def arcs(self):
-        for m, h in enumerate(self.heads, 1):
-            if h != 0:
-                yield h, m, self.labels[m - 1]
 
 
 @dataclass
@@ -92,7 +75,7 @@ def encode_direct(dtree):
     labels = [ROOT_LABEL] * len(dtree.sentence)
     for arc in dtree.arcs:
         labels[arc.modifier - 1] = f'{escape_label(arc.label)}#{arc.order_index}'
-    return EncodedDTree(dtree.sentence, dtree.heads(), tuple(labels))
+    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
 
 
 def encode_delta(dtree):
@@ -110,7 +93,7 @@ def encode_delta(dtree):
                 d = arc.order_index if previous is None else arc.order_index - previous
                 previous = arc.order_index
                 labels[m - 1] = f'{escape_label(arc.label)}#{d}'
-    return EncodedDTree(dtree.sentence, dtree.heads(), tuple(labels))
+    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
 
 
 def _spine_body(labels):
@@ -132,7 +115,7 @@ def encode_hn(tree):
         labels[arc.modifier - 1] = (
             f'{_spine_body(spines[arc.modifier])}#{arc.order_index}')
     labels[dtree.root - 1] = f'{_spine_body(spines[dtree.root])}#0'
-    return EncodedDTree(dtree.sentence, dtree.heads(), tuple(labels))
+    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
 
 
 def _parse_pair(label):
@@ -226,9 +209,7 @@ def _decode_hn(enc):
         # predicted input: the root spine never reaches us
         spines[root] = ()
     pairs = [None] * n
-    for m, h in enumerate(enc.heads, 1):
-        if h == 0:
-            continue
+    for h, m, _ in enc.arcs():
         idx, raw = attach[m]
         head_spine = spines.get(h, ())
         if 1 <= idx <= len(head_spine):

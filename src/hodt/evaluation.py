@@ -121,15 +121,13 @@ def attachment_scores(gold, pred, punctuation_pos=frozenset()):
     _check_aligned(gold, pred)
     total = uas = las = 0
     for g, p in zip(gold, pred):
-        g_labels = g.labels if g.labels is not None else [None] * len(g.heads)
-        p_labels = p.labels if p.labels is not None else [None] * len(p.heads)
         for m in range(1, len(g.sentence) + 1):
             if g.sentence.pos(m) in punctuation_pos:
                 continue
             total += 1
             if g.heads[m - 1] == p.heads[m - 1]:
                 uas += 1
-                if g_labels[m - 1] == p_labels[m - 1]:
+                if g.labels[m - 1] == p.labels[m - 1]:
                     las += 1
     if not total:
         return 1.0, 1.0

@@ -89,7 +89,7 @@ def lexicalize(tree, rules):
     def build(node):
         if isinstance(node, Token):
             leaves.append(node)
-            return preterminal(node.pos, node.position, node.form)
+            return preterminal(node.pos, node.position)
         if not node.children:
             raise TreeStructureError(
                 f'constituent {node.label!r} has no children')

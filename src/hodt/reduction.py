@@ -66,8 +66,7 @@ def dtree_to_ctree(dtree):
     by_head = dtree.modifiers_by_head()
     psi = {}
     for h in _dep_postorder(heads, dtree.root):
-        tok = sentence.token(h)
-        node = preterminal(tok.pos, h, tok.form)
+        node = preterminal(sentence.pos(h), h)
         classes = {}
         for arc in by_head.get(h, ()):
             classes.setdefault(arc.order_index, []).append(arc)
@@ -102,23 +101,19 @@ class RepairStats:
 def recover_order(tree, continuous_mode=False):
     """Turn per-token (label, index) pairs into a valid HeadOrderedDTree.
 
-    tree is a plain DTree whose labels field holds (label, order_index)
-    pairs, None at the root slot.  Total on any tree-shaped input: bad
+    tree is a DTree whose labels field holds (label, order_index) pairs,
+    None at the root slot.  Total on any tree-shaped input: bad
     indices are clamped to >= 1, same-index conflicts resolve to the label
     of the modifier closest to the head (ties toward the left modifier),
     and in continuous mode an index is lowered to its outer neighbour's
     value wherever nesting would break.  Indices are finally compacted to
     1..J per head.  Returns (tree, RepairStats); idempotent.
     """
-    heads = tree.heads
     stats = RepairStats()
     mods = {}
     given = {}
     index = {}
-    for m, h in enumerate(heads, 1):
-        if h == 0:
-            continue
-        label, idx = tree.labels[m - 1]
+    for h, m, (label, idx) in tree.arcs():
         idx = int(idx)
         if idx < 1:
             stats.indices_clamped += 1

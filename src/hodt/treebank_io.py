@@ -24,22 +24,37 @@ render lexicalized CTrees and return LF-terminated text.  Bracketed and
 export readers yield unlexicalized RawNode trees over Token leaves (feed
 them to headrules.lexicalize); the json reader returns CTrees since the format
 stores head positions.  The three tree readers reject a tree nested
-deeper than MAX_DEPTH levels.
+deeper than MAX_DEPTH levels.  The bracketed and export writers refuse
+a tree with a field that their own reader would misread (_MISREAD).
 """
 
 import json
+import re
 
-from .encoding import ROOT_LABEL, EncodedDTree
+from .encoding import ROOT_LABEL
 from .errors import TreebankFormatError
 from .trees import (
-    PRETERMINAL, PROPER, CTree, RawNode, Sentence, Token,
-    is_continuous, preterminal, proper, validate)
+    PRETERMINAL, PROPER, CTree, DTree, RawNode, Sentence, Token,
+    is_continuous, iter_nodes, preterminal, proper, validate)
 
 # deepest nesting a tree reader accepts, counting the root and the
 # preterminal (and, in bracketed text, a label-less wrapper).  The tree
 # walkers recurse: at the default recursion limit, `hodt check` fails
 # near 250 levels, so this keeps a margin of about two
 MAX_DEPTH = 128
+
+
+# fields a reader misreads: empty, split at whitespace or nested at '('
+# or ')'; an export form read as a #BOS, #EOS, #FORMAT or node line; an
+# export lemma or morphology '--', read as none
+_MISREAD = {
+    'bracketed': dict.fromkeys(('form', 'tag', 'label'),
+                               re.compile(r'[\s()]|\A\Z')),
+    'export': {'form': re.compile(r'\s|\A\Z|\A#(BOS|EOS|FORMAT|\d+\Z)'),
+               **dict.fromkeys(('tag', 'label'), re.compile(r'\s|\A\Z')),
+               **dict.fromkeys(('lemma', 'morph'),
+                               re.compile(r'\s|\A(--)?\Z'))},
+}
 
 
 def _lines_of(source):
@@ -141,6 +156,22 @@ def _render(node, sentence):
     return f'({node.label} {inner})'
 
 
+def _refuse_misread(i, tree, fmt, path=None, version=3):
+    """Raise for the first field of tree i that the fmt reader misreads."""
+    fields = [('form', t.form) for t in tree.sentence]
+    fields += [('tag' if n.kind == PRETERMINAL else 'label', n.label)
+               for n in iter_nodes(tree.root)]
+    if fmt == 'export':
+        fields += [(kind, value) for t in tree.sentence
+                   for kind, value in (('morph', t.morph), ('lemma', t.lemma))
+                   if value is not None and (kind == 'morph' or version == 4)]
+    for kind, value in fields:
+        if _MISREAD[fmt][kind].search(value):
+            raise TreebankFormatError(
+                f'tree {i}: {kind} {value!r} cannot be written in the '
+                f'{fmt} format; write it with --format json', path)
+
+
 def write_bracketed(trees, path=None):
     """One line per tree, rendered from the lexicalized tree.  Continuous
     trees only."""
@@ -150,6 +181,7 @@ def write_bracketed(trees, path=None):
             raise TreebankFormatError(
                 f'tree {i} is discontinuous; write it in the export format',
                 path)
+        _refuse_misread(i, tree, 'bracketed', path)
         lines.append(_render(tree.root, tree.sentence))
     return '\n'.join(lines) + '\n'
 
@@ -299,6 +331,7 @@ def write_export(trees, version=3):
     if version == 4:
         lines.append('#FORMAT 4')
     for i, tree in enumerate(trees, 1):
+        _refuse_misread(i, tree, 'export', version=version)
         lines.append(f'#BOS {i}')
         root = tree.root
         if root.kind == PROPER and root.label == 'VROOT':
@@ -437,7 +470,7 @@ def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
                 if stats is not None:
                     stats['cycle_repairs'] = stats.get('cycle_repairs', 0) + 1
                 heads[start - 1] = root_pos
-        corpus.append(EncodedDTree(
+        corpus.append(DTree(
             Sentence(tuple(tokens)), tuple(heads), tuple(labels)))
     return corpus
 
@@ -518,7 +551,7 @@ def _node_from_obj(obj, sentence, path, lineno, depth=1):
             f'node head must be a position in 1..{len(sentence)}, '
             f'got {head!r}', path, lineno)
     if 'children' not in obj:
-        return preterminal(label, head, sentence.form(head))
+        return preterminal(label, head)
     children = obj['children']
     if not isinstance(children, list) or not children:
         raise TreebankFormatError(

@@ -1,11 +1,11 @@
 """Core data types: sentences, constituent trees, dependency trees.
 
-Constituent trees (CTree) carry an explicit head position on every node;
-unlexicalized trees coming out of treebank readers are RawNodes over
-Token leaves and must go through headrules.lexicalize first.  Dependency
-trees come in two flavours: plain DTree (a head vector, optionally labeled)
-and HeadOrderedDTree, whose arcs additionally carry the order index that
-records at which step of the head's spine each modifier attaches.
+Words live in the Sentence.  Constituent trees (CTree) have preterminal
+and proper nodes, each with an explicit head position; unlexicalized
+trees coming out of treebank readers are RawNodes over Token leaves and
+must go through headrules.lexicalize first.  Dependency trees come in two
+flavours: DTree (a labeled head vector) and HeadOrderedDTree, whose arcs
+carry the order index of the head's spine step each modifier attaches at.
 
 Positions are 1-based throughout; head 0 in a DTree marks the root word.
 """
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import TreeStructureError
 
-TERMINAL = 'terminal'
 PRETERMINAL = 'preterminal'
 PROPER = 'proper'
 
@@ -65,7 +64,8 @@ class RawNode:
 
 @dataclass(frozen=True)
 class CNode:
-    """Constituent-tree node.  kind is one of terminal/preterminal/proper.
+    """Constituent-tree node.  kind is preterminal (a word's tag, no
+    children; the word is in the tree's Sentence) or proper.
 
     positions is the yield as a set, which keeps discontinuous
     constituents first-class.  Children are stored sorted by the smallest
@@ -81,13 +81,8 @@ class CNode:
         return min(self.positions)
 
 
-def terminal(form, position):
-    return CNode(form, position, frozenset((position,)), (), TERMINAL)
-
-
-def preterminal(pos_tag, position, form):
-    leaf = terminal(form, position)
-    return CNode(pos_tag, position, frozenset((position,)), (leaf,), PRETERMINAL)
+def preterminal(pos_tag, position):
+    return CNode(pos_tag, position, frozenset((position,)), (), PRETERMINAL)
 
 
 def proper(label, head, children):
@@ -141,15 +136,20 @@ class HeadOrderedDTree:
 
 @dataclass(frozen=True)
 class DTree:
-    """Plain dependency tree: heads[i] is the head of position i+1, 0 for
-    the root word.  labels, when present, parallel the positions with None
-    at the root slot."""
+    """heads[i] is the head of position i+1, 0 for the root word; labels[i]
+    is an encoded label (ROOT_LABEL or the hn spine at the root slot) or a
+    decoded (label, order index) pair (None at the root slot)."""
     sentence: Sentence
     heads: tuple[int, ...]
-    labels: tuple[str | None, ...] | None = None
+    labels: tuple
 
     def root(self):
         return self.heads.index(0) + 1
+
+    def arcs(self):
+        for m, h in enumerate(self.heads, 1):
+            if h != 0:
+                yield h, m, self.labels[m - 1]
 
 
 def iter_nodes(node):
@@ -243,19 +243,16 @@ def is_nested(tree):
 
 
 def spine(tree, h):
-    """Nodes headed by h from the topmost one down to the preterminal,
-    inclusive; the terminal is not part of the spine."""
+    """The nodes headed by h, topmost first, the preterminal last."""
     if not 1 <= h <= len(tree.sentence):
         raise TreeStructureError(f'position {h} outside the sentence')
     node = tree.root
     while node.head != h:
         node = next(c for c in node.children if h in c.positions)
-    path = []
-    while node.kind != TERMINAL:
-        path.append(node)
-        if node.kind == PRETERMINAL:
-            break
+    path = [node]
+    while node.kind != PRETERMINAL:
         node = next(c for c in node.children if c.head == h)
+        path.append(node)
     return path
 
 
@@ -291,20 +288,13 @@ def unlexicalize(tree):
 def _validate_ctree(tree):
     problems = []
     n = len(tree.sentence)
-    seen_positions = []
+    # with each yield checked below, this means preterminals enumerate 1..L
     if tree.root.positions != frozenset(range(1, n + 1)):
         problems.append('root yield does not cover the sentence')
     for node in iter_nodes(tree.root):
-        if node.kind == TERMINAL:
+        if node.kind == PRETERMINAL:
             if node.children:
-                problems.append(f'terminal {node.label!r} has children')
-            seen_positions.append(node.head)
-            if node.positions != frozenset((node.head,)):
-                problems.append(f'terminal at {node.head} has a bad yield')
-        elif node.kind == PRETERMINAL:
-            if len(node.children) != 1 or node.children[0].kind != TERMINAL:
-                problems.append(
-                    f'preterminal {node.label!r} must dominate one terminal')
+                problems.append(f'preterminal {node.label!r} has children')
             if node.positions != frozenset((node.head,)):
                 problems.append(f'preterminal {node.label!r} has a bad yield')
         elif node.kind == PROPER:
@@ -314,9 +304,6 @@ def _validate_ctree(tree):
             union = set()
             overlap = False
             for c in node.children:
-                if c.kind == TERMINAL:
-                    problems.append(
-                        f'proper node {node.label!r} dominates a bare terminal')
                 if union & c.positions:
                     overlap = True
                 union |= c.positions
@@ -333,8 +320,6 @@ def _validate_ctree(tree):
             problems.append(f'unknown node kind {node.kind!r}')
         if node.head not in node.positions:
             problems.append(f'head of {node.label!r} outside its yield')
-    if sorted(seen_positions) != list(range(1, n + 1)):
-        problems.append('terminals do not enumerate positions 1..L')
     return problems
 
 
@@ -394,6 +379,5 @@ def validate(tree):
                     problems.append(
                         f'head {h} index {j} carries labels {sorted(labels)}')
         return problems
-    # plain DTree or anything exposing .sentence/.heads
     _validate_heads(tree.sentence, tuple(tree.heads), problems)
     return problems

@@ -137,8 +137,6 @@ def extract_instances(treebank):
         chains = _survivor_chains(tree)
         stripped = strip_unaries(tree)
         for node, parent in _with_parents(stripped.root):
-            if node.kind not in (PROPER, PRETERMINAL):
-                continue
             chain = chains.get(node.positions)
             gold = CHAIN_SEP.join(chain) if chain else NULL_CLASS
             instances.append(Instance(
@@ -214,10 +212,9 @@ def recover(tree, model):
     classes = model.meta['classes']
     nodes = []
     for node, parent in _with_parents(tree.root):
-        if node.kind in (PROPER, PRETERMINAL):
-            cand = _candidates(model, node.label)
-            if cand != [0]:
-                nodes.append((node, parent, cand))
+        cand = _candidates(model, node.label)
+        if cand != [0]:
+            nodes.append((node, parent, cand))
     instances = [Instance(tuple(featurize_node(tree, node, parent)),
                           node.label, node.kind == PRETERMINAL, NULL_CLASS)
                  for node, parent, _ in nodes]

@@ -22,10 +22,10 @@ def deep_tree(depth):
     levels down, counting the root and the preterminal."""
     n = depth   # one word per level, two at the bottom
     sent = Sentence(tuple(Token(i, f'w{i}', 'A') for i in range(1, n + 1)))
-    node = proper('X', n - 1, (preterminal('A', n - 1, f'w{n - 1}'),
-                               preterminal('A', n, f'w{n}')))
+    node = proper('X', n - 1, (preterminal('A', n - 1),
+                               preterminal('A', n)))
     for i in range(n - 2, 0, -1):
-        node = proper('X', i, (preterminal('A', i, f'w{i}'), node))
+        node = proper('X', i, (preterminal('A', i), node))
     return CTree(node, sent)
 
 
@@ -34,7 +34,7 @@ def english_tree():
     sent = make_sentence(
         ('The', 'DT'), ('public', 'NN'), ('is', 'VBZ'),
         ('still', 'RB'), ('cautious', 'JJ'), ('.', '.'))
-    pre = {i: preterminal(t.pos, i, t.form) for i, t in
+    pre = {i: preterminal(t.pos, i) for i, t in
            zip(range(1, 7), sent)}
     np = proper('NP', 2, (pre[1], pre[2]))
     advp = proper('ADVP', 4, (pre[4],))
@@ -49,7 +49,7 @@ def english_tree_unaryless():
     sent = make_sentence(
         ('The', 'DT'), ('public', 'NN'), ('is', 'VBZ'),
         ('still', 'RB'), ('cautious', 'JJ'), ('.', '.'))
-    pre = {i: preterminal(t.pos, i, t.form) for i, t in
+    pre = {i: preterminal(t.pos, i) for i, t in
            zip(range(1, 7), sent)}
     np = proper('NP', 2, (pre[1], pre[2]))
     vp = proper('VP', 3, (pre[3], pre[4], pre[5]))
@@ -64,7 +64,7 @@ def german_tree():
     sent = make_sentence(
         ('das', 'PDS'), ('steht', 'VVFIN'), ('keiner', 'PIAT'),
         ('Liste', 'NN'), ('.', '$.'))
-    pre = {i: preterminal(t.pos, i, t.form) for i, t in
+    pre = {i: preterminal(t.pos, i) for i, t in
            zip(range(1, 6), sent)}
     np_inner = proper('NP', 4, (pre[3], pre[4]))
     np_outer = proper('NP', 4, (pre[1], np_inner))

@@ -18,7 +18,7 @@ from hodt.cli import main as cli_main
 from hodt.corpus_gen import (
     GenConfig, enumerate_ctrees, gen_ctree, gen_toy_treebank)
 from hodt.encoding import (
-    ROOT_LABEL, EncodedDTree, decode, encode_delta, encode_direct, encode_hn,
+    ROOT_LABEL, decode, encode_delta, encode_direct, encode_hn,
     label_alphabet)
 from hodt.errors import TreeStructureError
 from hodt.evaluation import EvalConfig, evalb
@@ -318,7 +318,7 @@ def test_c08_repair_totality():
             for h in heads)
         scheme = ('direct', 'delta', 'hn')[i % 3]
         result = decode(
-            EncodedDTree(base.sentence, heads, labels), scheme)
+            DTree(base.sentence, heads, labels), scheme)
         skeleton = DTree(base.sentence, heads, result.pairs)
         repaired, _ = recover_order(skeleton, continuous_mode=True)
         tree = dtree_to_ctree(repaired)
@@ -372,7 +372,7 @@ def test_c10_scorer_correctness(english_tree_unaryless):
     sent = make_sentence(
         ('The', 'DT'), ('public', 'NN'), ('is', 'VBZ'),
         ('still', 'RB'), ('cautious', 'JJ'), ('.', '.'))
-    pre = {i: preterminal(t.pos, i, t.form)
+    pre = {i: preterminal(t.pos, i)
            for i, t in zip(range(1, 7), sent)}
     pred = CTree(proper('S', 3, (
         proper('NP', 2, (pre[1], pre[2])),

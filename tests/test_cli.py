@@ -15,7 +15,7 @@ from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
     write_export, write_json_corpus)
-from hodt.trees import is_continuous
+from hodt.trees import is_continuous, spine
 from tests.conftest import deep_tree
 
 
@@ -364,6 +364,22 @@ def test_counts_out_of_range_are_usage_errors(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize('argv, flag', [
+    (['gen', '-i', 'unused'], '-i'),
+    (['gen', '--length', '3'], '--length'),
+    (['gen', '--disc-prob', '0.5'], '--disc-prob'),
+    (['gen', '--unary-prob', '0'], '--unary-prob'),
+    (['gen', '--binary'], '--binary'),
+    (['gen', '--binary', '--kind', 'toy', '--length', '3'], '--length'),
+])
+def test_gen_takes_no_option_it_ignores(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == '' and flag in out.err
+
+
 def test_probabilities_at_both_ends_are_valid(tmp_path, capsys):
     for prob in ('0', '1', '1e-3'):
         code, out, _ = _run(capsys, 'gen', '--kind', 'random', '-n', '2',
@@ -622,8 +638,10 @@ def toy_bundle(tmp_path_factory):
 
 DROP = object()
 
-# file, key path, new value; from_json's own cases are in test_perceptron
+# file, key path (empty: the whole file), new value; from_json's own
+# cases are in test_perceptron
 CORRUPTIONS = {
+    'manifest_list': ('manifest.json', [], []),
     'dim_bits_too_large': ('parser.json', ['dim_bits'], 40),
     'weight_pair_short': ('parser.json', ['weights'], [[1]]),
     'projective_missing': ('parser.json', ['meta', 'projective'], DROP),
@@ -660,7 +678,9 @@ def test_parse_rejects_corrupted_bundle(tmp_path, toy_bundle, capsys,
     target = obj
     for key in keys[:-1]:
         target = target[key]
-    if value is DROP:
+    if not keys:
+        obj = value
+    elif value is DROP:
         del target[keys[-1]]
     else:
         target[keys[-1]] = value
@@ -692,6 +712,51 @@ def test_parse_ignores_an_old_label_pruning_table(tmp_path, toy_bundle,
             for b in (toy_bundle, bundle)]
     assert runs[0][0] == 0 and runs[0][1].count('\n') == 2
     assert runs[0] == runs[1]
+
+
+# parse input, output format, and the kind and value of the field the
+# writer refuses
+_ROW2 = '2\tsees\t_\tV\tV\t_\n'
+UNWRITABLE = {
+    'space_in_form': ('1\tNew York\t_\tN\tN\t_\n' + _ROW2, 'bracketed',
+                      'form', 'New York'),
+    'space_in_form_export': ('1\tNew York\t_\tN\tN\t_\n' + _ROW2,
+                             'export', 'form', 'New York'),
+    'space_in_tag': ('1\tdog\t_\tN N\tN N\t_\n' + _ROW2, 'bracketed',
+                     'tag', 'N N'),
+    'space_in_morph': ('1\tdog\t_\tN\tN\tP l\n' + _ROW2, 'export',
+                       'morph', 'P l'),
+    'empty_form': ('1\t\t_\tN\tN\t_\n' + _ROW2, 'export', 'form', ''),
+    'paren_in_form': ('a(b/N sees/V\n', 'bracketed', 'form', 'a(b'),
+    'paren_in_tag': ('dog/N) sees/V\n', 'bracketed', 'tag', 'N)'),
+    'bos_form': ('#BOS/N sees/V\n', 'export', 'form', '#BOS'),
+    'eos_form': ('#EOS/N sees/V\n', 'export', 'form', '#EOS'),
+    'format_form': ('#FORMAT/N sees/V\n', 'export', 'form', '#FORMAT'),
+    'node_id_form': ('#500/N sees/V\n', 'export', 'form', '#500'),
+}
+
+
+@pytest.mark.parametrize('case', sorted(UNWRITABLE))
+def test_parse_refuses_trees_its_writer_cannot_round_trip(
+        tmp_path, toy_bundle, capsys, case):
+    text, fmt, kind, value = UNWRITABLE[case]
+    sents = tmp_path / 'in.txt'
+    sents.write_text(text)
+    out = tmp_path / 'out'
+    code, stdout, err = _run(capsys, 'parse', '-m', str(toy_bundle),
+                             '-i', str(sents), '-o', str(out),
+                             '--format', fmt)
+    assert (code, stdout) == (1, '')
+    assert err.startswith('error: ') and 'Traceback' not in err
+    assert f'tree 1: {kind} {value!r}' in err and '--format json' in err
+    assert not out.exists()
+    code, _, _ = _run(capsys, 'parse', '-m', str(toy_bundle),
+                      '-i', str(sents), '-o', str(out), '--format', 'json')
+    assert code == 0
+    (tree,) = read_json_corpus(out.read_text())
+    tok = tree.sentence.token(1)
+    assert value == {'form': tok.form, 'morph': tok.morph,
+                     'tag': spine(tree, 1)[-1].label}[kind]
 
 
 def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,

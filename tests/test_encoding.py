@@ -2,10 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
-from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, EncodedDTree,
-                           _split_spine, _split_tail, decode, encode_delta,
-                           encode_direct, encode_hn, escape_label,
-                           label_alphabet, unescape_label)
+from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, _split_spine,
+                           _split_tail, decode, encode_delta, encode_direct,
+                           encode_hn, escape_label, label_alphabet,
+                           unescape_label)
 from hodt.errors import TreeStructureError
 from hodt.reduction import ctree_to_dtree, dtree_to_ctree, recover_order
 from hodt.trees import DTree, is_nested, is_projective, strip_unaries
@@ -137,7 +137,7 @@ def test_decode_is_total_on_garbage():
     garbage = ('no-separator', '#', 'X#', 'X#junk', '', 'X#-3', 'X#1#z')
     for scheme in ('direct', 'delta', 'hn'):
         for g in garbage:
-            enc = EncodedDTree(sent, (2, 0, 2), (g, ROOT_LABEL, 'Z#1'))
+            enc = DTree(sent, (2, 0, 2), (g, ROOT_LABEL, 'Z#1'))
             result = decode(enc, scheme)
             assert len(result.pairs) == 3
             pair = result.pairs[0]
@@ -151,7 +151,7 @@ def test_decode_is_total_on_garbage():
 
 def test_delta_negative_difference_clamps():
     sent = make_sentence(('a', 'P'), ('b', 'P'), ('c', 'P'))
-    enc = EncodedDTree(sent, (2, 0, 2), ('X#-4', ROOT_LABEL, 'X#0'))
+    enc = DTree(sent, (2, 0, 2), ('X#-4', ROOT_LABEL, 'X#0'))
     result = decode(enc, 'delta')
     assert result.warnings >= 1
     assert all(p is None or p[1] >= 0 for p in result.pairs)

@@ -3,9 +3,8 @@ from collections import Counter
 import pytest
 
 from hodt.corpus_gen import GenConfig, gen_ctree
-from hodt.encoding import EncodedDTree
 from hodt.evaluation import EvalConfig, attachment_scores, brackets, evalb
-from hodt.trees import CTree, preterminal, proper
+from hodt.trees import CTree, DTree, preterminal, proper
 
 from tests.conftest import make_sentence
 
@@ -27,7 +26,7 @@ def _flat_np_tree():
     sent = make_sentence(
         ('Es', 'PPER'), ('kam', 'VVFIN'), ('nichts', 'PIAT'),
         ('Interessantes', 'NN'), ('.', '$.'))
-    pre = {i: preterminal(t.pos, i, t.form)
+    pre = {i: preterminal(t.pos, i)
            for i, t in zip(range(1, 6), sent)}
     np = proper('NP', 4, (pre[1], pre[3], pre[4]))
     s = proper('S', 2, (np, pre[2]))
@@ -45,7 +44,7 @@ def test_brackets_root_and_punct_filters():
 
 def test_brackets_single_preterminal():
     sent = make_sentence(('hi', 'UH'))
-    tree = CTree(preterminal('UH', 1, 'hi'), sent)
+    tree = CTree(preterminal('UH', 1), sent)
     assert _brack(tree) == Counter()
 
 
@@ -59,7 +58,7 @@ def _pred_two_thirds():
     sent = make_sentence(
         ('The', 'DT'), ('public', 'NN'), ('is', 'VBZ'),
         ('still', 'RB'), ('cautious', 'JJ'), ('.', '.'))
-    pre = {i: preterminal(t.pos, i, t.form)
+    pre = {i: preterminal(t.pos, i)
            for i, t in zip(range(1, 7), sent)}
     np = proper('NP', 2, (pre[1], pre[2]))
     vp = proper('VP', 3, (pre[3], pre[4]))
@@ -88,8 +87,8 @@ def test_evalb_half_exact(english_tree_unaryless):
 
 def test_evalb_length_cutoffs(english_tree_unaryless):
     sent = make_sentence(('a', 'X'), ('b', 'X'))
-    small = CTree(proper('P', 1, (preterminal('X', 1, 'a'),
-                                  preterminal('X', 2, 'b'))), sent)
+    small = CTree(proper('P', 1, (preterminal('X', 1),
+                                  preterminal('X', 2))), sent)
     cfg = EvalConfig(length_cutoffs=(3,))
     rep = evalb([small, english_tree_unaryless],
                 [small, english_tree_unaryless], cfg)
@@ -102,7 +101,7 @@ def test_evalb_length_cutoffs(english_tree_unaryless):
 def test_evalb_misalignment(english_tree_unaryless):
     with pytest.raises(ValueError):
         evalb([english_tree_unaryless], [])
-    short = CTree(preterminal('X', 1, 'a'), make_sentence(('a', 'X')))
+    short = CTree(preterminal('X', 1), make_sentence(('a', 'X')))
     with pytest.raises(ValueError):
         evalb([english_tree_unaryless], [short])
 
@@ -126,8 +125,8 @@ def test_evalb_symmetry_random_pairs():
 
 def test_evalb_permutation_invariance(english_tree_unaryless):
     small_sent = make_sentence(('a', 'X'), ('b', 'X'))
-    small = CTree(proper('P', 1, (preterminal('X', 1, 'a'),
-                                  preterminal('X', 2, 'b'))), small_sent)
+    small = CTree(proper('P', 1, (preterminal('X', 1),
+                                  preterminal('X', 2))), small_sent)
     gold = [english_tree_unaryless, small]
     pred = [_pred_two_thirds(), small]
     fwd = evalb(gold, pred)
@@ -137,7 +136,7 @@ def test_evalb_permutation_invariance(english_tree_unaryless):
 
 
 def _dep(sent, heads, labels):
-    return EncodedDTree(sent, tuple(heads), tuple(labels))
+    return DTree(sent, tuple(heads), tuple(labels))
 
 
 def test_attachment_identity():

@@ -32,7 +32,7 @@ def test_german_sample_arcs(german_tree):
 def test_flat_vs_right_branching_vp():
     sent = make_sentence(('really', 'RB'), ('needs', 'VBZ'),
                          ('caution', 'NN'))
-    pre = {i: preterminal(t.pos, i, t.form)
+    pre = {i: preterminal(t.pos, i)
            for i, t in zip(range(1, 4), sent)}
     flat = CTree(proper('VP', 2, (pre[1], pre[2], pre[3])), sent)
     assert arc_set(ctree_to_dtree(flat)) == {
@@ -64,7 +64,7 @@ def test_rebuild_german(german_tree):
 
 def test_single_token_roundtrip():
     sent = make_sentence(('w', 'T'))
-    tree = CTree(preterminal('T', 1, 'w'), sent)
+    tree = CTree(preterminal('T', 1), sent)
     dt = ctree_to_dtree(tree)
     assert dt.arcs == ()
     assert dtree_to_ctree(dt) == tree

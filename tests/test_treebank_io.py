@@ -74,6 +74,48 @@ def test_write_bracketed_rejects_discontinuous(german_tree):
     assert 'export' in str(err.value)
 
 
+def _two_token_tree(form='a', tag='N', label='S', lemma=None, morph=None):
+    from hodt.trees import CTree, preterminal, proper
+    sent = Sentence((Token(1, form, 'N', lemma, morph), Token(2, 'b', 'V')))
+    return CTree(proper(label, 2, (preterminal(tag, 1),
+                                   preterminal('V', 2))), sent)
+
+
+@pytest.mark.parametrize('fmt, field, value', [
+    ('bracketed', 'form', 'New York'), ('bracketed', 'form', 'a(b'),
+    ('bracketed', 'form', 'c)'), ('bracketed', 'form', ''),
+    ('bracketed', 'form', 'a\u2028b'), ('bracketed', 'tag', 'N N'),
+    ('bracketed', 'tag', 'N('), ('bracketed', 'label', 'S P'),
+    ('bracketed', 'label', ')'),
+    ('export', 'form', 'New York'), ('export', 'form', 'a\tb'),
+    ('export', 'form', ''), ('export', 'form', '#BOS'),
+    ('export', 'form', '#EOS9'), ('export', 'form', '#FORMAT'),
+    ('export', 'form', '#500'), ('export', 'form', '#١'),
+    ('export', 'tag', 'N N'), ('export', 'label', 'S P'),
+    ('export', 'morph', 'Pl Sg'), ('export', 'morph', '--'),
+    ('export4', 'lemma', 'a b'), ('export4', 'lemma', '--'),
+])
+def test_writers_refuse_fields_their_reader_misreads(fmt, field, value):
+    tree = _two_token_tree(**{field: value})
+    writer = {'bracketed': write_bracketed, 'export': write_export,
+              'export4': lambda trees: write_export(trees, version=4)}[fmt]
+    with pytest.raises(TreebankFormatError) as err:
+        writer([_two_token_tree(), tree])
+    assert f'tree 2: {field} {value!r}' in str(err.value)
+    assert '--format json' in str(err.value)
+    assert read_json_corpus(write_json_corpus([tree])) == [tree]
+
+
+@pytest.mark.parametrize('form', ['#', '#x', '#5²', '%%', '#BOT', 'a/b',
+                                  '--'])
+def test_writers_keep_forms_their_reader_reads_back(form):
+    tree = _two_token_tree(form=form, lemma='l', morph='m')
+    assert read_export(write_export([tree], version=4)) == [
+        unlexicalize(tree)]
+    assert read_bracketed(write_bracketed([tree])) == [
+        unlexicalize(_two_token_tree(form=form))]
+
+
 def test_bracketed_roundtrip(english_tree):
     text = write_bracketed([english_tree])
     (raw,) = read_bracketed(text)
@@ -91,8 +133,8 @@ def test_export_v4_preserves_lemma_morph():
     sent = Sentence((Token(1, 'Hunde', 'NN', 'Hund', 'Pl'),
                      Token(2, 'bellen', 'VVFIN', 'bellen', None)))
     from hodt.trees import CTree, preterminal, proper
-    tree = CTree(proper('S', 2, (preterminal('NN', 1, 'Hunde'),
-                                 preterminal('VVFIN', 2, 'bellen'))), sent)
+    tree = CTree(proper('S', 2, (preterminal('NN', 1),
+                                 preterminal('VVFIN', 2))), sent)
     text = write_export([tree], version=4)
     assert text.startswith('#FORMAT 4\n')
     (raw,) = read_export(text)          # version sniffed from #FORMAT

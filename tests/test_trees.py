@@ -9,7 +9,7 @@ from conftest import make_sentence
 
 def single_token_tree():
     sent = make_sentence(('w', 'T'))
-    return CTree(preterminal('T', 1, 'w'), sent)
+    return CTree(preterminal('T', 1), sent)
 
 
 def test_continuity(english_tree, german_tree):
@@ -60,7 +60,7 @@ def test_strip_unaries(english_tree, english_tree_unaryless):
     sent = make_sentence(('w', 'T'))
     chain = CTree(
         proper('X', 1, (proper('Y', 1, (proper('Z', 1, (
-            preterminal('T', 1, 'w'),)),)),)),
+            preterminal('T', 1),)),)),)),
         sent)
     collapsed = strip_unaries(chain)
     assert collapsed.root.kind == 'preterminal'
@@ -69,7 +69,7 @@ def test_strip_unaries(english_tree, english_tree_unaryless):
     sent2 = make_sentence(('a', 'A'), ('b', 'B'))
     two = CTree(
         proper('X', 1, (proper('Z', 1, (
-            preterminal('A', 1, 'a'), preterminal('B', 2, 'b'))),)),
+            preterminal('A', 1), preterminal('B', 2))),)),
         sent2)
     kept = strip_unaries(two)
     assert kept.root.label == 'Z'
@@ -84,11 +84,26 @@ def test_validate_accepts_good_trees(english_tree, german_tree):
 def test_validate_flags_broken_yield():
     sent = make_sentence(('a', 'A'), ('b', 'B'))
     from hodt.trees import CNode
-    p1 = preterminal('A', 1, 'a')
-    p2 = preterminal('B', 2, 'b')
+    p1 = preterminal('A', 1)
+    p2 = preterminal('B', 2)
     node = CNode('X', 1, frozenset((1,)), (p1, p2), 'proper')
     problems = validate(CTree(node, sent))
     assert problems and any('yield' in p for p in problems)
+
+
+def test_validate_flags_a_preterminal_with_a_child():
+    sent = make_sentence(('a', 'A'))
+    from hodt.trees import CNode
+    node = CNode('A', 1, frozenset((1,)), (preterminal('B', 1),),
+                 'preterminal')
+    assert validate(CTree(node, sent)) == ["preterminal 'A' has children"]
+
+
+def test_validate_flags_preterminals_that_skip_a_position():
+    sent = make_sentence(('a', 'A'), ('b', 'B'), ('c', 'C'))
+    skipping = CTree(proper('X', 1, (preterminal('A', 1),
+                                     preterminal('C', 3))), sent)
+    assert validate(skipping) == ['root yield does not cover the sentence']
 
 
 def test_validate_flags_multiple_roots():
@@ -127,7 +142,7 @@ def test_nested_matches_pairwise_definition():
 
 def test_iter_nodes_covers_every_node(english_tree):
     kinds = [n.kind for n in iter_nodes(english_tree.root)]
-    assert kinds.count('terminal') == 6
+    assert set(kinds) == {'preterminal', 'proper'}
     assert kinds.count('preterminal') == 6
     assert kinds.count('proper') == 5
 

@@ -91,8 +91,8 @@ def test_recover_can_reroot():
     trees = []
     for k in range(30):
         sent = make_sentence(('w%d' % k, 'V'), ('n%d' % k, 'N'))
-        s = proper('S', 1, (preterminal('V', 1, 'w%d' % k),
-                            preterminal('N', 2, 'n%d' % k)))
+        s = proper('S', 1, (preterminal('V', 1),
+                            preterminal('N', 2)))
         trees.append(CTree(proper('TOP', 1, (s,)), sent))
     data = extract_instances(trees)
     model = train_unary(data, epochs=5, seed=1)
