@@ -15,17 +15,16 @@ from .headrules import (HeadRuleSet, LEFTMOST, RIGHTMOST, lexicalize,
                         load_rules)
 from .reduction import (RepairStats, RoundtripReport, ctree_to_dtree,
                         dtree_to_ctree, recover_order, roundtrip_check)
-from .trees import (Arc, CNode, CTree, DTree, HeadOrderedDTree, Sentence,
-                    Token, is_continuous, is_nested, is_projective,
-                    strip_unaries, validate)
+from .trees import (CNode, CTree, DTree, Sentence, Token, is_continuous,
+                    is_nested, is_projective, strip_unaries, validate)
 
 __version__ = '0.1.0'
 
 __all__ = [
-    'Arc', 'CNode', 'CTree', 'DTree', 'DecodeResult', 'EvalConfig',
-    'HeadOrderedDTree', 'HeadRuleError', 'HeadRuleSet', 'LEFTMOST',
-    'ModelFormatError', 'RIGHTMOST', 'RepairStats', 'RoundtripReport',
-    'ScoreReport', 'Sentence', 'Token', 'ToolkitError',
+    'CNode', 'CTree', 'DTree', 'DecodeResult', 'EvalConfig',
+    'HeadRuleError', 'HeadRuleSet', 'LEFTMOST', 'ModelFormatError',
+    'RIGHTMOST', 'RepairStats', 'RoundtripReport', 'ScoreReport',
+    'Sentence', 'Token', 'ToolkitError',
     'TreeStructureError', 'TreebankFormatError', 'attachment_scores',
     'ctree_to_dtree', 'decode', 'dtree_to_ctree', 'encode_delta',
     'encode_direct', 'encode_hn', 'evalb', 'is_continuous', 'is_nested',

@@ -226,7 +226,7 @@ def cmd_convert(args):
     worker = functools.partial(_convert_one, rules=rules,
                                scheme=args.encoding)
     corpus = _pmap(worker, trees, args.jobs)
-    _write_output(args.output, write_conll(corpus))
+    _write_output(args.output, write_conll(corpus, args.output))
     alphabet = label_alphabet(corpus)
     arcs = sum(count for _, count in alphabet)
     print(f'# {len(trees)} sentences, {arcs} arcs, '
@@ -579,8 +579,7 @@ def main(argv=None):
                 parser.error(f'gen --kind toy takes no {flag}')
     try:
         return args.fn(args)
-    except (ToolkitError, TreebankFormatError, ModelFormatError,
-            OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 1
 

@@ -73,9 +73,9 @@ def _split_spine(body):
 def encode_direct(dtree):
     """Label each arc as <label>#<absolute order index>."""
     labels = [ROOT_LABEL] * len(dtree.sentence)
-    for arc in dtree.arcs:
-        labels[arc.modifier - 1] = f'{escape_label(arc.label)}#{arc.order_index}'
-    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
+    for _, m, (label, j) in dtree.arcs():
+        labels[m - 1] = f'{escape_label(label)}#{j}'
+    return DTree(dtree.sentence, dtree.heads, tuple(labels))
 
 
 def encode_delta(dtree):
@@ -84,16 +84,15 @@ def encode_delta(dtree):
         raise TreeStructureError(
             'delta encoding needs a projective and nested tree')
     labels = [ROOT_LABEL] * len(dtree.sentence)
-    arcs_of = {arc.modifier: arc for arc in dtree.arcs}
-    for h, arcs in dtree.modifiers_by_head().items():
-        for side in head_outward(h, [a.modifier for a in arcs]):
+    for h, mods in dtree.dependents().items():
+        for side in head_outward(h, mods):
             previous = None
             for m in side:
-                arc = arcs_of[m]
-                d = arc.order_index if previous is None else arc.order_index - previous
-                previous = arc.order_index
-                labels[m - 1] = f'{escape_label(arc.label)}#{d}'
-    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
+                label, j = dtree.labels[m - 1]
+                d = j if previous is None else j - previous
+                previous = j
+                labels[m - 1] = f'{escape_label(label)}#{d}'
+    return DTree(dtree.sentence, dtree.heads, tuple(labels))
 
 
 def _spine_body(labels):
@@ -111,11 +110,11 @@ def encode_hn(tree):
         h: tuple(n.label for n in tree_spine(tree, h) if n.kind == PROPER)
         for h in range(1, len(tree.sentence) + 1)}
     labels = [ROOT_LABEL] * len(tree.sentence)
-    for arc in dtree.arcs:
-        labels[arc.modifier - 1] = (
-            f'{_spine_body(spines[arc.modifier])}#{arc.order_index}')
-    labels[dtree.root - 1] = f'{_spine_body(spines[dtree.root])}#0'
-    return DTree(dtree.sentence, dtree.heads(), tuple(labels))
+    for _, m, (_, j) in dtree.arcs():
+        labels[m - 1] = f'{_spine_body(spines[m])}#{j}'
+    root = dtree.root()
+    labels[root - 1] = f'{_spine_body(spines[root])}#0'
+    return DTree(dtree.sentence, dtree.heads, tuple(labels))
 
 
 def _parse_pair(label):
@@ -164,8 +163,7 @@ def _decode_delta(enc):
     pairs = [None] * len(enc.heads)
     warnings = 0
     parsed = {}
-    by_head = {}
-    for h, m, label in enc.arcs():
+    for _, m, label in enc.arcs():
         body, d, ok = _parse_pair(label)
         if not ok:
             warnings += 1
@@ -173,8 +171,7 @@ def _decode_delta(enc):
             d = 0
             warnings += 1
         parsed[m] = (unescape_label(body) if ok else body, d)
-        by_head.setdefault(h, []).append(m)
-    for h, positions in by_head.items():
+    for h, positions in enc.dependents().items():
         for side in head_outward(h, positions):
             previous = None
             for m in side:

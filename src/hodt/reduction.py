@@ -17,40 +17,41 @@ from dataclasses import dataclass
 
 from .errors import TreeStructureError
 from .trees import (
-    Arc, CTree, HeadOrderedDTree, head_outward, is_continuous, is_nested,
-    is_projective, postorder_proper, preterminal, proper, strip_unaries)
+    CTree, DTree, head_outward, is_continuous, is_nested, is_projective,
+    postorder_proper, preterminal, proper, strip_unaries)
 
 
 def ctree_to_dtree(tree):
-    """Reduce a constituent tree to a head-ordered dependency tree.
+    """Reduce a constituent tree to a head-ordered dependency tree: a
+    DTree whose labels are (constituent label, order index) pairs.
 
     Unary constituents advance their head's counter but emit no arcs, so
     order indices can have gaps when the input is not unaryless.
     Preterminals are not counted: the first constituent above a word's
     preterminal is step 1.
     """
+    n = len(tree.sentence)
+    heads = [0] * n
+    labels = [None] * n
     next_index = {}
-    arcs = []
     for node in postorder_proper(tree.root):
         h = node.head
         j = next_index.get(h, 1)
         for child in node.children:
             if child.head != h:
-                arcs.append(Arc(h, child.head, node.label, j))
+                heads[child.head - 1] = h
+                labels[child.head - 1] = (node.label, j)
         next_index[h] = j + 1
-    return HeadOrderedDTree.from_arcs(tree.sentence, arcs, tree.root.head)
+    return DTree(tree.sentence, tuple(heads), tuple(labels))
 
 
-def _dep_postorder(heads, root):
-    children = {}
-    for m, h in enumerate(heads, 1):
-        children.setdefault(h, []).append(m)
+def _dep_postorder(root, dependents):
     out = []
     stack = [root]
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(children.get(v, ()))
+        stack.extend(dependents.get(v, ()))
     out.reverse()
     return out
 
@@ -62,25 +63,25 @@ def dtree_to_ctree(dtree):
     label; run recover_order first on predicted input.
     """
     sentence = dtree.sentence
-    heads = dtree.heads()
-    by_head = dtree.modifiers_by_head()
+    pairs = dtree.labels
+    dependents = dtree.dependents()
+    root = dtree.root()
     psi = {}
-    for h in _dep_postorder(heads, dtree.root):
+    for h in _dep_postorder(root, dependents):
         node = preterminal(sentence.pos(h), h)
         classes = {}
-        for arc in by_head.get(h, ()):
-            classes.setdefault(arc.order_index, []).append(arc)
+        for m in dependents.get(h, ()):
+            classes.setdefault(pairs[m - 1][1], []).append(m)
         for j in sorted(classes):
             group = classes[j]
-            labels = {arc.label for arc in group}
+            labels = {pairs[m - 1][0] for m in group}
             if len(labels) != 1:
                 raise TreeStructureError(
                     f'head {h}, step {j}: conflicting labels {sorted(labels)}')
-            node = proper(
-                group[0].label, h,
-                [node] + [psi[arc.modifier] for arc in group])
+            (label,) = labels
+            node = proper(label, h, [node] + [psi[m] for m in group])
         psi[h] = node
-    return CTree(psi[dtree.root], sentence)
+    return CTree(psi[root], sentence)
 
 
 @dataclass
@@ -99,30 +100,28 @@ class RepairStats:
 
 
 def recover_order(tree, continuous_mode=False):
-    """Turn per-token (label, index) pairs into a valid HeadOrderedDTree.
+    """Turn per-token (label, index) pairs into a valid head-ordered tree.
 
-    tree is a DTree whose labels field holds (label, order_index) pairs,
-    None at the root slot.  Total on any tree-shaped input: bad
-    indices are clamped to >= 1, same-index conflicts resolve to the label
-    of the modifier closest to the head (ties toward the left modifier),
-    and in continuous mode an index is lowered to its outer neighbour's
-    value wherever nesting would break.  Indices are finally compacted to
-    1..J per head.  Returns (tree, RepairStats); idempotent.
+    tree is a DTree whose labels are (label, order index) pairs, None at
+    the root slot, and so is the tree returned.  Total on any tree-shaped
+    input: bad indices are clamped to >= 1, same-index conflicts resolve
+    to the label of the modifier closest to the head (ties toward the
+    left modifier), and in continuous mode an index is lowered to its
+    outer neighbour's value wherever nesting would break.  Indices are
+    finally compacted to 1..J per head.  Returns (tree, RepairStats);
+    idempotent.
     """
     stats = RepairStats()
-    mods = {}
     given = {}
     index = {}
-    for h, m, (label, idx) in tree.arcs():
+    for _, m, (label, idx) in tree.arcs():
         idx = int(idx)
         if idx < 1:
             stats.indices_clamped += 1
-        mods.setdefault(h, []).append(m)
         given[m] = (label, idx)
         index[m] = max(idx, 1)
-    arcs = []
-    for h in sorted(mods):
-        positions = mods[h]
+    pairs = [None] * len(tree.heads)
+    for h, positions in tree.dependents().items():
         if continuous_mode:
             for side in head_outward(h, positions):
                 cap = None  # index of the next modifier outward
@@ -145,9 +144,8 @@ def recover_order(tree, continuous_mode=False):
                 # compaction to 1..J keeps the order, so it is no repair
                 if given[m] != (label, index[m]):
                     stats.tokens_changed += 1
-                arcs.append(Arc(h, m, label, ranks[j]))
-    result = HeadOrderedDTree.from_arcs(tree.sentence, arcs, tree.root())
-    return result, stats
+                pairs[m - 1] = (label, ranks[j])
+    return DTree(tree.sentence, tree.heads, tuple(pairs)), stats
 
 
 @dataclass
@@ -176,10 +174,9 @@ def roundtrip_check(tree):
     stripped = strip_unaries(tree)
     dtree = ctree_to_dtree(tree)
     rebuilt = dtree_to_ctree(dtree)
-    by_head = dtree.modifiers_by_head()
     strictly = all(
-        len(set(a.order_index for a in arcs)) == len(arcs)
-        for arcs in by_head.values())
+        len({dtree.labels[m - 1][1] for m in mods}) == len(mods)
+        for mods in dtree.dependents().values())
     binary = all(
         len(n.children) == 2 for n in postorder_proper(stripped.root))
     return RoundtripReport(

@@ -24,8 +24,8 @@ render lexicalized CTrees and return LF-terminated text.  Bracketed and
 export readers yield unlexicalized RawNode trees over Token leaves (feed
 them to headrules.lexicalize); the json reader returns CTrees since the format
 stores head positions.  The three tree readers reject a tree nested
-deeper than MAX_DEPTH levels.  The bracketed and export writers refuse
-a tree with a field that their own reader would misread (_MISREAD).
+deeper than MAX_DEPTH levels.  Every writer but json refuses a tree
+with a field that its own reader would misread (_MISREAD).
 """
 
 import json
@@ -46,7 +46,9 @@ MAX_DEPTH = 128
 
 # fields a reader misreads: empty, split at whitespace or nested at '('
 # or ')'; an export form read as a #BOS, #EOS, #FORMAT or node line; an
-# export lemma or morphology '--', read as none
+# export lemma or morphology '--', read as none; a CoNLL field split at a
+# tab or a line break (file reads turn '\r' into one), and a CoNLL lemma
+# or FEATS '_', read as none
 _MISREAD = {
     'bracketed': dict.fromkeys(('form', 'tag', 'label'),
                                re.compile(r'[\s()]|\A\Z')),
@@ -54,6 +56,10 @@ _MISREAD = {
                **dict.fromkeys(('tag', 'label'), re.compile(r'\s|\A\Z')),
                **dict.fromkeys(('lemma', 'morph'),
                                re.compile(r'\s|\A(--)?\Z'))},
+    'conll': {**dict.fromkeys(('form', 'tag', 'label'),
+                              re.compile('[\t\n\r]')),
+              **dict.fromkeys(('lemma', 'morph'),
+                              re.compile(r'[\t\n\r]|\A_\Z'))},
 }
 
 
@@ -156,6 +162,13 @@ def _render(node, sentence):
     return f'({node.label} {inner})'
 
 
+def _misread(fields, fmt):
+    """The first (kind, value) of fields that the fmt reader misreads,
+    or None."""
+    return next(((kind, value) for kind, value in fields
+                 if _MISREAD[fmt][kind].search(value)), None)
+
+
 def _refuse_misread(i, tree, fmt, path=None, version=3):
     """Raise for the first field of tree i that the fmt reader misreads."""
     fields = [('form', t.form) for t in tree.sentence]
@@ -165,11 +178,11 @@ def _refuse_misread(i, tree, fmt, path=None, version=3):
         fields += [(kind, value) for t in tree.sentence
                    for kind, value in (('morph', t.morph), ('lemma', t.lemma))
                    if value is not None and (kind == 'morph' or version == 4)]
-    for kind, value in fields:
-        if _MISREAD[fmt][kind].search(value):
-            raise TreebankFormatError(
-                f'tree {i}: {kind} {value!r} cannot be written in the '
-                f'{fmt} format; write it with --format json', path)
+    bad = _misread(fields, fmt)
+    if bad is not None:
+        raise TreebankFormatError(
+            f'tree {i}: {bad[0]} {bad[1]!r} cannot be written in the '
+            f'{fmt} format; write it with --format json', path)
 
 
 def write_bracketed(trees, path=None):
@@ -475,9 +488,22 @@ def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
     return corpus
 
 
-def write_conll(corpus):
+def _conll_fields(enc):
+    """(kind, value) of each field write_conll writes for enc, bar a
+    missing lemma or morphology."""
+    for tok, label in zip(enc.sentence, enc.labels):
+        for kind, value in (('form', tok.form), ('lemma', tok.lemma),
+                            ('tag', tok.pos), ('morph', tok.morph),
+                            ('label', label)):
+            if value is not None:
+                yield kind, value
+
+
+def write_conll(corpus, path=None):
+    """CoNLL-X rows of encoded trees; POS fills CPOS and POS, and a
+    missing lemma or morphology is `_`."""
     blocks = []
-    for enc in corpus:
+    for i, enc in enumerate(corpus, 1):
         rows = []
         for tok, head, label in zip(enc.sentence, enc.heads, enc.labels):
             lemma = tok.lemma if tok.lemma is not None else '_'
@@ -485,7 +511,19 @@ def write_conll(corpus):
             rows.append('\t'.join((
                 str(tok.position), tok.form, lemma, tok.pos, tok.pos,
                 feats, str(head), label, '_', '_')))
-        blocks.append('\n'.join(rows))
+        block = '\n'.join(rows)
+        # _MISREAD['conll'] tested on the whole block, as one search per
+        # field costs about 5% of `hodt convert`: a tab or line break in
+        # a field adds one to the block, and a lemma or FEATS '_' shows
+        # only on the tokens
+        if (block.count('\t') != 9 * len(rows) or '\r' in block
+                or block.count('\n') != len(rows) - 1
+                or any('_' in (t.lemma, t.morph) for t in enc.sentence)):
+            kind, value = _misread(_conll_fields(enc), 'conll')
+            raise TreebankFormatError(
+                f'sentence {i}: {kind} {value!r} cannot be written in '
+                f'the CoNLL format', path)
+        blocks.append(block)
     return '\n\n'.join(blocks) + '\n'
 
 

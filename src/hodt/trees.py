@@ -3,9 +3,11 @@
 Words live in the Sentence.  Constituent trees (CTree) have preterminal
 and proper nodes, each with an explicit head position; unlexicalized
 trees coming out of treebank readers are RawNodes over Token leaves and
-must go through headrules.lexicalize first.  Dependency trees come in two
-flavours: DTree (a labeled head vector) and HeadOrderedDTree, whose arcs
-carry the order index of the head's spine step each modifier attaches at.
+must go through headrules.lexicalize first.  There is one dependency-tree
+type, DTree, a labeled head vector, with two kinds of label: encoded
+strings, or (label, order index) pairs.  The order index is the step on
+the head's spine at which the modifier attaches, so a DTree with pair
+labels is a head-ordered dependency tree.
 
 Positions are 1-based throughout; head 0 in a DTree marks the root word.
 """
@@ -100,45 +102,12 @@ class CTree:
 
 
 @dataclass(frozen=True)
-class Arc:
-    """Dependency arc labeled with the constituent it attaches at and the
-    order index (1-based step on the head's spine)."""
-    head: int
-    modifier: int
-    label: str
-    order_index: int
-
-
-@dataclass(frozen=True)
-class HeadOrderedDTree:
-    sentence: Sentence
-    arcs: tuple[Arc, ...]
-    root: int
-
-    @staticmethod
-    def from_arcs(sentence, arcs, root):
-        return HeadOrderedDTree(
-            sentence, tuple(sorted(arcs, key=lambda a: a.modifier)), root)
-
-    def heads(self):
-        """Head vector view (0 marks the root word)."""
-        heads = [0] * len(self.sentence)
-        for arc in self.arcs:
-            heads[arc.modifier - 1] = arc.head
-        return tuple(heads)
-
-    def modifiers_by_head(self):
-        by_head = {}
-        for arc in self.arcs:
-            by_head.setdefault(arc.head, []).append(arc)
-        return by_head
-
-
-@dataclass(frozen=True)
 class DTree:
-    """heads[i] is the head of position i+1, 0 for the root word; labels[i]
-    is an encoded label (ROOT_LABEL or the hn spine at the root slot) or a
-    decoded (label, order index) pair (None at the root slot)."""
+    """heads[i] is the head of position i+1, 0 for the root word.
+    labels[i] labels the arc into position i+1 and is one of two kinds:
+    an encoded string (ROOT_LABEL or the hn spine at the root slot), or a
+    (label, order index) pair with None at the root slot, which makes
+    the tree head-ordered."""
     sentence: Sentence
     heads: tuple[int, ...]
     labels: tuple
@@ -147,9 +116,19 @@ class DTree:
         return self.heads.index(0) + 1
 
     def arcs(self):
+        """(head, modifier, label) per arc, by ascending modifier."""
         for m, h in enumerate(self.heads, 1):
             if h != 0:
                 yield h, m, self.labels[m - 1]
+
+    def dependents(self):
+        """head -> its modifiers in ascending order, over arcs only: 0,
+        the root word's head, has no entry."""
+        by_head = {}
+        for m, h in enumerate(self.heads, 1):
+            if h != 0:
+                by_head.setdefault(h, []).append(m)
+        return by_head
 
 
 def iter_nodes(node):
@@ -182,28 +161,18 @@ def is_continuous(tree):
     return True
 
 
-def _heads_of(tree):
-    if isinstance(tree, HeadOrderedDTree):
-        return tree.heads()
-    return tuple(tree.heads)
-
-
-def _descendant_sets(heads):
-    n = len(heads)
-    children = {i: [] for i in range(n + 1)}
-    for m, h in enumerate(heads, 1):
-        children[h].append(m)
+def _descendant_sets(tree):
+    children = tree.dependents()
     desc = {}
 
     def collect(v):
         acc = {v}
-        for c in children[v]:
+        for c in children.get(v, ()):
             acc |= collect(c)
         desc[v] = acc
         return acc
 
-    for c in children[0]:
-        collect(c)
+    collect(tree.root())
     return desc
 
 
@@ -211,11 +180,8 @@ def is_projective(tree):
     """Projectivity of the arc structure: for every arc, all positions
     strictly between head and modifier descend from the head.  Order
     indices are ignored; see is_nested for them."""
-    heads = _heads_of(tree)
-    desc = _descendant_sets(heads)
-    for m, h in enumerate(heads, 1):
-        if h == 0:
-            continue
+    desc = _descendant_sets(tree)
+    for h, m, _ in tree.arcs():
         lo, hi = (h, m) if h < m else (m, h)
         for between in range(lo + 1, hi):
             if between not in desc[h]:
@@ -231,13 +197,14 @@ def head_outward(h, modifiers):
 
 
 def is_nested(tree):
-    """Order indices never decrease moving outward on either side of a
-    head: if m1 is closer to h than m2 (same side), index(m1) <= index(m2)."""
-    for h, arcs in tree.modifiers_by_head().items():
-        index = {a.modifier: a.order_index for a in arcs}
-        for side in head_outward(h, index):
+    """Order indices of a head-ordered DTree never decrease moving
+    outward on either side of a head: if m1 is closer to h than m2 (same
+    side), index(m1) <= index(m2)."""
+    labels = tree.labels
+    for h, mods in tree.dependents().items():
+        for side in head_outward(h, mods):
             for closer, farther in zip(side, side[1:]):
-                if index[closer] > index[farther]:
+                if labels[closer - 1][1] > labels[farther - 1][1]:
                     return False
     return True
 
@@ -323,11 +290,11 @@ def _validate_ctree(tree):
     return problems
 
 
-def _validate_heads(sentence, heads, problems):
+def _validate_heads(sentence, heads):
     n = len(sentence)
     if len(heads) != n:
-        problems.append(f'head vector length {len(heads)} != {n} tokens')
-        return None
+        return [f'head vector length {len(heads)} != {n} tokens']
+    problems = []
     roots = [i + 1 for i, h in enumerate(heads) if h == 0]
     if len(roots) != 1:
         problems.append(f'expected exactly one root word, found {len(roots)}')
@@ -346,38 +313,26 @@ def _validate_heads(sentence, heads, problems):
                 break
             seen.add(v)
             v = heads[v - 1] if 1 <= v <= n else 0
-    return roots[0] if len(roots) == 1 else None
+    return problems
 
 
 def validate(tree):
     """Collect invariant violations; returns a list of messages, empty
-    when the tree is well formed.  Never raises."""
-    problems = []
+    when the tree is well formed.  Never raises.  A DTree with pair
+    labels must also give every arc an index >= 1 and every step of a
+    head one label."""
     if isinstance(tree, CTree):
         return _validate_ctree(tree)
-    if isinstance(tree, HeadOrderedDTree):
-        heads = [0] * len(tree.sentence)
-        for arc in tree.arcs:
-            if not 1 <= arc.modifier <= len(tree.sentence):
-                problems.append(f'modifier {arc.modifier} out of range')
-                continue
-            if heads[arc.modifier - 1] != 0:
-                problems.append(f'token {arc.modifier} has several heads')
-            heads[arc.modifier - 1] = arc.head
-            if arc.order_index < 1:
-                problems.append(
-                    f'arc {arc.head}->{arc.modifier} has index < 1')
-        root = _validate_heads(tree.sentence, tuple(heads), problems)
-        if root is not None and root != tree.root:
-            problems.append(f'declared root {tree.root} but head vector says {root}')
-        for h, arcs in tree.modifiers_by_head().items():
-            by_index = {}
-            for arc in arcs:
-                by_index.setdefault(arc.order_index, set()).add(arc.label)
-            for j, labels in sorted(by_index.items()):
-                if len(labels) > 1:
-                    problems.append(
-                        f'head {h} index {j} carries labels {sorted(labels)}')
-        return problems
-    _validate_heads(tree.sentence, tuple(tree.heads), problems)
+    problems = _validate_heads(tree.sentence, tuple(tree.heads))
+    steps = {}
+    for m, (h, label) in enumerate(zip(tree.heads, tree.labels), 1):
+        if h != 0 and isinstance(label, tuple):
+            name, j = label
+            if j < 1:
+                problems.append(f'arc {h}->{m} has index < 1')
+            steps.setdefault((h, j), set()).add(name)
+    for (h, j), names in sorted(steps.items()):
+        if len(names) > 1:
+            problems.append(
+                f'head {h} index {j} carries labels {sorted(names)}')
     return problems

@@ -79,5 +79,4 @@ def toy_rules():
 
 
 def arc_set(dtree):
-    return {(a.head, a.modifier, a.label, a.order_index)
-            for a in dtree.arcs}
+    return {(h, m, label, j) for h, m, (label, j) in dtree.arcs()}

@@ -28,9 +28,8 @@ from hodt.perceptron import LinearModel
 from hodt.reduction import ctree_to_dtree, dtree_to_ctree, recover_order
 from hodt.treebank_io import read_bracketed, write_bracketed
 from hodt.trees import (
-    Arc, CTree, DTree, HeadOrderedDTree, PROPER, is_continuous, is_nested,
-    is_projective, iter_nodes, preterminal, proper, spine, strip_unaries,
-    validate)
+    CTree, DTree, PROPER, is_continuous, is_nested, is_projective,
+    iter_nodes, preterminal, proper, spine, strip_unaries, validate)
 from hodt.unary_recovery import recover
 
 from tests.conftest import arc_set, make_sentence
@@ -72,7 +71,7 @@ def test_c01_worked_example_fidelity(
         english_tree, english_tree_unaryless, german_tree):
     start = time.perf_counter()
     d_en = ctree_to_dtree(english_tree)
-    assert d_en.root == 3
+    assert d_en.root() == 3
     assert arc_set(d_en) == {
         (2, 1, 'NP', 1), (3, 2, 'S', 2), (3, 4, 'VP', 1),
         (3, 5, 'VP', 1), (3, 6, 'S', 2)}
@@ -80,7 +79,7 @@ def test_c01_worked_example_fidelity(
     assert dtree_to_ctree(d_en) == english_tree_unaryless
 
     d_de = ctree_to_dtree(german_tree)
-    assert d_de.root == 2
+    assert d_de.root() == 2
     arcs = arc_set(d_de)
     assert {(4, 3, 'NP', 1), (4, 1, 'NP', 2), (2, 4, 'S', 1)} <= arcs
     (vroot_arc,) = [a for a in arcs if a[2] == 'VROOT']
@@ -89,10 +88,9 @@ def test_c01_worked_example_fidelity(
     # punctuation attachment is necessarily the second event; a step-1
     # VROOT arc cannot coexist with the step-1 S arc
     assert vroot_arc[3] == 2
-    conflicting = HeadOrderedDTree.from_arcs(
-        german_tree.sentence,
-        [Arc(4, 3, 'NP', 1), Arc(4, 1, 'NP', 2),
-         Arc(2, 4, 'S', 1), Arc(2, 5, 'VROOT', 1)], 2)
+    conflicting = DTree(
+        german_tree.sentence, (4, 0, 4, 2, 2),
+        (('NP', 2), None, ('NP', 1), ('S', 1), ('VROOT', 1)))
     with pytest.raises(TreeStructureError):
         dtree_to_ctree(conflicting)
     assert dtree_to_ctree(d_de) == german_tree
@@ -124,13 +122,13 @@ def test_c03_binary_strictly_ordered():
             continue
         d = ctree_to_dtree(t)
         per_step = {}
-        for arc in d.arcs:
-            per_step[(arc.head, arc.order_index)] = per_step.get(
-                (arc.head, arc.order_index), 0) + 1
+        for head, _, (_, order_index) in d.arcs():
+            per_step[(head, order_index)] = per_step.get(
+                (head, order_index), 0) + 1
         assert all(size == 1 for size in per_step.values())
         regenerated = ctree_to_dtree(dtree_to_ctree(d))
-        assert set(regenerated.arcs) == set(d.arcs)
-        assert regenerated.root == d.root
+        assert set(regenerated.arcs()) == set(d.arcs())
+        assert regenerated.root() == d.root()
         checked += 1
     assert checked >= 2 + 12 + 120 + 1680   # the exhaustive binary trees
 
@@ -312,7 +310,7 @@ def test_c08_repair_totality():
     produced = 0
     for i in range(FUZZ_TREES):
         base = gen_ctree(cfg, 2 + i % 6, index=i)   # continuous skeleton
-        heads = ctree_to_dtree(strip_unaries(base)).heads()
+        heads = ctree_to_dtree(strip_unaries(base)).heads
         labels = tuple(
             ROOT_LABEL if h == 0 else pool[rng.integers(len(pool))]
             for h in heads)

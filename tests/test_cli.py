@@ -15,7 +15,8 @@ from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
     write_export, write_json_corpus)
-from hodt.trees import is_continuous, spine
+from hodt.trees import (CTree, Sentence, Token, is_continuous, preterminal,
+                        proper, spine)
 from tests.conftest import deep_tree
 
 
@@ -89,6 +90,29 @@ def test_convert_bad_rules_name(toy_file, capsys):
                         '--head-rules', 'no-such-table')
     assert code == 1
     assert 'no-such-table' in err
+
+
+@pytest.mark.parametrize('field, value, written', [
+    ('form', 'a\tb', 'a\tb'), ('form', 'a\rb', 'a\rb'),
+    ('label', 'S\tT', 'S\tT#1'), ('lemma', '_', '_')])
+def test_convert_refuses_fields_the_conll_reader_misreads(
+        tmp_path, capsys, field, value, written):
+    plain = {'form': 'a', 'label': 'S', 'lemma': None}
+    trees = []
+    for fields in (plain, {**plain, field: value}):
+        sent = Sentence((Token(1, fields['form'], 'N', fields['lemma']),
+                         Token(2, 'b', 'V')))
+        trees.append(CTree(proper(fields['label'], 2, (
+            preterminal('N', 1), preterminal('V', 2))), sent))
+    src = tmp_path / 'in.json'
+    src.write_text(write_json_corpus(trees))
+    out = tmp_path / 'out.conll'
+    code, stdout, err = _run(capsys, 'convert', '-i', str(src),
+                             '-o', str(out))
+    assert (code, stdout) == (1, '')
+    assert err == (f'error: {out}: sentence 2: {field} {written!r} '
+                   f'cannot be written in the CoNLL format\n')
+    assert not out.exists()
 
 
 def _train(tmp_path, capsys, toy_file, *extra):

@@ -17,11 +17,7 @@ def _decoded_equals(dtree, enc, scheme):
     result = decode(enc, scheme)
     if result.warnings:
         return False
-    want = {(a.modifier, a.label, a.order_index) for a in dtree.arcs}
-    got = {(m + 1, lab, idx)
-           for m, pair in enumerate(result.pairs) if pair is not None
-           for lab, idx in (pair,)}
-    return want == got and tuple(enc.heads) == tuple(dtree.heads())
+    return result.pairs == dtree.labels and enc.heads == dtree.heads
 
 
 def test_direct_labels(english_tree):

@@ -9,16 +9,20 @@ field its reader would misread; trees with plain fields are never
 refused."""
 
 import json
+import re
 from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from hodt.corpus_gen import GenConfig, gen_ctree
+from hodt.encoding import encode_direct, encode_hn
 from hodt.errors import HeadRuleError, TreebankFormatError
 from hodt.headrules import load_rules
+from hodt.reduction import ctree_to_dtree
 from hodt.treebank_io import (
     read_bracketed, read_conll, read_export, read_json_corpus,
-    read_sentences, write_bracketed, write_export, write_json_corpus)
+    read_sentences, write_bracketed, write_conll, write_export,
+    write_json_corpus)
 from hodt.trees import (
     CTree, RawNode, Sentence, Token, is_continuous, unlexicalize)
 
@@ -153,8 +157,9 @@ def test_load_rules_total(text):
 # forms, lemmas and morphology a writer may have to refuse, and near
 # misses it must write
 AWKWARD = st.sampled_from([
-    'New York', 'a(b', 'c)', '', '\t', '\u2028', '#BOS', '#EOS', '#FORMAT',
-    '#500', '#١', '#5²', '#', '#x', '%%', '#BOT', 'a/b', '--'])
+    'New York', 'a(b', 'c)', '', '\t', 'a\rb', '\u2028', '#BOS', '#EOS',
+    '#FORMAT', '#500', '#١', '#5²', '#', '#x', '%%', '#BOT', 'a/b', '--',
+    '_'])
 LEMMAS = (None, 'lem', 'x-y')
 MORPHS = (None, 'Pl', 'Sg|3')
 
@@ -192,7 +197,7 @@ def _written(write, trees, *args):
     try:
         return write(trees, *args)
     except TreebankFormatError as exc:
-        assert 'tree ' in str(exc)
+        assert re.match(r'(tree|sentence) \d+: ', str(exc))
         assert not all(map(_plain, trees))
         return None
 
@@ -229,6 +234,16 @@ def test_bracketed_roundtrip(trees):
     if text is not None:
         assert read_bracketed(text) == [
             _unlexicalized(t, lemma=False, morph=False) for t in trees]
+
+
+@FUZZ
+@given(st.lists(generated_trees(), max_size=4), st.booleans())
+def test_conll_roundtrip(trees, hn):
+    corpus = [encode_hn(t) if hn else encode_direct(ctree_to_dtree(t))
+              for t in trees]
+    text = _written(write_conll, corpus)
+    if text is not None:
+        assert read_conll(text) == corpus
 
 
 @FUZZ

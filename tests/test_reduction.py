@@ -5,15 +5,15 @@ from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.errors import TreeStructureError
 from hodt.reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
                             roundtrip_check)
-from hodt.trees import (Arc, CTree, DTree, HeadOrderedDTree, is_nested,
-                        preterminal, proper, strip_unaries, validate)
+from hodt.trees import (CTree, DTree, is_nested, preterminal, proper,
+                        strip_unaries, validate)
 
 from conftest import arc_set, make_sentence
 
 
 def test_english_sample_arcs(english_tree):
     dt = ctree_to_dtree(english_tree)
-    assert dt.root == 3
+    assert dt.root() == 3
     assert arc_set(dt) == {
         (2, 1, 'NP', 1), (3, 2, 'S', 2), (3, 4, 'VP', 1),
         (3, 5, 'VP', 1), (3, 6, 'S', 2)}
@@ -21,7 +21,7 @@ def test_english_sample_arcs(english_tree):
 
 def test_german_sample_arcs(german_tree):
     dt = ctree_to_dtree(german_tree)
-    assert dt.root == 2
+    assert dt.root() == 2
     # the punctuation attaches at the second step on the verb's spine,
     # right after S claimed the first
     assert arc_set(dt) == {
@@ -45,7 +45,7 @@ def test_flat_vs_right_branching_vp():
 
 def test_unary_nodes_emit_no_arcs_but_advance_the_spine(english_tree):
     dt = ctree_to_dtree(english_tree)
-    labels = {a.label for a in dt.arcs}
+    labels = {label for _, _, (label, _) in dt.arcs()}
     assert 'ADVP' not in labels and 'ADJP' not in labels
     # rebuild drops them entirely
     rebuilt = dtree_to_ctree(dt)
@@ -66,15 +66,14 @@ def test_single_token_roundtrip():
     sent = make_sentence(('w', 'T'))
     tree = CTree(preterminal('T', 1), sent)
     dt = ctree_to_dtree(tree)
-    assert dt.arcs == ()
+    assert list(dt.arcs()) == []
     assert dtree_to_ctree(dt) == tree
 
 
 def test_label_conflict_rejected(german_tree):
     sent = german_tree.sentence
-    arcs = (Arc(4, 3, 'NP', 1), Arc(4, 1, 'NP', 2),
-            Arc(2, 4, 'S', 1), Arc(2, 5, 'VROOT', 1))
-    bad = HeadOrderedDTree.from_arcs(sent, arcs, root=2)
+    bad = DTree(sent, (4, 0, 4, 2, 2),
+                (('NP', 2), None, ('NP', 1), ('S', 1), ('VROOT', 1)))
     with pytest.raises(TreeStructureError):
         dtree_to_ctree(bad)
 
@@ -98,8 +97,7 @@ def test_recover_order_label_conflict_resolution():
     dec = DTree(sent, (4, 1, 0, 3, 3),
                 (('N', 1), ('M', 1), None, ('VP', 1), ('ADJP', 1)))
     hodt, stats = recover_order(dec)
-    by_mod = {a.modifier: a for a in hodt.arcs}
-    assert by_mod[4].label == 'VP' and by_mod[5].label == 'VP'
+    assert hodt.labels[3][0] == 'VP' and hodt.labels[4][0] == 'VP'
     assert stats.labels_changed == 1
     assert validate(hodt) == []
 
@@ -109,8 +107,7 @@ def test_recover_order_equidistant_tie_prefers_left():
     dec = DTree(sent, (2, 3, 0, 3, 4),
                 (('L', 1), ('B', 1), None, ('R', 1), ('Q', 1)))
     hodt, _ = recover_order(dec)
-    by_mod = {a.modifier: a for a in hodt.arcs}
-    assert by_mod[2].label == 'B' and by_mod[4].label == 'B'
+    assert hodt.labels[1][0] == 'B' and hodt.labels[3][0] == 'B'
     assert validate(hodt) == []
 
 
@@ -121,8 +118,7 @@ def test_recover_order_nesting_repair():
                 (('X', 1), ('X', 1), None, ('VP', 2), ('VP', 1)))
     hodt, stats = recover_order(dec, continuous_mode=True)
     assert is_nested(hodt)
-    by_mod = {a.modifier: a for a in hodt.arcs}
-    assert by_mod[4].order_index == 1 and by_mod[5].order_index == 1
+    assert hodt.labels[3][1] == 1 and hodt.labels[4][1] == 1
     assert stats.indices_lowered >= 1
 
 
@@ -130,32 +126,20 @@ def test_recover_order_clamps_and_compacts():
     sent = make_sentence(('a', 'P'), ('b', 'P'), ('c', 'P'))
     dec = DTree(sent, (2, 0, 2), (('L', 0), None, ('R', 9)))
     hodt, stats = recover_order(dec)
-    idx = {a.modifier: a.order_index for a in hodt.arcs}
-    assert idx[1] == 1          # clamped up from 0
-    assert idx[3] == 2          # compacted down from 9
+    assert hodt.labels[0][1] == 1     # clamped up from 0
+    assert hodt.labels[2][1] == 2     # compacted down from 9
     assert stats.indices_clamped == 1
     assert stats.tokens_changed == 1  # compaction keeps the order
     assert validate(hodt) == []
-
-
-def _as_decoded(hodt):
-    n = len(hodt.sentence)
-    heads = [0] * n
-    pairs = [None] * n
-    for a in hodt.arcs:
-        heads[a.modifier - 1] = a.head
-        pairs[a.modifier - 1] = (a.label, a.order_index)
-    return DTree(hodt.sentence, tuple(heads), tuple(pairs))
 
 
 def test_recover_order_idempotent():
     cfg = GenConfig(seed=5, discontinuity_probability=0.3)
     for i in range(60):
         tree = gen_ctree(cfg, 2 + i % 5, index=i)
-        dec = _as_decoded(ctree_to_dtree(tree))
-        once, stats_once = recover_order(dec)
+        once, stats_once = recover_order(ctree_to_dtree(tree))
         assert stats_once.total() == 0  # clean input untouched
-        again, stats_again = recover_order(_as_decoded(once))
+        again, stats_again = recover_order(once)
         assert stats_again.total() == 0
         assert arc_set(again) == arc_set(once)
 
@@ -165,7 +149,7 @@ def test_recover_order_token_count_agrees_with_repairs():
     cfg = GenConfig(seed=13, discontinuity_probability=0.3)
     for i in range(300):
         tree = gen_ctree(cfg, 2 + i % 7, index=i)
-        heads = ctree_to_dtree(tree).heads()
+        heads = ctree_to_dtree(tree).heads
         pairs = tuple(
             None if h == 0 else ('ABC'[rng.integers(3)],
                                  int(rng.integers(-2, 6)))

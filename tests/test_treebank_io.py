@@ -76,7 +76,7 @@ def test_write_bracketed_rejects_discontinuous(german_tree):
 
 def _two_token_tree(form='a', tag='N', label='S', lemma=None, morph=None):
     from hodt.trees import CTree, preterminal, proper
-    sent = Sentence((Token(1, form, 'N', lemma, morph), Token(2, 'b', 'V')))
+    sent = Sentence((Token(1, form, tag, lemma, morph), Token(2, 'b', 'V')))
     return CTree(proper(label, 2, (preterminal(tag, 1),
                                    preterminal('V', 2))), sent)
 
@@ -94,16 +94,42 @@ def _two_token_tree(form='a', tag='N', label='S', lemma=None, morph=None):
     ('export', 'tag', 'N N'), ('export', 'label', 'S P'),
     ('export', 'morph', 'Pl Sg'), ('export', 'morph', '--'),
     ('export4', 'lemma', 'a b'), ('export4', 'lemma', '--'),
+    ('conll', 'form', 'a\tb'), ('conll', 'form', 'a\nb'),
+    ('conll', 'form', 'a\rb'), ('conll', 'tag', 'N\tN'),
+    ('conll', 'label', 'S\tT'), ('conll', 'lemma', 'a\tb'),
+    ('conll', 'lemma', '_'), ('conll', 'morph', 'P\nl'),
+    ('conll', 'morph', '_'),
 ])
 def test_writers_refuse_fields_their_reader_misreads(fmt, field, value):
     tree = _two_token_tree(**{field: value})
     writer = {'bracketed': write_bracketed, 'export': write_export,
-              'export4': lambda trees: write_export(trees, version=4)}[fmt]
+              'export4': lambda trees: write_export(trees, version=4),
+              'conll': _write_encoded}[fmt]
     with pytest.raises(TreebankFormatError) as err:
         writer([_two_token_tree(), tree])
-    assert f'tree 2: {field} {value!r}' in str(err.value)
-    assert '--format json' in str(err.value)
+    if fmt == 'conll':
+        # the arc into token 1 is labeled at step 1 of the root's spine
+        written = f'{value}#1' if field == 'label' else value
+        assert str(err.value) == (f'sentence 2: {field} {written!r} cannot '
+                                  f'be written in the CoNLL format')
+    else:
+        assert f'tree 2: {field} {value!r}' in str(err.value)
+        assert '--format json' in str(err.value)
     assert read_json_corpus(write_json_corpus([tree])) == [tree]
+
+
+def _write_encoded(trees):
+    return write_conll([encode_direct(ctree_to_dtree(t)) for t in trees])
+
+
+@pytest.mark.parametrize('field, value', [
+    ('form', '_'), ('form', 'a b'), ('form', ''), ('form', 'a\u2028b'),
+    ('tag', 'N N'), ('lemma', '__'), ('lemma', ' _'), ('morph', '--'),
+    ('morph', ''),
+])
+def test_conll_keeps_fields_its_reader_reads_back(field, value):
+    corpus = [encode_direct(ctree_to_dtree(_two_token_tree(**{field: value})))]
+    assert read_conll(write_conll(corpus)) == corpus
 
 
 @pytest.mark.parametrize('form', ['#', '#x', '#5²', '%%', '#BOT', 'a/b',

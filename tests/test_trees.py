@@ -33,14 +33,11 @@ def test_nesting(german_tree):
     # closer right modifier with the larger index breaks nesting
     sent = make_sentence(('a', 'A'), ('b', 'B'), ('c', 'C'),
                          ('d', 'D'), ('e', 'E'))
-    from hodt.trees import Arc, HeadOrderedDTree
-    bad = HeadOrderedDTree.from_arcs(sent, (
-        Arc(3, 4, 'X', 2), Arc(3, 5, 'X', 1),
-        Arc(3, 1, 'Y', 1), Arc(3, 2, 'Y', 1)), root=3)
+    bad = DTree(sent, (3, 3, 0, 3, 3),
+                (('Y', 1), ('Y', 1), None, ('X', 2), ('X', 1)))
     assert not is_nested(bad)
-    good = HeadOrderedDTree.from_arcs(sent, (
-        Arc(3, 4, 'X', 1), Arc(3, 5, 'X', 2),
-        Arc(3, 1, 'Y', 2), Arc(3, 2, 'Y', 1)), root=3)
+    good = DTree(sent, (3, 3, 0, 3, 3),
+                 (('Y', 2), ('Y', 1), None, ('X', 1), ('X', 2)))
     assert is_nested(good)
 
 
@@ -113,6 +110,18 @@ def test_validate_flags_multiple_roots():
     assert any('root' in p for p in problems)
 
 
+def test_validate_flags_an_order_index_below_one():
+    sent = make_sentence(('a', 'A'), ('b', 'B'))
+    bad = DTree(sent, (2, 0), (('X', 0), None))
+    assert validate(bad) == ['arc 2->1 has index < 1']
+
+
+def test_validate_flags_two_labels_at_one_step():
+    sent = make_sentence(('a', 'A'), ('b', 'B'), ('c', 'C'))
+    bad = DTree(sent, (2, 0, 2), (('X', 1), None, ('Y', 1)))
+    assert validate(bad) == ["head 2 index 1 carries labels ['X', 'Y']"]
+
+
 def test_continuity_implies_projectivity():
     # brute force over every unaryless tree with up to five tokens
     for length in range(1, 6):
@@ -126,10 +135,10 @@ def test_nested_matches_pairwise_definition():
     for i in range(120):
         tree = gen_ctree(cfg, 2 + i % 6, index=i)
         dt = ctree_to_dtree(tree)
-        index_of = {a.modifier: a.order_index for a in dt.arcs}
+        index_of = {m: j for _, m, (_, j) in dt.arcs()}
         mods = {}
-        for a in dt.arcs:
-            mods.setdefault(a.head, []).append(a.modifier)
+        for h, m, _ in dt.arcs():
+            mods.setdefault(h, []).append(m)
         expected = True
         for h, ms in mods.items():
             for side in (sorted(m for m in ms if m > h),
