@@ -93,17 +93,19 @@ def featurize_arc(sentence, h, m):
 
 
 def arc_index_table(model, sentence):
-    """Masked weight indices of every candidate arc, shape
+    """Weight indices (model.indices) of every candidate arc, shape
     (n+1, n+1, 34); entry [h, m] covers arc h -> m.  The diagonal and the
     m = 0 column are left at zero and must not be read.  The strings of
-    all arcs go through one hash_distinct call."""
+    all arcs go through one hash_distinct call, and each distinct digest
+    is looked up once."""
     n = len(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
     arcs = [(h, m) for m in range(1, n + 1) for h in range(n + 1) if h != m]
-    hashes = hash_distinct(itertools.chain.from_iterable(
+    digests, rows = hash_distinct(itertools.chain.from_iterable(
         featurize_arc(sentence, h, m) for h, m in arcs))
     heads, mods = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
-    table[heads, mods] = model.indices(hashes).reshape(-1, FEATURES_PER_ARC)
+    table[heads, mods] = model.indices(digests)[rows].reshape(
+        -1, FEATURES_PER_ARC)
     return table
 
 

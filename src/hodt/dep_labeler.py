@@ -55,7 +55,7 @@ def _chains(sentence, heads):
 
 def _chain_tables(model, sentence, heads, n_labels):
     """(chain, unary, pair) for every chain of a tree, in _chains order,
-    with the chain's pre-masked weight indices: unary (T, K, 34)
+    with the chain's weight indices (model.indices): unary (T, K, 34)
     and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.  The
     arc and pairwise strings of all chains go through one hash_distinct
     call; the tables of the chains are slices of two sentence tables."""
@@ -63,9 +63,11 @@ def _chain_tables(model, sentence, heads, n_labels):
     arcs = [(h, m) for h, chain in chains for m in chain]
     pairs = [(h, chain[t - 1], chain[t])
              for h, chain in chains for t in range(1, len(chain))]
-    hashes = hash_distinct(itertools.chain.from_iterable(itertools.chain(
-        (featurize_arc(sentence, h, m) for h, m in arcs),
-        (featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs))))
+    digests, rows = hash_distinct(itertools.chain.from_iterable(
+        itertools.chain(
+            (featurize_arc(sentence, h, m) for h, m in arcs),
+            (featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs))))
+    hashes = digests[rows]
     split = len(arcs) * FEATURES_PER_ARC
     unary = model.indices(conjoin_grid(
         hashes[:split].reshape(len(arcs), FEATURES_PER_ARC),

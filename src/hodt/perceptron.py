@@ -1,6 +1,6 @@
 """Hashed linear models and averaged-perceptron training.
 
-Features are strings; they land in a fixed-size weight vector through an
+Features are strings; they land in a fixed-size weight space through an
 8-byte blake2b digest (unsalted, so runs and machines agree), optionally
 conjoined with a small integer key (a class id, a direction bucket) by a
 splitmix64 round.  No vocabulary is stored: collisions are accepted and
@@ -13,10 +13,25 @@ digests each distinct string once.  The digest of a string does not
 depend on how many times it is met, so weights and outputs are the same
 as hashing every string.
 
-Averaging uses the running-totals trick: alongside w we keep
-u = sum of t * delta over all updates, where t counts examples seen, and
-the averaged vector is w - u / T.  A model trained for zero epochs stays
-all-zero by construction.
+A model is dense only while it trains: a fresh LinearModel holds one
+float per masked index (32 MiB at the default 22 bits), and `indices`
+is the masked digest itself.  Averaging uses the running-totals trick:
+alongside w we keep u = sum of t * delta over all updates, where t
+counts examples seen, and the averaged vector is w - u / T.  A model
+trained for zero epochs stays all-zero by construction.
+
+Averaging ends training: the model is then compacted, as a loaded model
+is built, to `keys`, the sorted masked indices of its nonzero weights,
+and `weights`, a 0.0 slot followed by their values.  `indices` then maps
+a masked index to the slot of its weight, or to slot 0 when it has none,
+so `weights[indices(h)]` reads the same values in both forms and every
+score sums the same nonzero values in the same order.  The lookup is a
+rank bitmap: one uint64 per block of 32 indices, whose low half flags
+the indices of the block that have a weight and whose high half counts
+the weights of the blocks before it.  The slot of an index is that count
+plus the flags at or below it, times its own flag: one gather and a few
+elementwise passes per digest, and 1 MiB per model at 22 bits, whatever
+the number of weights.
 """
 
 import json
@@ -50,13 +65,14 @@ def feature_hash(text):
 
 
 def hash_distinct(texts):
-    """hash_features of an iterable of feature strings, hashing each
-    distinct string once: the strings are streamed into one row per
-    distinct string, and the digests are gathered back in input order."""
+    """(digests, rows) for an iterable of feature strings: the
+    hash_features of each distinct string, in order of first appearance,
+    and for each input string the row of its digest, so that
+    digests[rows] is hash_features of the input."""
     slot = {}
     rows = np.fromiter((slot.setdefault(text, len(slot)) for text in texts),
                        dtype=np.intp)
-    return hash_features(list(slot))[rows]
+    return hash_features(list(slot)), rows
 
 
 def _mix_vec(x):
@@ -87,7 +103,9 @@ def conjoin_grid(hashes, keys):
 
 
 class LinearModel:
-    """A flat weight vector addressed by masked digests.
+    """Weights addressed by masked digests: dense while training, compact
+    (nonzero weights only) once averaged or loaded; see the module
+    docstring.
 
     meta is a caller-owned json-serializable dict (label alphabets,
     featurizer settings); it rides along in the model file.
@@ -98,23 +116,67 @@ class LinearModel:
             raise ValueError('dim_bits out of range')
         self.dim_bits = dim_bits
         self.mask = (1 << dim_bits) - 1
-        self.weights = np.zeros(1 << dim_bits)
         self.meta = dict(meta or {})
+        self.keys = None  # dense until compact()
+        self.weights = np.zeros(1 << dim_bits)
 
     def indices(self, hashes):
+        """Where each digest's weight sits in `weights`: the masked digest
+        in a dense model, its slot in a compact one (slot 0, which holds
+        0.0, for a digest with no weight)."""
         # a masked digest is below 2**30, so its bits read the same as intp
-        return np.bitwise_and(hashes, np.uint64(self.mask)).view(np.intp)
+        idx = np.bitwise_and(hashes, np.uint64(self.mask)).view(np.intp)
+        if self.keys is None:
+            return idx
+        entry = self._lookup[idx >> 5]
+        # shift the index's own flag to bit 63: what is left are the flags
+        # of its block at or below it (the shift is at least 32, so the
+        # count in the high half falls off)
+        below = entry << (63 - (idx & 31)).view(np.uint64)
+        slot = (entry >> np.uint64(32)).view(np.intp)
+        slot += np.bitwise_count(below)
+        slot *= (below >> np.uint64(63)).view(np.intp)
+        return slot
 
     def score(self, hashes):
         return float(self.weights[self.indices(hashes)].sum())
 
+    def nonzero(self):
+        """(indices, values) of the nonzero weights, indices ascending."""
+        if self.keys is None:
+            keys = np.flatnonzero(self.weights)
+            return keys, self.weights[keys]
+        return self.keys, self.weights[1:]
+
+    def compact(self):
+        """Keep only the nonzero weights, and drop the dense vector."""
+        self._set_compact(*self.nonzero())
+        return self
+
+    def _set_compact(self, keys, values):
+        self.keys = keys
+        self.weights = np.concatenate(([0.0], values))
+        # one word per block of 32 indices: the low half flags the
+        # indices that have a weight, the high half counts the weights
+        # of the blocks before it; built in place, with one transient
+        # array of the same size
+        lookup = np.zeros((self.mask >> 5) + 1, dtype=np.uint64)
+        np.bitwise_or.at(lookup, keys >> 5,
+                         np.left_shift(np.uint64(1),
+                                       (keys & 31).astype(np.uint64)))
+        through = np.cumsum(np.bitwise_count(lookup), dtype=np.uint64)
+        through <<= np.uint64(32)
+        lookup[1:] |= through[:-1]
+        self._lookup = lookup
+
     def to_json(self):
-        nonzero = np.nonzero(self.weights)[0]
+        keys, values = self.nonzero()
         return json.dumps({
             'kind': 'linear',
             'dim_bits': self.dim_bits,
             'meta': self.meta,
-            'weights': [[int(i), self.weights[i]] for i in nonzero],
+            'weights': [list(pair)
+                        for pair in zip(keys.tolist(), values.tolist())],
         }, sort_keys=True)
 
     @classmethod
@@ -134,7 +196,8 @@ class LinearModel:
         weights = obj.get('weights')
         if not isinstance(weights, list):
             raise ModelFormatError('weights must be a list')
-        model = cls(dim_bits, obj['meta'])
+        mask = (1 << dim_bits) - 1
+        keys, values = [], []
         for pair in weights:
             if (type(pair) is not list or len(pair) != 2
                     or type(pair[0]) is not int
@@ -145,9 +208,21 @@ class LinearModel:
                     f'weights must be [index, finite number] pairs, '
                     f'got {pair!r}')
             i, value = pair
-            if not 0 <= i <= model.mask:
+            if not 0 <= i <= mask:
                 raise ModelFormatError(f'weight index {i} out of range')
-            model.weights[i] = value
+            if keys and i <= keys[-1]:
+                raise ModelFormatError(
+                    f'weight index {i} repeated' if i == keys[-1] else
+                    f'weight index {i} after {keys[-1]}: '
+                    f'indices must ascend')
+            keys.append(i)
+            values.append(float(value))
+        keys = np.array(keys, dtype=np.intp)
+        values = np.array(values)
+        nonzero = values != 0  # a listed 0.0 is no weight, as in to_json
+        model = cls.__new__(cls)
+        model.dim_bits, model.mask, model.meta = dim_bits, mask, obj['meta']
+        model._set_compact(keys[nonzero], values[nonzero])
         return model
 
     def save(self, path):
@@ -165,9 +240,12 @@ class LinearModel:
 
 
 class AveragedTrainer:
-    """Perceptron updates against a LinearModel, averaged on finish."""
+    """Perceptron updates against a fresh (dense) LinearModel, averaged
+    and compacted on finish."""
 
     def __init__(self, model):
+        if model.keys is not None:
+            raise ValueError('a compact model cannot be trained')
         self.model = model
         self._totals = np.zeros_like(model.weights)
         self._tick = 0
@@ -181,12 +259,14 @@ class AveragedTrainer:
         np.add.at(self._totals, idx, np.multiply(delta, float(self._tick)))
 
     def average(self):
-        """Replace the working weights with their running average."""
+        """Replace the working weights with their running average, and
+        compact the model: training ends here."""
         if self._tick:
             # in place: no third dense vector at the learner's peak
             self._totals /= self._tick
             self.model.weights -= self._totals
-        return self.model
+        self._totals = None
+        return self.model.compact()
 
 
 def train(model, examples, epochs, seed, mistakes):

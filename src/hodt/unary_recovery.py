@@ -150,15 +150,15 @@ def extract_instances(treebank):
 
 
 def _instance_indices(model, instances, n_classes):
-    """One (n_classes, 19) array of masked weight indices per instance,
+    """One (n_classes, 19) array of weight indices per instance,
     under the instance's own preterminal flag: row c scores class c under
     key 2c + preterminal.  The strings of all instances go through one
     hash_distinct call; the keys are mixed in MIX_BLOCK instances at a
     time, so the transient digest grids stay small however many
     instances there are."""
-    hashes = hash_distinct(itertools.chain.from_iterable(
+    digests, order = hash_distinct(itertools.chain.from_iterable(
         inst.features for inst in instances))
-    hashes = hashes.reshape(len(instances), FEATURES_PER_NODE)
+    hashes = digests[order].reshape(len(instances), FEATURES_PER_NODE)
     flags = np.array([inst.preterminal for inst in instances], dtype=int)
     keys = 2 * np.arange(n_classes) + flags[:, None]
     rows = []

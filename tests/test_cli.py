@@ -668,6 +668,8 @@ CORRUPTIONS = {
     'manifest_list': ('manifest.json', [], []),
     'dim_bits_too_large': ('parser.json', ['dim_bits'], 40),
     'weight_pair_short': ('parser.json', ['weights'], [[1]]),
+    'weight_index_repeated': ('parser.json', ['weights'],
+                              [[5, 1.0], [5, 2.0]]),
     'projective_missing': ('parser.json', ['meta', 'projective'], DROP),
     'projective_string': ('parser.json', ['meta', 'projective'], 'yes'),
     'meta_missing': ('unary.json', ['meta'], DROP),

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hodt.baseline_parser import train_unlabeled
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
@@ -47,12 +48,14 @@ def test_hash_features_is_the_blake2b_digest():
 
 def test_hash_distinct_matches_hash_features():
     feats = ['a', 'bc', 'a', 'def', 'bc', 'a']
-    got = hash_distinct(iter(feats))
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, hash_features(feats))
-    empty = hash_distinct(iter(()))
-    assert empty.dtype == np.uint64
-    assert empty.shape == (0,)
+    digests, rows = hash_distinct(iter(feats))
+    assert digests.dtype == np.uint64
+    assert np.array_equal(digests, hash_features(['a', 'bc', 'def']))
+    assert rows.tolist() == [0, 1, 0, 2, 1, 0]
+    assert np.array_equal(digests[rows], hash_features(feats))
+    digests, rows = hash_distinct(iter(()))
+    assert digests.dtype == np.uint64
+    assert digests.shape == rows.shape == (0,)
 
 
 def test_hash_distinct_hashes_each_distinct_string_once(monkeypatch):
@@ -201,10 +204,26 @@ def test_rng_shuffle_in_place_and_seeded():
     {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 10**400]]},
     {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[4096, 1.0]]},
     {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[-1, 1.0]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
+     'weights': [[5, 1.0], [5, 2.0]]},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
+     'weights': [[6, 1.0], [5, 2.0]]},
 ])
 def test_model_from_json_rejects_bad_entries(obj):
     with pytest.raises(ModelFormatError):
         LinearModel.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize('pairs, message', [
+    ([[5, 1.0], [5, 2.0]], 'weight index 5 repeated'),
+    ([[2, 1.0], [6, 1.0], [5, 2.0]],
+     'weight index 5 after 6: indices must ascend'),
+])
+def test_model_from_json_names_a_misplaced_index(pairs, message):
+    text = json.dumps({'kind': 'linear', 'dim_bits': 12, 'meta': {},
+                       'weights': pairs})
+    with pytest.raises(ModelFormatError, match=f'^{message}$'):
+        LinearModel.from_json(text)
 
 
 def test_model_load_names_the_file(tmp_path):
@@ -218,9 +237,9 @@ def test_model_load_names_the_file(tmp_path):
 
 def _weights_digest(model):
     """SHA-256 of the nonzero (index, value) pairs of a model."""
-    nonzero = np.flatnonzero(model.weights)
-    digest = hashlib.sha256(nonzero.astype('<i8').tobytes())
-    digest.update(model.weights[nonzero].astype('<f8').tobytes())
+    keys, values = model.nonzero()
+    digest = hashlib.sha256(keys.astype('<i8').tobytes())
+    digest.update(values.astype('<f8').tobytes())
     return digest.hexdigest()
 
 
@@ -259,3 +278,101 @@ def test_trained_weights_are_pinned(learner):
     model = _train_pinned(learner)
     assert np.count_nonzero(model.weights)
     assert _weights_digest(model) == PINNED[learner]
+
+
+@pytest.mark.parametrize('learner', sorted(PINNED))
+def test_runtime_models_hold_only_their_nonzero_weights(learner, tmp_path):
+    # a dense model at 22 bits holds 32 MiB; a compact one a 1 MiB
+    # lookup plus 16 bytes per nonzero weight
+    model = _train_pinned(learner)
+    path = tmp_path / 'model.json'
+    model.save(str(path))
+    for m in (model, LinearModel.load(str(path))):
+        assert m.dim_bits == 22
+        held = sum(a.nbytes for a in vars(m).values()
+                   if isinstance(a, np.ndarray))
+        assert held < 2 * 2**20
+
+
+@pytest.mark.parametrize('learner', sorted(PINNED))
+def test_compaction_keeps_the_model_bytes(learner, monkeypatch):
+    seen = []
+    compact = LinearModel.compact
+
+    def spy(model):
+        seen.append((model.keys is None, model.to_json(), model.nonzero()))
+        return compact(model)
+
+    monkeypatch.setattr(LinearModel, 'compact', spy)
+    model = _train_pinned(learner)
+    ((was_dense, text, (keys, values)),) = seen
+    assert was_dense and model.keys is not None
+    assert model.to_json() == text
+    got_keys, got_values = model.nonzero()
+    assert np.array_equal(got_keys, keys)
+    assert np.array_equal(got_values, values)
+
+
+def test_a_compact_model_cannot_be_trained():
+    with pytest.raises(ValueError):
+        AveragedTrainer(LinearModel(dim_bits=8).compact())
+
+
+def _dense(dim_bits, weights):
+    model = LinearModel(dim_bits)
+    for i, value in weights.items():
+        model.weights[i] = value
+    return model
+
+
+def _sums(model, digests):
+    return model.weights[model.indices(digests)].sum(axis=-1)
+
+
+@st.composite
+def _weights_and_digests(draw):
+    """(dim_bits, {index: weight}, (rows, width) uint64 digests) where
+    some digests mask to weighted indices, 0 or the mask, some repeat."""
+    dim_bits = draw(st.integers(1, 14))
+    mask = (1 << dim_bits) - 1
+    index = st.one_of(st.sampled_from([0, mask]), st.integers(0, mask))
+    weights = draw(st.dictionaries(index, st.floats(-1e300, 1e300),
+                                   max_size=40))
+    high = st.integers(0, (1 << 64) - 1).map(lambda h: h & ~mask)
+    hit = st.sampled_from(sorted(weights) or [0]).flatmap(
+        lambda i: high.map(lambda h: h | i))
+    digest = st.one_of(st.integers(0, (1 << 64) - 1), hit,
+                       st.sampled_from([0, mask, (1 << 64) - 1]))
+    width = draw(st.integers(1, 8))
+    flat = draw(st.lists(digest, min_size=width, max_size=6 * width)
+                .map(lambda d: d[:len(d) - len(d) % width]))
+    digests = np.array(flat, dtype=np.uint64).reshape(-1, width)
+    return dim_bits, weights, digests
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weights_and_digests())
+@example((12, {}, np.array([[0, 4095, 4095, 2**64 - 1]], dtype=np.uint64)))
+@example((3, {0: 1.5, 7: -2.25}, np.array([[0, 7, 7, 8], [15, 15, 0, 1]],
+                                            dtype=np.uint64)))
+def test_compact_scores_equal_dense_scores(case):
+    # the same nonzero weights summed in the same order: equal bit for
+    # bit, not approximately
+    dim_bits, weights, digests = case
+    dense = _dense(dim_bits, weights)
+    want = _sums(dense, digests)
+    compact = _dense(dim_bits, weights).compact()
+    loaded = LinearModel.from_json(dense.to_json())
+    for model in (compact, loaded):
+        assert model.keys.tolist() == sorted(
+            i for i, w in weights.items() if w)
+        assert (_sums(model, digests) == want).all()
+        assert model.to_json() == dense.to_json()
+
+
+def test_zero_epoch_compact_model_scores_zero():
+    model = perceptron.train(LinearModel(dim_bits=12), [], 0, 1, None)
+    assert model.keys.size == 0 and model.nonzero()[1].size == 0
+    digests = np.array([[0, 4095, 2**64 - 1], [7, 7, 7]], dtype=np.uint64)
+    assert (_sums(model, digests) == _sums(LinearModel(12), digests)).all()
+    assert model.to_json() == LinearModel(12).to_json()
