@@ -23,8 +23,7 @@ import sys
 from .baseline_parser import parse_heads, train_unlabeled
 from .corpus_gen import GenConfig, TOY_HEAD_RULES, gen_ctree, gen_toy_treebank
 from .dep_labeler import label_tree, train_labeler
-from .encoding import (decode, encode_delta, encode_direct, encode_hn,
-                       label_alphabet)
+from .encoding import decode, encode_delta, encode_direct, encode_hn
 from .errors import (HeadRuleError, ModelFormatError, ToolkitError,
                      TreebankFormatError, read_utf8)
 from .evaluation import EvalConfig, attachment_scores, evalb
@@ -32,9 +31,11 @@ from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
 from .reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
                         roundtrip_check)
-from .treebank_io import (read_bracketed, read_conll, read_export,
-                          read_json_corpus, read_sentences, write_bracketed,
-                          write_conll, write_export, write_json_corpus)
+from .treebank_io import (join_conll, parse_bracketed, parse_export,
+                          parse_json, read_bracketed, read_conll, read_export,
+                          read_json_corpus, read_sentences, render_conll,
+                          split_export, split_lines, write_bracketed,
+                          write_export, write_json_corpus)
 from .trees import CTree, DTree, strip_unaries, validate
 from .unary_recovery import (NULL_CLASS, extract_instances, recover,
                              train_unary)
@@ -95,15 +96,22 @@ def _resolve_rules(spec):
         "leftmost, rightmost, toy, collins-english")
 
 
+def _tree_reader(fmt):
+    """(read, split, parse) of the fmt tree reader: the whole-file
+    reader, and the split and per-unit parse it is made of."""
+    if fmt == 'bracketed':
+        return read_bracketed, split_lines, parse_bracketed
+    if fmt == 'export':
+        return read_export, split_export, parse_export
+    if fmt == 'json':
+        return read_json_corpus, split_lines, parse_json
+    raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
+
+
 def _read_trees(text, fmt, path):
     """Raw trees from bracketed or export text, CTrees from json."""
-    if fmt == 'bracketed':
-        return read_bracketed(text, path)
-    if fmt == 'export':
-        return read_export(text, path)
-    if fmt == 'json':
-        return read_json_corpus(text, path)
-    raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
+    read, _, _ = _tree_reader(fmt)
+    return read(text, path)
 
 
 def _lexicalize(tree, rules):
@@ -175,11 +183,13 @@ def _run(i):
 def _pmap(fn, items, jobs):
     """[fn(item) for item in items] over at most `jobs` forked workers.
 
-    The workers inherit fn and items, which may hold whole models; only
-    item indices are sent to them and only results come back.  A
-    ToolkitError comes back as a value, and the first one in input order
-    is raised as "sentence N: ...", so the message does not depend on
-    `jobs`.
+    The workers inherit fn and items, which may hold whole models or the
+    unparsed text of each tree; only item indices are sent to them and
+    only results come back, so a result should be small: rendered text
+    costs the parent less to unpickle than the objects it was made from.
+    A ToolkitError comes back as a value, and the first one in input
+    order is raised as "sentence N: ...", so the message does not depend
+    on `jobs`.
     """
     global _WORK
     workers = min(jobs, len(items))
@@ -214,23 +224,54 @@ def _encode_tree(tree, scheme, strip):
     return encode_direct(dtree)
 
 
-def _convert_one(tree, rules, scheme):
-    return _encode_tree(_lexicalize(tree, rules), scheme, strip=False)
+# the steps of converting one tree, in the order their errors are reported
+_READ, _ENCODE, _WRITE = range(3)
+
+
+def _convert_one(item, parse, rules, scheme, out):
+    """(None, (CoNLL block, arc labels)) of unit i, or (step, message) of
+    the ToolkitError that stopped it."""
+    i, unit = item
+    step = _READ
+    try:
+        tree = parse(unit)
+        step = _ENCODE
+        enc = _encode_tree(_lexicalize(tree, rules), scheme, strip=False)
+        step = _WRITE
+        return None, (render_conll(i, enc, out),
+                      [label for _, _, label in enc.arcs()])
+    except ToolkitError as exc:
+        return step, f'sentence {i}: {exc}' if step == _ENCODE else str(exc)
 
 
 def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or _sniff_format(text)
-    trees = _read_trees(text, fmt, args.input)
-    worker = functools.partial(_convert_one, rules=rules,
-                               scheme=args.encoding)
-    corpus = _pmap(worker, trees, args.jobs)
-    _write_output(args.output, write_conll(corpus, args.output))
-    alphabet = label_alphabet(corpus)
-    arcs = sum(count for _, count in alphabet)
-    print(f'# {len(trees)} sentences, {arcs} arcs, '
-          f'{len(alphabet)} distinct labels ({args.encoding})',
+    _, split, parse = _tree_reader(fmt)
+    # the parent only splits; each worker parses, encodes and renders
+    units, fault = [], None
+    try:
+        for unit in split(text, args.input):
+            units.append(unit)
+    except TreebankFormatError as exc:
+        fault = exc
+    worker = functools.partial(
+        _convert_one, parse=functools.partial(parse, path=args.input),
+        rules=rules, scheme=args.encoding, out=args.output)
+    results = _pmap(worker, list(enumerate(units, 1)), args.jobs)
+    # read errors in file order, the split's fault after every unit; then
+    # encoding errors, then CoNLL refusals, each by sentence
+    errors = [(step, i, value)
+              for i, (step, value) in enumerate(results) if step is not None]
+    if fault is not None:
+        errors.append((_READ, len(units), str(fault)))
+    if errors:
+        raise ToolkitError(min(errors)[2])
+    _write_output(args.output, join_conll(block for _, (block, _) in results))
+    labels = [arc_labels for _, (_, arc_labels) in results]
+    print(f'# {len(units)} sentences, {sum(map(len, labels))} arcs, '
+          f'{len(set().union(*labels))} distinct labels ({args.encoding})',
           file=sys.stderr)
     return 0
 
@@ -509,8 +550,8 @@ def build_parser():
     p.add_argument('--encoding', choices=ENCODINGS, default='direct')
     p.add_argument('--head-rules', default='leftmost')
     p.add_argument('--jobs', type=_int_at_least(1), default=1,
-                   help='worker processes that lexicalize and encode '
-                        'trees (default 1)')
+                   help='worker processes that read, lexicalize, encode '
+                        'and render trees (default 1)')
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser('train', help='fit the parsing pipeline')

@@ -26,6 +26,15 @@ them to headrules.lexicalize); the json reader returns CTrees since the format
 stores head positions.  The three tree readers reject a tree nested
 deeper than MAX_DEPTH levels.  Every writer but json refuses a tree
 with a field that its own reader would misread (_MISREAD).
+
+Each tree reader is a split of the text into one unit per tree
+(split_lines, split_export), which finds only the faults between units,
+and a parse of each unit on its own (parse_bracketed, parse_export,
+parse_json).  A split yields the units as it goes and raises at its
+first fault, so the reader reports an error inside an earlier unit
+first.  The units hold their line numbers, so `hodt convert` can parse
+them in its workers.  Likewise write_conll joins the blocks of
+render_conll.
 """
 
 import json
@@ -70,6 +79,15 @@ def _lines_of(source):
         yield line.rstrip('\r\n')
 
 
+def split_lines(source, path=None):
+    """The (line number, text) of each non-blank line: the units of the
+    one-tree-per-line formats, which have no fault between units (path,
+    which every split takes, goes unused)."""
+    for lineno, line in enumerate(_lines_of(source), 1):
+        if line.strip():
+            yield lineno, line
+
+
 # --- bracketed --------------------------------------------------------------
 
 def _tokenize_brackets(line):
@@ -89,9 +107,11 @@ def _tokenize_brackets(line):
             i = j
 
 
-def _parse_bracket_line(line, lineno, path):
-    """The tree on one line; a constituent becomes a RawNode or a Token
-    leaf when its ) closes it, so leaves are numbered left to right."""
+def parse_bracketed(unit, path=None):
+    """The tree on one (line number, text) unit; a constituent becomes a
+    RawNode or a Token leaf when its ) closes it, so leaves are numbered
+    left to right."""
+    lineno, line = unit
     stack = []
     result = None
     leaves = 0
@@ -150,9 +170,7 @@ def _parse_bracket_line(line, lineno, path):
 
 def read_bracketed(source, path=None):
     """Parse one tree per non-blank line; returns RawNode trees."""
-    return [_parse_bracket_line(line, lineno, path)
-            for lineno, line in enumerate(_lines_of(source), 1)
-            if line.strip()]
+    return [parse_bracketed(unit, path) for unit in split_lines(source)]
 
 
 def _render(node, sentence):
@@ -201,11 +219,17 @@ def write_bracketed(trees, path=None):
 
 # --- export -----------------------------------------------------------------
 
-def _parse_export_block(block, bos_line, version, path):
+def parse_export(unit, path=None):
+    """The tree of one (#BOS line, format version, lines) block of
+    split_export."""
+    bos_line, version, lines = unit
     nodes = {}
     units = []      # (parent field, token leaf or node id, line) in order
     tokens = 0
-    for lineno, line in block:
+    for lineno, line in enumerate(lines, bos_line + 1):
+        line = line.strip()
+        if not line:
+            continue
         parts = line.split()
         if line.startswith('#') and parts[0][1:].isdecimal():
             node_id = int(parts[0][1:])
@@ -284,18 +308,19 @@ def _parse_export_block(block, bos_line, version, path):
     return built[0][0]
 
 
-def read_export(source, path=None):
-    """Parse export blocks of format 3, or 4 after a ``#FORMAT 4`` line.
+def split_export(source, path=None):
+    """Each #BOS..#EOS block as (#BOS line, format version, the lines
+    between); raises at the first fault outside the blocks.  The version
+    is 3, or 4 after a ``#FORMAT 4`` line.
 
     Outside the #BOS..#EOS blocks only blank lines, #FORMAT lines, %%
     comments and #BOT..#EOT header tables may appear.
     """
-    trees = []
-    block = None
-    bos_line = None
-    table = None    # line of the open #BOT
+    lines = list(_lines_of(source))
+    bos_line = None     # line of the open #BOS
+    table = None        # line of the open #BOT
     version = 3
-    for lineno, line in enumerate(_lines_of(source), 1):
+    for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -304,37 +329,41 @@ def read_export(source, path=None):
                 table = None
             continue
         if stripped.startswith('#FORMAT'):
+            if bos_line is not None:
+                raise TreebankFormatError(
+                    '#FORMAT inside a #BOS block', path, lineno)
             parts = stripped.split()
             if len(parts) == 2 and parts[1] in ('3', '4'):
                 version = int(parts[1])
             continue
-        if block is None and stripped.startswith('%%'):
+        if bos_line is None and stripped.startswith('%%'):
             continue
-        if block is None and stripped.startswith('#BOT'):
+        if bos_line is None and stripped.startswith('#BOT'):
             table = lineno
             continue
         if stripped.startswith('#BOS'):
-            if block is not None:
+            if bos_line is not None:
                 raise TreebankFormatError('#BOS inside a block', path, lineno)
-            block = []
             bos_line = lineno
             continue
         if stripped.startswith('#EOS'):
-            if block is None:
+            if bos_line is None:
                 raise TreebankFormatError('#EOS outside a block', path, lineno)
-            trees.append(_parse_export_block(
-                block, bos_line, version, path))
-            block = None
+            yield bos_line, version, lines[bos_line:lineno - 1]
+            bos_line = None
             continue
-        if block is None:
+        if bos_line is None:
             raise TreebankFormatError(
                 f'expected #BOS, got {stripped[:30]!r}', path, lineno)
-        block.append((lineno, stripped))
     if table is not None:
         raise TreebankFormatError('unterminated #BOT table', path, table)
-    if block is not None:
+    if bos_line is not None:
         raise TreebankFormatError('unterminated #BOS block', path, bos_line)
-    return trees
+
+
+def read_export(source, path=None):
+    """Parse the export blocks of split_export; returns RawNode trees."""
+    return [parse_export(unit, path) for unit in split_export(source, path)]
 
 
 def write_export(trees, version=3):
@@ -499,32 +528,40 @@ def _conll_fields(enc):
                 yield kind, value
 
 
-def write_conll(corpus, path=None):
-    """CoNLL-X rows of encoded trees; POS fills CPOS and POS, and a
-    missing lemma or morphology is `_`."""
-    blocks = []
-    for i, enc in enumerate(corpus, 1):
-        rows = []
-        for tok, head, label in zip(enc.sentence, enc.heads, enc.labels):
-            lemma = tok.lemma if tok.lemma is not None else '_'
-            feats = tok.morph if tok.morph is not None else '_'
-            rows.append('\t'.join((
-                str(tok.position), tok.form, lemma, tok.pos, tok.pos,
-                feats, str(head), label, '_', '_')))
-        block = '\n'.join(rows)
-        # _MISREAD['conll'] tested on the whole block, as one search per
-        # field costs about 5% of `hodt convert`: a tab or line break in
-        # a field adds one to the block, and a lemma or FEATS '_' shows
-        # only on the tokens
-        if (block.count('\t') != 9 * len(rows) or '\r' in block
-                or block.count('\n') != len(rows) - 1
-                or any('_' in (t.lemma, t.morph) for t in enc.sentence)):
-            kind, value = _misread(_conll_fields(enc), 'conll')
-            raise TreebankFormatError(
-                f'sentence {i}: {kind} {value!r} cannot be written in '
-                f'the CoNLL format', path)
-        blocks.append(block)
+def render_conll(i, enc, path=None):
+    """The CoNLL-X rows of encoded tree i (counted from 1); POS fills
+    CPOS and POS, and a missing lemma or morphology is `_`."""
+    rows = []
+    for tok, head, label in zip(enc.sentence, enc.heads, enc.labels):
+        lemma = tok.lemma if tok.lemma is not None else '_'
+        feats = tok.morph if tok.morph is not None else '_'
+        rows.append('\t'.join((
+            str(tok.position), tok.form, lemma, tok.pos, tok.pos,
+            feats, str(head), label, '_', '_')))
+    block = '\n'.join(rows)
+    # _MISREAD['conll'] tested on the whole block, as one search per
+    # field costs about 5% of `hodt convert`: a tab or line break in
+    # a field adds one to the block, and a lemma or FEATS '_' shows
+    # only on the tokens
+    if (block.count('\t') != 9 * len(rows) or '\r' in block
+            or block.count('\n') != len(rows) - 1
+            or any('_' in (t.lemma, t.morph) for t in enc.sentence)):
+        kind, value = _misread(_conll_fields(enc), 'conll')
+        raise TreebankFormatError(
+            f'sentence {i}: {kind} {value!r} cannot be written in '
+            f'the CoNLL format', path)
+    return block
+
+
+def join_conll(blocks):
+    """The CoNLL file of the blocks of render_conll."""
     return '\n\n'.join(blocks) + '\n'
+
+
+def write_conll(corpus, path=None):
+    """The CoNLL-X file of encoded trees (render_conll)."""
+    return join_conll(render_conll(i, enc, path)
+                      for i, enc in enumerate(corpus, 1))
 
 
 # --- parser input -----------------------------------------------------------
@@ -620,33 +657,35 @@ def write_json_corpus(trees):
     return '\n'.join(lines) + '\n'
 
 
+def parse_json(unit, path=None):
+    """The CTree of one (line number, text) unit."""
+    lineno, line = unit
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TreebankFormatError(f'bad json: {exc}', path, lineno) from None
+    except RecursionError:
+        raise TreebankFormatError(
+            f'nesting deeper than {MAX_DEPTH}', path, lineno) from None
+    if not isinstance(obj, dict) or not {'tokens', 'root'} <= obj.keys():
+        raise TreebankFormatError(
+            'expected an object with tokens and root', path, lineno)
+    rows = obj['tokens']
+    if not isinstance(rows, list) or not all(map(_is_token_row, rows)):
+        raise TreebankFormatError(
+            'tokens must be a list of [form, pos, lemma, morph] rows '
+            '(lemma and morph may be null)', path, lineno)
+    sentence = Sentence(tuple(
+        Token(i, *row) for i, row in enumerate(rows, 1)))
+    tree = CTree(_node_from_obj(obj['root'], sentence, path, lineno),
+                 sentence)
+    problems = validate(tree)
+    if problems:
+        raise TreebankFormatError(
+            f'malformed tree: {problems[0]}', path, lineno)
+    return tree
+
+
 def read_json_corpus(source, path=None):
-    trees = []
-    for lineno, line in enumerate(_lines_of(source), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TreebankFormatError(f'bad json: {exc}', path, lineno) from None
-        except RecursionError:
-            raise TreebankFormatError(
-                f'nesting deeper than {MAX_DEPTH}', path, lineno) from None
-        if not isinstance(obj, dict) or not {'tokens', 'root'} <= obj.keys():
-            raise TreebankFormatError(
-                'expected an object with tokens and root', path, lineno)
-        rows = obj['tokens']
-        if not isinstance(rows, list) or not all(map(_is_token_row, rows)):
-            raise TreebankFormatError(
-                'tokens must be a list of [form, pos, lemma, morph] rows '
-                '(lemma and morph may be null)', path, lineno)
-        sentence = Sentence(tuple(
-            Token(i, *row) for i, row in enumerate(rows, 1)))
-        tree = CTree(_node_from_obj(obj['root'], sentence, path, lineno),
-                     sentence)
-        problems = validate(tree)
-        if problems:
-            raise TreebankFormatError(
-                f'malformed tree: {problems[0]}', path, lineno)
-        trees.append(tree)
-    return trees
+    """Parse one tree per non-blank line; returns CTrees."""
+    return [parse_json(unit, path) for unit in split_lines(source)]

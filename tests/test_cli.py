@@ -576,6 +576,92 @@ def test_jobs_name_the_first_of_two_failing_sentences(tmp_path, capsys):
     assert parallel == serial
 
 
+# --- convert error precedence at any --jobs ---------------------------------
+# read errors first, in file order; then encoding errors; then CoNLL
+# refusals; the workers read, so the order must not depend on --jobs
+
+def _convert_at_each_jobs(tmp_path, capsys, *argv):
+    """(code, stdout, stderr) of convert argv, the same at --jobs 1, 2, 4."""
+    runs = [_run(capsys, 'convert', *argv, '--jobs', jobs,
+                 '-o', str(tmp_path / 'out.conll'))
+            for jobs in ('1', '2', '4')]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert not (tmp_path / 'out.conll').exists()
+    return runs[0]
+
+
+def _trees(n, discontinuous=()):
+    """n six-token trees; those numbered in `discontinuous` (from 1)
+    cannot be delta-encoded."""
+    cont = GenConfig(seed=3)
+    disc = GenConfig(seed=3, discontinuity_probability=1.0)
+    return [gen_ctree(disc if i in discontinuous else cont, 6, index=i)
+            for i in range(1, n + 1)]
+
+
+def _with_form(trees, i, form):
+    """trees with the first form of tree i (from 1) replaced."""
+    tree = trees[i - 1]
+    tokens = (Token(1, form, tree.sentence.tokens[0].pos),
+              *tree.sentence.tokens[1:])
+    return trees[:i - 1] + [CTree(tree.root, Sentence(tokens))] + trees[i:]
+
+
+def test_convert_reads_a_block_fault_before_a_later_unterminated_bos(
+        tmp_path, capsys):
+    lines = write_export(_trees(5)).split('\n')
+    bad = lines.index('#BOS 3') + 1          # block 3's first token
+    lines[bad] = lines[bad].rsplit('\t', 1)[0] + '\t777'
+    bank = tmp_path / 'dangling.export'
+    bank.write_text('\n'.join(lines) + '#BOS 6\nw1\tX\t--\t--\t0\n')
+    assert _convert_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', f'error: {bank}:{bad + 1}: dangling parent pointer 777\n')
+
+
+def test_convert_read_fault_beats_an_earlier_encoding_error(
+        tmp_path, capsys):
+    lines = write_export(_trees(6, discontinuous=(2,))).split('\n')
+    short = lines.index('#BOS 5') + 1
+    lines.insert(short, 'short\tX')
+    bank = tmp_path / 'short.export'
+    bank.write_text('\n'.join(lines))
+    assert _convert_at_each_jobs(
+        tmp_path, capsys, '-i', str(bank), '--encoding', 'delta') == (
+        1, '', f'error: {bank}:{short + 1}: short token line\n')
+
+
+def test_convert_encoding_error_beats_an_earlier_conll_refusal(
+        tmp_path, capsys):
+    trees = _with_form(_trees(6, discontinuous=(4,)), 2, 'a\tb')
+    bank = tmp_path / 'tab.json'
+    bank.write_text(write_json_corpus(trees))
+    assert _convert_at_each_jobs(
+        tmp_path, capsys, '-i', str(bank), '--encoding', 'delta') == (
+        1, '', 'error: sentence 4: delta encoding needs a projective and '
+               'nested tree\n')
+
+
+@pytest.mark.parametrize('fmt, write, breaks', [
+    ('brackets', write_bracketed, 'unbalanced )'),
+    ('json', write_json_corpus, 'bad json: '),
+])
+def test_convert_read_fault_on_line_9_beats_the_later_steps(
+        tmp_path, capsys, fmt, write, breaks):
+    trees = _trees(12)
+    if fmt == 'json':
+        # json can also carry a delta encoding error (tree 4) and a form
+        # the CoNLL writer refuses (tree 2)
+        trees = _with_form(_trees(12, discontinuous=(4,)), 2, 'a\tb')
+    lines = write(trees).split('\n')
+    lines[8] += ')' if fmt == 'brackets' else ']'
+    bank = tmp_path / f'line9.{fmt}'
+    bank.write_text('\n'.join(lines))
+    code, out, err = _convert_at_each_jobs(
+        tmp_path, capsys, '-i', str(bank), '--encoding', 'delta')
+    assert (code, out) == (1, '')
+    assert err.startswith(f'error: {bank}:9: {breaks}')
+
+
 def test_parse_jobs_continuous_identical(tmp_path, toy_file, capsys):
     bundle = _train(tmp_path, capsys, toy_file)
     code, out, _ = _run(capsys, 'convert', '-i', toy_file,

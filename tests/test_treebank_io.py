@@ -230,6 +230,27 @@ def test_export_errors():
         read_export('#BOS 1\n#BOS 2\n#EOS 2\n')
 
 
+def test_export_rejects_a_format_line_inside_a_block():
+    # each block is read under one version: the #FORMAT line is refused
+    # where it stands, not obeyed for the lines above it
+    text = '\n'.join([
+        '#BOS 1', 'the\tDT\t--\t--\t500', '#FORMAT 4',
+        'dog\tdog\tNN\t--\t--\t500', '#500\t--\tNP\t--\t--\t0',
+        '#EOS 1'])
+    with pytest.raises(TreebankFormatError) as err:
+        read_export(text, 'f.ex')
+    assert str(err.value) == 'f.ex:3: #FORMAT inside a #BOS block'
+    assert err.value.line == 3
+
+
+def test_export_reports_a_block_fault_before_a_later_structural_one():
+    # block 1 is read before the unterminated #BOS after it is seen
+    text = '#BOS 1\na\tX\t--\t--\t777\n#EOS 1\n#BOS 2\nb\tX\t--\t--\t0\n'
+    with pytest.raises(TreebankFormatError) as err:
+        read_export(text, 'f.ex')
+    assert str(err.value) == 'f.ex:2: dangling parent pointer 777'
+
+
 def test_export_rejects_a_cycle_beside_the_top():
     # the cycle is attached to nothing, so a reader that only walks down
     # from the top used to drop it, token included, without a word
