@@ -27,9 +27,16 @@ of the sentence read as "<none>"):
 Each template is emitted twice: plain, and conjoined with the attachment
 direction plus the binned distance |h - m| (bins 1,2,3,4,5,6-10,>10), so
 every arc yields exactly 34 features.
-"""
 
-import itertools
+featurize_arc builds the 34 strings of one arc and is the reference.
+arc_index_table builds the strings of all n^2 candidate arcs through
+arc_features, which builds each string once: every template's value is
+an integer code over numpy (h, m) grids, from per-sentence ids of each
+position's form, POS and neighbouring POS, and only the first arc of
+each distinct code is rendered.  At n = 40, about 16k of the 54,400
+strings are distinct.  The labeler gets its arc strings from
+arc_features too.
+"""
 
 import numpy as np
 
@@ -53,7 +60,11 @@ def _distance_bin(d):
 
 
 def featurize_arc(sentence, h, m):
-    """The 34 feature strings of candidate arc h -> m."""
+    """The 34 feature strings of candidate arc h -> m, one arc at a time.
+
+    This is the reference definition of the templates: arc_features
+    builds the same strings for many arcs at once, and the tests hold it
+    to this function."""
     n = len(sentence)
 
     def pos_at(i):
@@ -92,20 +103,118 @@ def featurize_arc(sentence, h, m):
     return list(base) + [f + '/' + ctx for f in base]
 
 
+# Templates 1-16 as (prefix, head part, modifier part).  A part is a
+# string of each position (0 is the virtual root), by its index in
+# _PARTS: form, POS, form and POS, POS and next POS, previous POS and
+# POS; part 0 is empty.  Template 17 (btw) is built from the arc's span.
+_PARTS = (None, 'f', 'p', 'fp', 'pn', 'vp')
+_TEMPLATES = (
+    ('b', None, None),
+    ('hf:', 'f', None), ('hp:', 'p', None), ('hfp:', 'fp', None),
+    ('mf:', None, 'f'), ('mp:', None, 'p'), ('mfp:', None, 'fp'),
+    ('hp,mp:', 'p', 'p'), ('hf,mf:', 'f', 'f'), ('hp,mf:', 'p', 'f'),
+    ('hf,mp:', 'f', 'p'), ('hfp,mfp:', 'fp', 'fp'),
+    ('ctx1:', 'pn', 'vp'), ('ctx2:', 'vp', 'vp'),
+    ('ctx3:', 'pn', 'pn'), ('ctx4:', 'vp', 'pn'),
+)
+_HEAD_PART = np.array([_PARTS.index(head) for _, head, _ in _TEMPLATES])
+_MOD_PART = np.array([_PARTS.index(mod) for _, _, mod in _TEMPLATES])
+_PLAIN_TEMPLATES = len(_TEMPLATES) + 1
+_CTX_KEYS = 16  # direction x distance bin: 14 keys, and offset 0 (unused)
+
+
+def _intern(strings, ids):
+    """The id of each string in ids, new strings numbered on."""
+    return [ids.setdefault(s, len(ids)) for s in strings]
+
+
+def arc_features(sentence, heads, mods):
+    """The feature strings of the arcs heads[i] -> mods[i], each built
+    once: (texts, rows), where texts[rows[i, k]] is
+    featurize_arc(sentence, heads[i], mods[i])[k].
+
+    The parts of every position are interned once per sentence.  Each
+    plain template then gets an integer code per arc, offset by its
+    template number, from the ids of its head and modifier parts (btw
+    from the arc's (lo, hi) span), so that equal codes render equal
+    strings; the code of a /ctx template is its plain code times 16 plus
+    the direction and distance key.  One np.unique call over the codes of
+    all 34 templates finds the distinct codes.  The string of each
+    distinct plain code is built once, from its first arc, and that of
+    each distinct /ctx code from its plain code's string.  Two codes can
+    still render the same string (two spans with the same POS between
+    them, a form with a space in it or one ending in '/R1'), so texts
+    may repeat."""
+    n = len(sentence)
+    k = n + 1
+    form = [ROOT_TOKEN] + [t.form for t in sentence]
+    pos = [ROOT_TOKEN] + [t.pos for t in sentence]
+    padded = [NONE_TOKEN] + pos[1:] + [NONE_TOKEN]  # the POS at 0..n+1
+    prev = [NONE_TOKEN] + padded[:n]
+    after = [NONE_TOKEN] + padded[2:]
+    parts = [[''] * k, form, pos,
+             [f + ' ' + p for f, p in zip(form, pos)],
+             [p + ' ' + a for p, a in zip(pos, after)],
+             [v + ' ' + p for v, p in zip(prev, pos)]]
+    spaced = [[s + ' ' for s in strings] for strings in parts]
+    # the /ctx suffix of an arc, by modifier - head + n
+    suffix_ids = {}
+    suffix = _intern([
+        '/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
+        for d in range(-n, n + 1)], suffix_ids)
+    suffixes = list(suffix_ids)
+
+    heads = np.asarray(heads, dtype=np.intp)
+    mods = np.asarray(mods, dtype=np.intp)
+    ids = np.array([_intern(strings, {}) for strings in parts],
+                   dtype=np.int64)
+    codes = np.empty((2, _PLAIN_TEMPLATES, len(heads)), dtype=np.int64)
+    plain = codes[0]
+    plain[:-1] = ids[_HEAD_PART[:, None], heads] * k
+    plain[:-1] += ids[_MOD_PART[:, None], mods]
+    plain[-1] = np.minimum(heads, mods) * k + np.maximum(heads, mods)
+    plain += (np.arange(_PLAIN_TEMPLATES) * k * k)[:, None]
+    ctx_base = _PLAIN_TEMPLATES * k * k  # above every plain code
+    np.multiply(plain, _CTX_KEYS, out=codes[1])
+    codes[1] += np.array(suffix)[mods - heads + n] + ctx_base
+    distinct, first, inverse = np.unique(
+        codes, return_index=True, return_inverse=True)
+    bounds = np.searchsorted(
+        distinct, np.arange(_PLAIN_TEMPLATES + 1) * k * k).tolist()
+    arc = first[:bounds[-1]] % max(len(heads), 1)
+    first_heads, first_mods = heads[arc].tolist(), mods[arc].tolist()
+
+    texts = []
+    for t, (prefix, head, mod) in enumerate(_TEMPLATES):
+        hs = (spaced if head and mod else parts)[_HEAD_PART[t]]
+        ms = parts[_MOD_PART[t]]
+        span = slice(bounds[t], bounds[t + 1])
+        texts += [prefix + hs[h] + ms[m]
+                  for h, m in zip(first_heads[span], first_mods[span])]
+    span = slice(bounds[-2], bounds[-1])
+    texts += ['btw:' + ' '.join(pos[min(h, m) + 1:max(h, m)])
+              for h, m in zip(first_heads[span], first_mods[span])]
+    plain_code, key = np.divmod(distinct[bounds[-1]:] - ctx_base, _CTX_KEYS)
+    row = np.searchsorted(distinct[:bounds[-1]], plain_code)
+    texts += [texts[i] + suffixes[j]
+              for i, j in zip(row.tolist(), key.tolist())]
+    return texts, inverse.reshape(FEATURES_PER_ARC, -1).T
+
+
 def arc_index_table(model, sentence):
     """Weight indices (model.indices) of every candidate arc, shape
     (n+1, n+1, 34); entry [h, m] covers arc h -> m.  The diagonal and the
-    m = 0 column are left at zero and must not be read.  The strings of
-    all arcs go through one hash_distinct call, and each distinct digest
-    is looked up once."""
+    m = 0 column are left at zero and must not be read.  arc_features
+    builds each distinct string code once; those strings go through one
+    hash_distinct call, and each distinct digest is looked up once."""
     n = len(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
-    arcs = [(h, m) for m in range(1, n + 1) for h in range(n + 1) if h != m]
-    digests, rows = hash_distinct(itertools.chain.from_iterable(
-        featurize_arc(sentence, h, m) for h, m in arcs))
-    heads, mods = np.array(arcs, dtype=np.intp).reshape(-1, 2).T
-    table[heads, mods] = model.indices(digests)[rows].reshape(
-        -1, FEATURES_PER_ARC)
+    heads, mods = np.nonzero(np.arange(n + 1)[:, None]
+                             != np.arange(1, n + 1))
+    mods += 1
+    texts, rows = arc_features(sentence, heads, mods)
+    digests, slots = hash_distinct(texts)
+    table[heads, mods] = model.indices(digests)[slots][rows]
     return table
 
 

@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .baseline_parser import FEATURES_PER_ARC, ROOT_TOKEN, featurize_arc
+from .baseline_parser import ROOT_TOKEN, arc_features
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
@@ -57,28 +57,28 @@ def _chain_tables(model, sentence, heads, n_labels):
     """(chain, unary, pair) for every chain of a tree, in _chains order,
     with the chain's weight indices (model.indices): unary (T, K, 34)
     and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.  The
-    arc and pairwise strings of all chains go through one hash_distinct
-    call; the tables of the chains are slices of two sentence tables."""
+    arc strings of the tree's arcs come from arc_features, as the
+    parser's do; they and the pairwise strings of all chains go through
+    one hash_distinct call.  The tables of the chains are slices of two
+    sentence tables."""
     chains = _chains(sentence, heads)
-    arcs = [(h, m) for h, chain in chains for m in chain]
+    arcs = np.array([(h, m) for h, chain in chains for m in chain],
+                    dtype=np.intp).reshape(-1, 2)
     pairs = [(h, chain[t - 1], chain[t])
              for h, chain in chains for t in range(1, len(chain))]
-    digests, rows = hash_distinct(itertools.chain.from_iterable(
-        itertools.chain(
-            (featurize_arc(sentence, h, m) for h, m in arcs),
-            (featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs))))
-    hashes = digests[rows]
-    split = len(arcs) * FEATURES_PER_ARC
-    unary = model.indices(conjoin_grid(
-        hashes[:split].reshape(len(arcs), FEATURES_PER_ARC),
-        range(n_labels)))
+    texts, rows = arc_features(sentence, arcs[:, 0], arcs[:, 1])
+    digests, slots = hash_distinct(itertools.chain(
+        texts, itertools.chain.from_iterable(
+            featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs)))
+    hashes = digests[slots]
+    unary = model.indices(conjoin_grid(hashes[rows], range(n_labels)))
     pair = np.zeros((len(arcs), n_labels * n_labels, PAIR_FEATURES),
                     dtype=np.intp)
     starts = np.cumsum([0] + [len(chain) for _, chain in chains])
     later = np.ones(len(arcs), dtype=bool)
     later[starts[:-1]] = False
     pair[later] = model.indices(conjoin_grid(
-        hashes[split:].reshape(len(pairs), PAIR_FEATURES),
+        hashes[len(texts):].reshape(len(pairs), PAIR_FEATURES),
         range(n_labels * n_labels)))
     return [(chain, unary[a:b], pair[a:b])
             for (_, chain), a, b in zip(chains, starts, starts[1:])]

@@ -9,9 +9,13 @@ the training loop never materializes feature names.
 Many feature strings repeat within a sentence (the bias, every template
 of a fixed head or modifier, the POS-only and between-POS templates), so
 each learner hashes a sentence's strings through `hash_distinct`, which
-digests each distinct string once.  The digest of a string does not
+digests each distinct string once.  The arc templates build few
+repeats in the first place: `baseline_parser.arc_features` renders one
+string per distinct template code, and `hash_distinct` merges the codes
+that render the same string.  The digest of a string does not
 depend on how many times it is met, so weights and outputs are the same
-as hashing every string.
+as hashing every string.  `hash_features` appends the digests to one
+buffer and reads it as little-endian uint64.
 
 A model is dense only while it trains: a fresh LinearModel holds one
 float per masked index (32 MiB at the default 22 bits), and `indices`
@@ -52,11 +56,16 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 def hash_features(texts):
     """uint64 array of digests for a list of feature strings: the first
-    8 bytes of each string's blake2b digest, read little-endian."""
-    return np.fromiter(
-        (int.from_bytes(blake2b(text.encode('utf-8'), digest_size=8).digest(),
-                        'little') for text in texts),
-        dtype=np.uint64, count=len(texts))
+    8 bytes of each string's blake2b digest, read little-endian.
+
+    The digests go into one growing buffer: b''.join of a list would
+    hold a transient array of 80 bytes per string, which at 15k strings
+    is large enough to move glibc's mmap threshold above an arc table,
+    and later tables would then stay on the heap."""
+    digests = bytearray()
+    for text in texts:
+        digests += blake2b(text.encode('utf-8'), digest_size=8).digest()
+    return np.frombuffer(digests, dtype='<u8').astype(np.uint64)
 
 
 def feature_hash(text):

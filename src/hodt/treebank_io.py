@@ -313,8 +313,9 @@ def split_export(source, path=None):
     between); raises at the first fault outside the blocks.  The version
     is 3, or 4 after a ``#FORMAT 4`` line.
 
-    Outside the #BOS..#EOS blocks only blank lines, #FORMAT lines, %%
-    comments and #BOT..#EOT header tables may appear.
+    Outside the #BOS..#EOS blocks only blank lines, ``#FORMAT 3`` and
+    ``#FORMAT 4`` lines, %% comments and #BOT..#EOT header tables may
+    appear.
     """
     lines = list(_lines_of(source))
     bos_line = None     # line of the open #BOS
@@ -333,8 +334,11 @@ def split_export(source, path=None):
                 raise TreebankFormatError(
                     '#FORMAT inside a #BOS block', path, lineno)
             parts = stripped.split()
-            if len(parts) == 2 and parts[1] in ('3', '4'):
-                version = int(parts[1])
+            if parts not in (['#FORMAT', '3'], ['#FORMAT', '4']):
+                raise TreebankFormatError(
+                    f'expected #FORMAT 3 or #FORMAT 4, got {stripped[:30]!r}',
+                    path, lineno)
+            version = int(parts[1])
             continue
         if bos_line is None and stripped.startswith('%%'):
             continue

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodt import perceptron
 from hodt.baseline_parser import (FEATURES_PER_ARC, arc_index_table,
@@ -143,3 +144,40 @@ def test_arc_index_table_hashes_each_distinct_string_once(monkeypatch):
     (hashed,) = calls
     assert sorted(hashed) == sorted(set(every))
     assert len(hashed) < len(every)
+
+
+# few atoms, so that parts repeat; with spaces and '/', so that different
+# parts can join into the same string; and the sentinels as words
+ATOMS = st.sampled_from(
+    ['a', 'b', 'c', 'a b', 'b c', '/', 'a/R1', '<root>', '<none>'])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(ATOMS, ATOMS), max_size=14))
+def test_arc_index_table_matches_per_arc_hashing_on_random_sentences(words):
+    # up to 14 tokens, so that the >10 distance bin is reached
+    model = LinearModel(dim_bits=20)
+    sentence = make_sentence(*words)
+    assert np.array_equal(arc_index_table(model, sentence),
+                          _reference_arc_table(model, sentence))
+
+
+def test_arc_index_table_hashes_a_string_of_two_codes_once(monkeypatch):
+    # 'a b' + 'c' and 'a' + 'b c' are different head and modifier forms
+    # that render the same 'hf,mf:a b c'
+    sentence = make_sentence(('a b', 'X'), ('c', 'Y'), ('a', 'Z'),
+                             ('b c', 'W'))
+    assert featurize_arc(sentence, 1, 2)[8] == 'hf,mf:a b c'
+    assert featurize_arc(sentence, 3, 4)[8] == 'hf,mf:a b c'
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+    model = LinearModel(dim_bits=20)
+    table = arc_index_table(model, sentence)
+    (hashed,) = calls
+    assert len(hashed) == len(set(hashed))
+    assert 'hf,mf:a b c' in hashed and 'hf,mf:a b c/R1' in hashed
+    monkeypatch.undo()
+    assert np.array_equal(table, _reference_arc_table(model, sentence))

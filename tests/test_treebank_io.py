@@ -243,6 +243,27 @@ def test_export_rejects_a_format_line_inside_a_block():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize('line', [
+    '#FORMAT4', '#FORMAT 5', '#FORMAT', '#FORMAT 4 x', '#FORMATS 4'])
+def test_export_rejects_a_bad_format_line(line):
+    # skipping the line would read the format-4 block after it as format
+    # 3, and blame a valid token line
+    text = '\n'.join([
+        '%% header', line, '#BOS 1', 'dog\tdog\tNN\t--\t--\t0', '#EOS 1'])
+    with pytest.raises(TreebankFormatError) as err:
+        read_export(text, 'f4.ex')
+    assert str(err.value) == (
+        f'f4.ex:2: expected #FORMAT 3 or #FORMAT 4, got {line!r}')
+    assert err.value.line == 2
+
+
+def test_export_format_line_may_have_surrounding_blanks():
+    block = '#BOS 1\ndog\tdog\tNN\t--\t--\t0\n#EOS 1\n'
+    (raw,) = read_export(' #FORMAT  4 \n' + block)
+    (token,) = raw.children
+    assert (token.form, token.lemma, token.pos) == ('dog', 'dog', 'NN')
+
+
 def test_export_reports_a_block_fault_before_a_later_structural_one():
     # block 1 is read before the unterminated #BOS after it is seen
     text = '#BOS 1\na\tX\t--\t--\t777\n#EOS 1\n#BOS 2\nb\tX\t--\t--\t0\n'
