@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ToolkitError
 from .kernels import cle_decode, eisner_decode
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, hash_distinct
+from .perceptron import DIM_BITS, LinearModel
 
 ROOT_TOKEN = '<root>'
 NONE_TOKEN = '<none>'
@@ -206,15 +206,16 @@ def arc_index_table(model, sentence):
     (n+1, n+1, 34); entry [h, m] covers arc h -> m.  The diagonal and the
     m = 0 column are left at zero and must not be read.  arc_features
     builds each distinct string code once; those strings go through one
-    hash_distinct call, and each distinct digest is looked up once."""
+    hash_features call with no dedupe (about 2.5% of them repeat at
+    n = 40, too few to pay for a dict), and each code's digest is looked
+    up once."""
     n = len(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
     heads, mods = np.nonzero(np.arange(n + 1)[:, None]
                              != np.arange(1, n + 1))
     mods += 1
     texts, rows = arc_features(sentence, heads, mods)
-    digests, slots = hash_distinct(texts)
-    table[heads, mods] = model.indices(digests)[slots][rows]
+    table[heads, mods] = model.indices(perceptron.hash_features(texts))[rows]
     return table
 
 

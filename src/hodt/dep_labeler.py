@@ -13,15 +13,13 @@ like any others.
 Ties break toward the first label in the sorted alphabet.
 """
 
-import itertools
-
 import numpy as np
 
 from .baseline_parser import ROOT_TOKEN, arc_features
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid
 from .trees import DTree, validate
 
 PAIR_FEATURES = 4
@@ -50,7 +48,7 @@ def _chains(sentence, heads):
     by_head = {}
     for m, h in enumerate(heads, 1):
         by_head.setdefault(h, []).append(m)
-    return [(h, sorted(ms)) for h, ms in sorted(by_head.items())]
+    return sorted(by_head.items())
 
 
 def _chain_tables(model, sentence, heads, n_labels):
@@ -59,18 +57,17 @@ def _chain_tables(model, sentence, heads, n_labels):
     and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.  The
     arc strings of the tree's arcs come from arc_features, as the
     parser's do; they and the pairwise strings of all chains go through
-    one hash_distinct call.  The tables of the chains are slices of two
-    sentence tables."""
+    one hash_features call, with no dedupe.  The tables of the chains are
+    slices of two sentence tables."""
     chains = _chains(sentence, heads)
     arcs = np.array([(h, m) for h, chain in chains for m in chain],
                     dtype=np.intp).reshape(-1, 2)
     pairs = [(h, chain[t - 1], chain[t])
              for h, chain in chains for t in range(1, len(chain))]
     texts, rows = arc_features(sentence, arcs[:, 0], arcs[:, 1])
-    digests, slots = hash_distinct(itertools.chain(
-        texts, itertools.chain.from_iterable(
-            featurize_pairwise(sentence, h, m, m2) for h, m, m2 in pairs)))
-    hashes = digests[slots]
+    hashes = perceptron.hash_features(texts + [
+        text for h, m, m2 in pairs
+        for text in featurize_pairwise(sentence, h, m, m2)])
     unary = model.indices(conjoin_grid(hashes[rows], range(n_labels)))
     pair = np.zeros((len(arcs), n_labels * n_labels, PAIR_FEATURES),
                     dtype=np.intp)

@@ -7,15 +7,17 @@ splitmix64 round.  No vocabulary is stored: collisions are accepted and
 the training loop never materializes feature names.
 
 Many feature strings repeat within a sentence (the bias, every template
-of a fixed head or modifier, the POS-only and between-POS templates), so
-each learner hashes a sentence's strings through `hash_distinct`, which
-digests each distinct string once.  The arc templates build few
-repeats in the first place: `baseline_parser.arc_features` renders one
-string per distinct template code, and `hash_distinct` merges the codes
-that render the same string.  The digest of a string does not
-depend on how many times it is met, so weights and outputs are the same
-as hashing every string.  `hash_features` appends the digests to one
-buffer and reads it as little-endian uint64.
+of a fixed head or modifier, the POS-only and between-POS templates).
+The arc templates build few repeats in the first place:
+`baseline_parser.arc_features` renders one string per distinct template
+code, and only about 2.5% of those strings repeat (spans with the same
+POS between them), so the parser and the labeler pass them straight to
+`hash_features`.  The unary restorer, which hashes a whole training
+corpus in one call, goes through `hash_distinct`, which digests each
+distinct string once.  The digest of a string does not depend on how
+many times it is met, so weights and outputs are the same either way.
+`hash_features` copies one blake2b state per string, appends the
+digests to one buffer and reads it as little-endian uint64.
 
 A model is dense only while it trains: a fresh LinearModel holds one
 float per masked index (32 MiB at the default 22 bits), and `indices`
@@ -54,17 +56,25 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
-def hash_features(texts):
-    """uint64 array of digests for a list of feature strings: the first
-    8 bytes of each string's blake2b digest, read little-endian.
+# the empty 8-byte blake2b state; each digest starts from a copy of it,
+# which is cheaper than building (and parsing the arguments of) a new one
+_BLAKE2B_8 = blake2b(digest_size=8)
 
+
+def hash_features(texts):
+    """uint64 array of digests for a list of feature strings: the 8-byte
+    blake2b digest of each string's UTF-8, read little-endian.
+
+    Each digest updates a copy of _BLAKE2B_8, never the template itself.
     The digests go into one growing buffer: b''.join of a list would
     hold a transient array of 80 bytes per string, which at 15k strings
     is large enough to move glibc's mmap threshold above an arc table,
     and later tables would then stay on the heap."""
     digests = bytearray()
     for text in texts:
-        digests += blake2b(text.encode('utf-8'), digest_size=8).digest()
+        state = _BLAKE2B_8.copy()
+        state.update(text.encode('utf-8'))
+        digests += state.digest()
     return np.frombuffer(digests, dtype='<u8').astype(np.uint64)
 
 
@@ -77,7 +87,11 @@ def hash_distinct(texts):
     """(digests, rows) for an iterable of feature strings: the
     hash_features of each distinct string, in order of first appearance,
     and for each input string the row of its digest, so that
-    digests[rows] is hash_features of the input."""
+    digests[rows] is hash_features of the input.
+
+    Used by the unary restorer, whose training corpus repeats most
+    strings.  On the arc strings, which are nearly distinct already, the
+    dict costs more than it saves."""
     slot = {}
     rows = np.fromiter((slot.setdefault(text, len(slot)) for text in texts),
                        dtype=np.intp)

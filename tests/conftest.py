@@ -7,6 +7,7 @@ conversion, encoding and acceptance tests.
 
 import pytest
 
+from hodt import baseline_parser, dep_labeler, perceptron
 from hodt.corpus_gen import TOY_HEAD_RULES
 from hodt.headrules import load_rules
 from hodt.trees import CTree, Sentence, Token, preterminal, proper
@@ -76,6 +77,26 @@ def german_tree():
 @pytest.fixture(scope='session')
 def toy_rules():
     return load_rules(TOY_HEAD_RULES.splitlines())
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """The strings of each perceptron.hash_features call, in order.
+    hash_distinct, the unary restorer's dedupe path, raises if the
+    parser or the labeler calls it."""
+    calls = []
+    real = perceptron.hash_features
+    monkeypatch.setattr(perceptron, 'hash_features',
+                        lambda texts: calls.append(list(texts))
+                        or real(texts))
+
+    def no_dedupe(texts):
+        raise AssertionError('hash_distinct called')
+    monkeypatch.setattr(perceptron, 'hash_distinct', no_dedupe)
+    for module in (baseline_parser, dep_labeler):
+        monkeypatch.setattr(module, 'hash_distinct', no_dedupe,
+                            raising=False)
+    return calls
 
 
 def arc_set(dtree):

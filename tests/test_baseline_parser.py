@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodt import perceptron
-from hodt.baseline_parser import (FEATURES_PER_ARC, arc_index_table,
-                                  featurize_arc, parse_heads,
-                                  train_unlabeled)
+from hodt.baseline_parser import (FEATURES_PER_ARC, arc_features,
+                                  arc_index_table, featurize_arc,
+                                  parse_heads, train_unlabeled)
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
 from hodt.errors import ToolkitError
@@ -131,19 +130,18 @@ def test_arc_index_table_matches_per_arc_hashing(kind):
         assert np.array_equal(table, _reference_arc_table(model, sentence))
 
 
-def test_arc_index_table_hashes_each_distinct_string_once(monkeypatch):
+def test_arc_index_table_hashes_each_distinct_code_once(hash_calls):
     sentence = gen_ctree(GenConfig(seed=4), 12).sentence
-    calls = []
-    real = perceptron.hash_features
-    monkeypatch.setattr(perceptron, 'hash_features',
-                        lambda texts: calls.append(list(texts))
-                        or real(texts))
+    arcs = [(h, m) for h in range(13) for m in range(1, 13) if h != m]
+    texts, _ = arc_features(sentence, *zip(*arcs))
     arc_index_table(LinearModel(), sentence)
-    every = [f for m in range(1, 13) for h in range(13) if h != m
-             for f in featurize_arc(sentence, h, m)]
-    (hashed,) = calls
-    assert sorted(hashed) == sorted(set(every))
-    assert len(hashed) < len(every)
+    every = [f for h, m in arcs for f in featurize_arc(sentence, h, m)]
+    # one call, with one string per distinct code: a string that two
+    # codes render is hashed twice, every other string once
+    (hashed,) = hash_calls
+    assert hashed == texts
+    assert set(hashed) == set(every)
+    assert len(set(hashed)) <= len(hashed) < len(every)
 
 
 # few atoms, so that parts repeat; with spaces and '/', so that different
@@ -162,22 +160,16 @@ def test_arc_index_table_matches_per_arc_hashing_on_random_sentences(words):
                           _reference_arc_table(model, sentence))
 
 
-def test_arc_index_table_hashes_a_string_of_two_codes_once(monkeypatch):
+def test_arc_index_table_hashes_a_string_of_two_codes_twice(hash_calls):
     # 'a b' + 'c' and 'a' + 'b c' are different head and modifier forms
     # that render the same 'hf,mf:a b c'
     sentence = make_sentence(('a b', 'X'), ('c', 'Y'), ('a', 'Z'),
                              ('b c', 'W'))
     assert featurize_arc(sentence, 1, 2)[8] == 'hf,mf:a b c'
     assert featurize_arc(sentence, 3, 4)[8] == 'hf,mf:a b c'
-    calls = []
-    real = perceptron.hash_features
-    monkeypatch.setattr(perceptron, 'hash_features',
-                        lambda texts: calls.append(list(texts))
-                        or real(texts))
     model = LinearModel(dim_bits=20)
     table = arc_index_table(model, sentence)
-    (hashed,) = calls
-    assert len(hashed) == len(set(hashed))
-    assert 'hf,mf:a b c' in hashed and 'hf,mf:a b c/R1' in hashed
-    monkeypatch.undo()
+    (hashed,) = hash_calls
+    assert hashed.count('hf,mf:a b c') == 2
+    assert hashed.count('hf,mf:a b c/R1') == 2
     assert np.array_equal(table, _reference_arc_table(model, sentence))

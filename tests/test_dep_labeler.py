@@ -3,8 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hodt import perceptron
-from hodt.baseline_parser import featurize_arc
+from hodt.baseline_parser import arc_features, featurize_arc
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import (_chain_tables, _chains, featurize_pairwise,
                               label_tree, train_labeler)
@@ -162,19 +161,18 @@ def test_chain_tables_match_per_chain_hashing(kind):
                 assert np.array_equal(pair, ref_pair)
 
 
-def test_chain_tables_hash_each_distinct_string_once(monkeypatch):
+def test_chain_tables_hash_arc_and_pair_strings_in_one_call(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
-    calls = []
-    real = perceptron.hash_features
-    monkeypatch.setattr(perceptron, 'hash_features',
-                        lambda texts: calls.append(list(texts))
-                        or real(texts))
+    chains = _chains(enc.sentence, enc.heads)
+    arcs = [(h, m) for h, chain in chains for m in chain]
+    texts, _ = arc_features(enc.sentence, *zip(*arcs))
+    pairwise = [f for h, chain in chains for m, m2 in zip(chain, chain[1:])
+                for f in featurize_pairwise(enc.sentence, h, m, m2)]
     _chain_tables(LinearModel(), enc.sentence, enc.heads, 2)
-    every = []
-    for h, chain in _chains(enc.sentence, enc.heads):
-        for t, m in enumerate(chain):
-            every += featurize_arc(enc.sentence, h, m)
-            if t:
-                every += featurize_pairwise(enc.sentence, h, chain[t - 1], m)
-    (hashed,) = calls
-    assert sorted(hashed) == sorted(set(every))
+    every = [f for h, m in arcs for f in featurize_arc(enc.sentence, h, m)]
+    # one call: one arc string per distinct code, then every pairwise
+    # string, repeats included
+    (hashed,) = hash_calls
+    assert hashed == texts + pairwise
+    assert set(hashed[:len(texts)]) == set(every)
+    assert len(texts) < len(every)

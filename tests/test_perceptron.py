@@ -39,13 +39,21 @@ def test_hash_features_vectorized_matches_scalar():
 
 
 def test_hash_features_is_the_blake2b_digest():
-    feats = ['b', 'hp:VBZ', 'mf:Straße', '']
+    # one blake2b block is 128 bytes: strings of exactly one block and of
+    # more, an astral-plane character (four UTF-8 bytes) and the empty
+    # string hold the copied state to a freshly built one
+    feats = ['b', 'hp:VBZ', 'mf:Straße', '', 'x' * 128, 'é' * 64,
+             'x' * 129, 'btw:' + 'NN ' * 100, 'mf:𝔘']
+    assert [len(f.encode('utf-8')) for f in feats[4:7]] == [128, 128, 129]
     want = [int.from_bytes(hashlib.blake2b(f.encode('utf-8'),
                                            digest_size=8).digest(), 'little')
             for f in feats]
     assert [int(x) for x in hash_features(feats)] == want
     assert hash_features([]).dtype == np.uint64
     assert hash_features([]).shape == (0,)
+    # a long call must leave the shared empty state untouched
+    hash_features(['f%d' % i for i in range(5000)])
+    assert feature_hash('b') == 8453121595177857668
 
 
 def test_hash_distinct_matches_hash_features():
