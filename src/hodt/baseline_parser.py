@@ -34,8 +34,11 @@ arc_features, which builds each string once: every template's value is
 an integer code over numpy (h, m) grids, from per-sentence ids of each
 position's form, POS and neighbouring POS, and only the first arc of
 each distinct code is rendered.  At n = 40, about 16k of the 54,400
-strings are distinct.  The labeler gets its arc strings from
-arc_features too.
+strings are distinct.  arc_index_table is the only place a parsed
+sentence is featurized: parse_heads hands the digests of the chosen
+arcs to the labeler, which conjoins its labels onto them.  In training
+the labeler gets each gold tree's digests from tree_arc_digests, which
+runs arc_features over that tree's n arcs.
 """
 
 import numpy as np
@@ -202,21 +205,35 @@ def arc_features(sentence, heads, mods):
 
 
 def arc_index_table(model, sentence):
-    """Weight indices (model.indices) of every candidate arc, shape
-    (n+1, n+1, 34); entry [h, m] covers arc h -> m.  The diagonal and the
-    m = 0 column are left at zero and must not be read.  arc_features
-    builds each distinct string code once; those strings go through one
-    hash_features call with no dedupe (about 2.5% of them repeat at
-    n = 40, too few to pay for a dict), and each code's digest is looked
-    up once."""
+    """(table, digests, rows) of every candidate arc of a sentence.
+
+    table holds the weight indices (model.indices), shape (n+1, n+1, 34);
+    entry [h, m] covers arc h -> m.  The diagonal and the m = 0 column
+    are left at zero and must not be read.  digests and rows are what
+    arc_features and hash_features gave: digests[rows[i]] are the 34
+    digests of the i-th arc in np.nonzero(h != m) order, so arc h -> m
+    is row h*(n-1) + m - (m > h).  arc_features builds each distinct
+    string code once; those strings go through one hash_features call
+    with no dedupe (about 2.5% of them repeat at n = 40, too few to pay
+    for a dict), and each code's digest is looked up once."""
     n = len(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
     heads, mods = np.nonzero(np.arange(n + 1)[:, None]
                              != np.arange(1, n + 1))
     mods += 1
     texts, rows = arc_features(sentence, heads, mods)
-    table[heads, mods] = model.indices(perceptron.hash_features(texts))[rows]
-    return table
+    digests = perceptron.hash_features(texts)
+    table[heads, mods] = model.indices(digests)[rows]
+    return table, digests, rows
+
+
+def tree_arc_digests(sentence, heads):
+    """The (n, 34) uint64 digests of the arcs heads[m-1] -> m of one
+    tree: row m-1 is hash_features(featurize_arc(sentence, heads[m-1],
+    m)), from one arc_features and one hash_features call."""
+    texts, rows = arc_features(sentence, heads,
+                               np.arange(1, len(heads) + 1))
+    return perceptron.hash_features(texts)[rows]
 
 
 def score_matrix(model, table):
@@ -252,7 +269,7 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
     model = LinearModel(DIM_BITS, meta={
         'task': 'arcs', 'projective': bool(projective),
         'hash': 'blake2b-64', 'features_per_arc': FEATURES_PER_ARC})
-    examples = [(arc_index_table(model, sentence), gold)
+    examples = [(arc_index_table(model, sentence)[0], gold)
                 for sentence, gold in items]
 
     def mistakes(model, example):
@@ -267,7 +284,12 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
 
 def parse_heads(model, sentence):
     """Decode one sentence with a trained model, projectively or not as
-    the model was trained."""
-    heads, _ = _decode(model, score_matrix(
-        model, arc_index_table(model, sentence)))
-    return heads
+    the model was trained: (heads, arc_digests), where arc_digests is the
+    (n, 34) uint64 digests of the chosen arcs heads[m-1] -> m, taken from
+    the candidate arcs' featurization for the labeler."""
+    table, digests, rows = arc_index_table(model, sentence)
+    heads, _ = _decode(model, score_matrix(model, table))
+    n = len(sentence)
+    mods = np.arange(1, n + 1)
+    chosen = np.asarray(heads, dtype=np.intp)
+    return heads, digests[rows[chosen * (n - 1) + mods - (mods > chosen)]]

@@ -126,7 +126,7 @@ def _write_trees(trees, fmt, path):
     if fmt == 'bracketed':
         return write_bracketed(trees, path)
     if fmt == 'export':
-        return write_export(trees)
+        return write_export(trees, path=path)
     if fmt == 'json':
         return write_json_corpus(trees)
     raise ToolkitError(f'cannot write constituent trees as {fmt!r}')
@@ -395,8 +395,8 @@ def _check_unary_meta(meta):
 
 def _parse_one(sentence, parser_model, labeler_model, unary_model,
                scheme, continuous):
-    heads = parse_heads(parser_model, sentence)
-    enc = label_tree(sentence, heads, labeler_model)
+    heads, arc_digests = parse_heads(parser_model, sentence)
+    enc = label_tree(sentence, heads, labeler_model, arc_digests)
     result = decode(enc, scheme)
     skeleton = DTree(sentence, tuple(enc.heads), result.pairs)
     hodt, repairs = recover_order(skeleton, continuous_mode=continuous)

@@ -10,12 +10,17 @@ pair).  The root word is the single modifier of the virtual root 0 and
 gets its label the same way, so a scheme's root-slot labels are learned
 like any others.
 
+The labeler never featurizes an arc itself: it takes the (n, 34) arc
+digests of a tree, from parse_heads at parse time and from
+baseline_parser.tree_arc_digests in training, conjoins each label onto
+them, and hashes only its pairwise strings.
+
 Ties break toward the first label in the sorted alphabet.
 """
 
 import numpy as np
 
-from .baseline_parser import ROOT_TOKEN, arc_features
+from .baseline_parser import ROOT_TOKEN, tree_arc_digests
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
@@ -51,31 +56,32 @@ def _chains(sentence, heads):
     return sorted(by_head.items())
 
 
-def _chain_tables(model, sentence, heads, n_labels):
+def _chain_tables(model, sentence, heads, n_labels, arc_digests):
     """(chain, unary, pair) for every chain of a tree, in _chains order,
     with the chain's weight indices (model.indices): unary (T, K, 34)
-    and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.  The
-    arc strings of the tree's arcs come from arc_features, as the
-    parser's do; they and the pairwise strings of all chains go through
-    one hash_features call, with no dedupe.  The tables of the chains are
-    slices of two sentence tables."""
+    and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.
+    arc_digests is the (n, 34) digests of the tree's arcs, row m-1 for
+    the arc into m; the labels are conjoined onto them.  The pairwise
+    strings of all chains go through one hash_features call, with no
+    dedupe.  The tables of the chains are slices of two sentence
+    tables."""
     chains = _chains(sentence, heads)
-    arcs = np.array([(h, m) for h, chain in chains for m in chain],
-                    dtype=np.intp).reshape(-1, 2)
+    mods = np.array([m for _, chain in chains for m in chain],
+                    dtype=np.intp)
     pairs = [(h, chain[t - 1], chain[t])
              for h, chain in chains for t in range(1, len(chain))]
-    texts, rows = arc_features(sentence, arcs[:, 0], arcs[:, 1])
-    hashes = perceptron.hash_features(texts + [
+    hashes = perceptron.hash_features([
         text for h, m, m2 in pairs
         for text in featurize_pairwise(sentence, h, m, m2)])
-    unary = model.indices(conjoin_grid(hashes[rows], range(n_labels)))
-    pair = np.zeros((len(arcs), n_labels * n_labels, PAIR_FEATURES),
+    unary = model.indices(conjoin_grid(arc_digests[mods - 1],
+                                       range(n_labels)))
+    pair = np.zeros((len(mods), n_labels * n_labels, PAIR_FEATURES),
                     dtype=np.intp)
     starts = np.cumsum([0] + [len(chain) for _, chain in chains])
-    later = np.ones(len(arcs), dtype=bool)
+    later = np.ones(len(mods), dtype=bool)
     later[starts[:-1]] = False
     pair[later] = model.indices(conjoin_grid(
-        hashes[len(texts):].reshape(len(pairs), PAIR_FEATURES),
+        hashes.reshape(len(pairs), PAIR_FEATURES),
         range(n_labels * n_labels)))
     return [(chain, unary[a:b], pair[a:b])
             for (_, chain), a, b in zip(chains, starts, starts[1:])]
@@ -122,20 +128,23 @@ def train_labeler(corpus, epochs, seed=1):
     examples = [
         [(unary, pair, [label_id[enc.labels[m - 1]] for m in chain])
          for chain, unary, pair in _chain_tables(
-             model, enc.sentence, enc.heads, len(alphabet))]
+             model, enc.sentence, enc.heads, len(alphabet),
+             tree_arc_digests(enc.sentence, enc.heads))]
         for enc in corpus]
     return perceptron.train(model, examples, epochs, seed, _chain_mistakes)
 
 
-def label_tree(sentence, heads, model):
-    """Label every arc of a head vector; returns a DTree of encoded
+def label_tree(sentence, heads, model, arc_digests):
+    """Label every arc of a head vector, given the (n, 34) digests of
+    its arcs that parse_heads returns; returns a DTree of encoded
     labels."""
     alphabet = model.meta.get('labels', [])
     if not alphabet:
         raise ToolkitError('labeler model has an empty alphabet')
     K = len(alphabet)
     out = [None] * len(sentence)
-    for chain, unary, pair in _chain_tables(model, sentence, heads, K):
+    for chain, unary, pair in _chain_tables(model, sentence, heads, K,
+                                            arc_digests):
         path = _decode_chain(model.weights, unary, pair, K)
         for m, k in zip(chain, path):
             out[m - 1] = alphabet[k]

@@ -11,10 +11,10 @@ of a fixed head or modifier, the POS-only and between-POS templates).
 The arc templates build few repeats in the first place:
 `baseline_parser.arc_features` renders one string per distinct template
 code, and only about 2.5% of those strings repeat (spans with the same
-POS between them), so the parser and the labeler pass them straight to
-`hash_features`.  The unary restorer, which hashes a whole training
-corpus in one call, goes through `hash_distinct`, which digests each
-distinct string once.  The digest of a string does not depend on how
+POS between them), so they go straight to `hash_features`; the labeler
+conjoins its labels onto the parser's arc digests.  The unary restorer,
+which hashes a whole training corpus in one call, goes through
+`hash_distinct`, which digests each distinct string once.  The digest of a string does not depend on how
 many times it is met, so weights and outputs are the same either way.
 `hash_features` copies one blake2b state per string, appends the
 digests to one buffer and reads it as little-endian uint64.

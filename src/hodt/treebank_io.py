@@ -370,14 +370,14 @@ def read_export(source, path=None):
     return [parse_export(unit, path) for unit in split_export(source, path)]
 
 
-def write_export(trees, version=3):
+def write_export(trees, version=3, path=None):
     """Export blocks rendered from the lexicalized trees; a VROOT root is
     implicit in the format, so its children attach at the top (0)."""
     lines = []
     if version == 4:
         lines.append('#FORMAT 4')
     for i, tree in enumerate(trees, 1):
-        _refuse_misread(i, tree, 'export', version=version)
+        _refuse_misread(i, tree, 'export', path, version)
         lines.append(f'#BOS {i}')
         root = tree.root
         if root.kind == PROPER and root.label == 'VROOT':

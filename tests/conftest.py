@@ -79,21 +79,41 @@ def toy_rules():
     return load_rules(TOY_HEAD_RULES.splitlines())
 
 
+class Calls(list):
+    """The strings of each perceptron.hash_features call, in order; arcs
+    holds the (heads, mods) of each baseline_parser.arc_features call."""
+
+    def __init__(self):
+        super().__init__()
+        self.arcs = []
+
+    def clear(self):
+        super().clear()
+        self.arcs.clear()
+
+
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """The strings of each perceptron.hash_features call, in order.
-    hash_distinct, the unary restorer's dedupe path, raises if the
-    parser or the labeler calls it."""
-    calls = []
+    """Calls recorded while the test runs.  hash_distinct, the unary
+    restorer's dedupe path, raises if the parser or the labeler calls
+    it."""
+    calls = Calls()
     real = perceptron.hash_features
     monkeypatch.setattr(perceptron, 'hash_features',
                         lambda texts: calls.append(list(texts))
                         or real(texts))
+    featurize = baseline_parser.arc_features
+
+    def arc_features(sentence, heads, mods):
+        calls.arcs.append((list(heads), list(mods)))
+        return featurize(sentence, heads, mods)
 
     def no_dedupe(texts):
         raise AssertionError('hash_distinct called')
     monkeypatch.setattr(perceptron, 'hash_distinct', no_dedupe)
     for module in (baseline_parser, dep_labeler):
+        monkeypatch.setattr(module, 'arc_features', arc_features,
+                            raising=False)
         monkeypatch.setattr(module, 'hash_distinct', no_dedupe,
                             raising=False)
     return calls

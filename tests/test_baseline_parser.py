@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodt.baseline_parser import (FEATURES_PER_ARC, arc_features,
                                   arc_index_table, featurize_arc,
-                                  parse_heads, train_unlabeled)
+                                  parse_heads, train_unlabeled,
+                                  tree_arc_digests)
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
 from hodt.errors import ToolkitError
-from hodt.perceptron import LinearModel, feature_hash
+from hodt.perceptron import LinearModel, feature_hash, hash_features
 from hodt.reduction import ctree_to_dtree
 
 from conftest import make_sentence
@@ -49,7 +50,7 @@ def test_memorizes_small_treebank():
     model = train_unlabeled(corpus, epochs=8, seed=1)
     wrong = 0
     for enc in corpus:
-        got = parse_heads(model, enc.sentence)
+        got, _ = parse_heads(model, enc.sentence)
         wrong += sum(1 for a, b in zip(got, enc.heads) if a != b)
     total = sum(len(e.sentence) for e in corpus)
     assert wrong / total < 0.05
@@ -77,8 +78,8 @@ def test_projectivity_flag_selects_decoder():
     assert proj.meta['projective'] is True
     assert nonproj.meta['projective'] is False
     sent = corpus[0].sentence
-    assert len(parse_heads(proj, sent)) == len(sent)
-    assert len(parse_heads(nonproj, sent)) == len(sent)
+    assert len(parse_heads(proj, sent)[0]) == len(sent)
+    assert len(parse_heads(nonproj, sent)[0]) == len(sent)
 
 
 def test_length_mismatch_rejected():
@@ -123,7 +124,7 @@ SENTENCES = {
 def test_arc_index_table_matches_per_arc_hashing(kind):
     model = LinearModel(dim_bits=20)
     for sentence in SENTENCES[kind]():
-        table = arc_index_table(model, sentence)
+        table, _, _ = arc_index_table(model, sentence)
         n = len(sentence)
         assert table.shape == (n + 1, n + 1, FEATURES_PER_ARC)
         assert table.dtype == np.intp
@@ -156,8 +157,28 @@ def test_arc_index_table_matches_per_arc_hashing_on_random_sentences(words):
     # up to 14 tokens, so that the >10 distance bin is reached
     model = LinearModel(dim_bits=20)
     sentence = make_sentence(*words)
-    assert np.array_equal(arc_index_table(model, sentence),
-                          _reference_arc_table(model, sentence))
+    table, _, _ = arc_index_table(model, sentence)
+    assert np.array_equal(table, _reference_arc_table(model, sentence))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(ATOMS, ATOMS), min_size=1, max_size=14))
+@example([('a', 'b')])
+@pytest.mark.parametrize('projective', [True, False])
+def test_parse_heads_returns_the_digests_of_the_chosen_arcs(projective,
+                                                            words):
+    # random weights, so that the decoded trees vary
+    model = LinearModel(dim_bits=12, meta={'projective': projective})
+    model.weights = np.random.default_rng(len(words)).standard_normal(
+        model.weights.shape)
+    sentence = make_sentence(*words)
+    heads, digests = parse_heads(model, sentence)
+    assert digests.shape == (len(sentence), FEATURES_PER_ARC)
+    assert digests.dtype == np.uint64
+    reference = np.array([hash_features(featurize_arc(sentence, h, m))
+                          for m, h in enumerate(heads, 1)])
+    assert np.array_equal(digests, reference)
+    assert np.array_equal(tree_arc_digests(sentence, heads), reference)
 
 
 def test_arc_index_table_hashes_a_string_of_two_codes_twice(hash_calls):
@@ -168,7 +189,7 @@ def test_arc_index_table_hashes_a_string_of_two_codes_twice(hash_calls):
     assert featurize_arc(sentence, 1, 2)[8] == 'hf,mf:a b c'
     assert featurize_arc(sentence, 3, 4)[8] == 'hf,mf:a b c'
     model = LinearModel(dim_bits=20)
-    table = arc_index_table(model, sentence)
+    table, _, _ = arc_index_table(model, sentence)
     (hashed,) = hash_calls
     assert hashed.count('hf,mf:a b c') == 2
     assert hashed.count('hf,mf:a b c/R1') == 2

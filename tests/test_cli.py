@@ -13,8 +13,8 @@ from hodt.errors import HeadRuleError, ModelFormatError, TreebankFormatError
 from hodt.headrules import load_rules
 from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
-    MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, write_bracketed,
-    write_export, write_json_corpus)
+    MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, read_sentences,
+    write_bracketed, write_export, write_json_corpus)
 from hodt.trees import (CTree, Sentence, Token, is_continuous, preterminal,
                         proper, spine)
 from tests.conftest import deep_tree
@@ -859,8 +859,9 @@ def test_parse_refuses_trees_its_writer_cannot_round_trip(
                              '-i', str(sents), '-o', str(out),
                              '--format', fmt)
     assert (code, stdout) == (1, '')
-    assert err.startswith('error: ') and 'Traceback' not in err
-    assert f'tree 1: {kind} {value!r}' in err and '--format json' in err
+    assert err == (f'error: {out}: tree 1: {kind} {value!r} cannot be '
+                   f'written in the {fmt} format; write it with --format '
+                   f'json\n')
     assert not out.exists()
     code, _, _ = _run(capsys, 'parse', '-m', str(toy_bundle),
                       '-i', str(sents), '-o', str(out), '--format', 'json')
@@ -869,6 +870,21 @@ def test_parse_refuses_trees_its_writer_cannot_round_trip(
     tok = tree.sentence.token(1)
     assert value == {'form': tok.form, 'morph': tok.morph,
                      'tag': spine(tree, 1)[-1].label}[kind]
+
+
+def test_parse_featurizes_each_sentence_once(toy_bundle, hash_calls):
+    manifest, parser, labeler, unary = cli._load_bundle(
+        str(toy_bundle), want_unaries=True)
+    hash_calls.clear()
+    for sentence in read_sentences('the/D dog/N sees/V a/D cat/N\n'
+                                   'bird/N sees/V\nsees/V\n'):
+        cli._parse_one(sentence, parser, labeler, unary,
+                       manifest['encoding'], True)
+        # one arc_features call, the parser's over all n^2 candidate
+        # arcs; the labeler reuses its digests
+        (arcs,) = hash_calls.arcs
+        assert len(arcs[0]) == len(sentence) ** 2
+        hash_calls.clear()
 
 
 def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,

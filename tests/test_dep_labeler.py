@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from hodt.baseline_parser import arc_features, featurize_arc
+from hodt.baseline_parser import featurize_arc, tree_arc_digests
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import (_chain_tables, _chains, featurize_pairwise,
                               label_tree, train_labeler)
@@ -34,7 +34,8 @@ def test_memorizes_labels_given_gold_heads():
     model = train_labeler(corpus, epochs=8, seed=1)
     wrong = total = 0
     for enc in corpus:
-        out = label_tree(enc.sentence, list(enc.heads), model)
+        out = label_tree(enc.sentence, list(enc.heads), model,
+                         tree_arc_digests(enc.sentence, enc.heads))
         for got, want in zip(out.labels, enc.labels):
             total += 1
             wrong += got != want
@@ -45,7 +46,8 @@ def test_root_slot_label_is_learned():
     corpus = _corpus(25)
     model = train_labeler(corpus, epochs=6, seed=1)
     enc = corpus[0]
-    out = label_tree(enc.sentence, list(enc.heads), model)
+    out = label_tree(enc.sentence, list(enc.heads), model,
+                     tree_arc_digests(enc.sentence, enc.heads))
     root_slot = list(enc.heads).index(0)
     assert out.labels[root_slot] == ROOT_LABEL
 
@@ -90,10 +92,12 @@ def test_chain_decode_matches_brute_force():
     K = len(model.meta['labels'])
     checked = 0
     for enc in corpus[:6]:
-        out = label_tree(enc.sentence, list(enc.heads), model)
+        out = label_tree(enc.sentence, list(enc.heads), model,
+                         tree_arc_digests(enc.sentence, enc.heads))
         chosen = {i + 1: lab for i, lab in enumerate(out.labels)}
         for chain, unary, pair in _chain_tables(
-                model, enc.sentence, list(enc.heads), K):
+                model, enc.sentence, list(enc.heads), K,
+                tree_arc_digests(enc.sentence, enc.heads)):
             if not 1 <= len(chain) <= 3:
                 continue
             emis = model.weights[unary].sum(axis=2)
@@ -151,7 +155,8 @@ def test_chain_tables_match_per_chain_hashing(kind):
     for tree in TREES[kind]():
         enc = encode_direct(ctree_to_dtree(strip_unaries(tree)))
         for K in (1, 3):
-            got = _chain_tables(model, enc.sentence, enc.heads, K)
+            got = _chain_tables(model, enc.sentence, enc.heads, K,
+                                tree_arc_digests(enc.sentence, enc.heads))
             chains = _chains(enc.sentence, enc.heads)
             assert [c for c, _, _ in got] == [c for _, c in chains]
             for (h, chain), (_, unary, pair) in zip(chains, got):
@@ -161,18 +166,16 @@ def test_chain_tables_match_per_chain_hashing(kind):
                 assert np.array_equal(pair, ref_pair)
 
 
-def test_chain_tables_hash_arc_and_pair_strings_in_one_call(hash_calls):
+def test_chain_tables_hash_only_the_pair_strings_in_one_call(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
     chains = _chains(enc.sentence, enc.heads)
-    arcs = [(h, m) for h, chain in chains for m in chain]
-    texts, _ = arc_features(enc.sentence, *zip(*arcs))
     pairwise = [f for h, chain in chains for m, m2 in zip(chain, chain[1:])
                 for f in featurize_pairwise(enc.sentence, h, m, m2)]
-    _chain_tables(LinearModel(), enc.sentence, enc.heads, 2)
-    every = [f for h, m in arcs for f in featurize_arc(enc.sentence, h, m)]
-    # one call: one arc string per distinct code, then every pairwise
-    # string, repeats included
+    digests = tree_arc_digests(enc.sentence, enc.heads)
+    hash_calls.clear()
+    _chain_tables(LinearModel(), enc.sentence, enc.heads, 2, digests)
+    # the arc digests are given: one call, every pairwise string in
+    # chain order, repeats included, and no arc string
     (hashed,) = hash_calls
-    assert hashed == texts + pairwise
-    assert set(hashed[:len(texts)]) == set(every)
-    assert len(texts) < len(every)
+    assert hashed == pairwise
+    assert not hash_calls.arcs

@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hodt.baseline_parser import arc_index_table
+from hodt.baseline_parser import arc_index_table, tree_arc_digests
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import _chain_tables
@@ -49,7 +49,8 @@ def _digest(arrays):
 def _arc_tables(bank):
     model = LinearModel()
     for enc in _corpus(bank):
-        yield arc_index_table(model, enc.sentence)
+        table, _, _ = arc_index_table(model, enc.sentence)
+        yield table
 
 
 def _label_tables(bank):
@@ -58,7 +59,8 @@ def _label_tables(bank):
     model = LinearModel()
     for enc in corpus:
         for _, unary, pair in _chain_tables(
-                model, enc.sentence, enc.heads, n_labels):
+                model, enc.sentence, enc.heads, n_labels,
+                tree_arc_digests(enc.sentence, enc.heads)):
             yield from (unary, pair)
 
 
