@@ -11,6 +11,12 @@ Subcommands:
 
 Every code path is deterministic for a fixed seed: two runs produce
 byte-identical outputs, bundles included.
+
+convert and check share one per-unit driver (_map_units): the parent
+splits the input at tree boundaries, and each tree is read, lexicalized
+and encoded or audited on its own, in up to --jobs forked workers.
+parse runs its per-sentence pipeline (_parse_one) in such workers too.
+Output, summary lines and errors are the same for any --jobs.
 """
 
 import argparse
@@ -19,6 +25,7 @@ import hashlib
 import json
 import os
 import sys
+from itertools import starmap
 
 from .baseline_parser import parse_heads, train_unlabeled
 from .corpus_gen import GenConfig, TOY_HEAD_RULES, gen_ctree, gen_toy_treebank
@@ -29,8 +36,8 @@ from .errors import (HeadRuleError, ModelFormatError, ToolkitError,
 from .evaluation import EvalConfig, attachment_scores, evalb
 from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
-from .reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
-                        roundtrip_check)
+from .reduction import (RoundtripReport, ctree_to_dtree, dtree_to_ctree,
+                        recover_order, roundtrip_check)
 from .treebank_io import (join_conll, parse_bracketed, parse_export,
                           parse_json, read_bracketed, read_conll, read_export,
                           read_json_corpus, read_sentences, render_conll,
@@ -108,18 +115,14 @@ def _tree_reader(fmt):
     raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
 
 
-def _read_trees(text, fmt, path):
-    """Raw trees from bracketed or export text, CTrees from json."""
-    read, _, _ = _tree_reader(fmt)
-    return read(text, path)
-
-
 def _lexicalize(tree, rules):
     return tree if isinstance(tree, CTree) else lexicalize(tree, rules)
 
 
 def _load_trees(text, fmt, rules, path):
-    return [_lexicalize(t, rules) for t in _read_trees(text, fmt, path)]
+    """Every tree of the fmt tree bank text, read and lexicalized."""
+    read, _, _ = _tree_reader(fmt)
+    return [_lexicalize(t, rules) for t in read(text, path)]
 
 
 def _write_trees(trees, fmt, path):
@@ -211,6 +214,47 @@ def _pmap(fn, items, jobs):
     return out
 
 
+# --- per-unit driver --------------------------------------------------------
+
+# the steps of handling one tree, in the order their errors are reported:
+# reading its unit, then the command's own steps
+_READ = 0
+_ENCODE, _WRITE = 1, 2          # convert
+_LEXICALIZE, _AUDIT = 1, 2      # check
+
+
+def _map_units(step, text, fmt, path, jobs):
+    """[step((i, unit), parse)] over the units of the fmt tree bank text,
+    at most `jobs` at a time in forked workers.
+
+    The parent only splits the text into units (one per tree); each
+    worker reads its unit with the reader's per-unit parse and does the
+    command's work on it, so no tree is built in the parent.  step
+    returns (None, value), or (step, message) of the ToolkitError that
+    stopped it, where reading is _READ.  The error raised is the first
+    by (step, unit): read errors in file order, then the split's fault,
+    which ends the split and so follows every unit, then each later
+    step's errors by unit.  Neither the error nor its message depends on
+    `jobs`.
+    """
+    _, split, parse = _tree_reader(fmt)
+    units, fault = [], None
+    try:
+        for unit in split(text, path):
+            units.append(unit)
+    except TreebankFormatError as exc:
+        fault = exc
+    worker = functools.partial(step, parse=functools.partial(parse, path=path))
+    results = _pmap(worker, list(enumerate(units, 1)), jobs)
+    errors = [(k, i, value)
+              for i, (k, value) in enumerate(results) if k is not None]
+    if fault is not None:
+        errors.append((_READ, len(units), str(fault)))
+    if errors:
+        raise ToolkitError(min(errors)[2])
+    return [value for _, value in results]
+
+
 # --- conversion -------------------------------------------------------------
 
 def _encode_tree(tree, scheme, strip):
@@ -222,10 +266,6 @@ def _encode_tree(tree, scheme, strip):
     if scheme == 'delta':
         return encode_delta(dtree)
     return encode_direct(dtree)
-
-
-# the steps of converting one tree, in the order their errors are reported
-_READ, _ENCODE, _WRITE = range(3)
 
 
 def _convert_one(item, parse, rules, scheme, out):
@@ -248,29 +288,12 @@ def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or _sniff_format(text)
-    _, split, parse = _tree_reader(fmt)
-    # the parent only splits; each worker parses, encodes and renders
-    units, fault = [], None
-    try:
-        for unit in split(text, args.input):
-            units.append(unit)
-    except TreebankFormatError as exc:
-        fault = exc
-    worker = functools.partial(
-        _convert_one, parse=functools.partial(parse, path=args.input),
-        rules=rules, scheme=args.encoding, out=args.output)
-    results = _pmap(worker, list(enumerate(units, 1)), args.jobs)
-    # read errors in file order, the split's fault after every unit; then
-    # encoding errors, then CoNLL refusals, each by sentence
-    errors = [(step, i, value)
-              for i, (step, value) in enumerate(results) if step is not None]
-    if fault is not None:
-        errors.append((_READ, len(units), str(fault)))
-    if errors:
-        raise ToolkitError(min(errors)[2])
-    _write_output(args.output, join_conll(block for _, (block, _) in results))
-    labels = [arc_labels for _, (_, arc_labels) in results]
-    print(f'# {len(units)} sentences, {sum(map(len, labels))} arcs, '
+    worker = functools.partial(_convert_one, rules=rules,
+                               scheme=args.encoding, out=args.output)
+    results = _map_units(worker, text, fmt, args.input, args.jobs)
+    _write_output(args.output, join_conll(block for block, _ in results))
+    labels = [arc_labels for _, arc_labels in results]
+    print(f'# {len(results)} sentences, {sum(map(len, labels))} arcs, '
           f'{len(set().union(*labels))} distinct labels ({args.encoding})',
           file=sys.stderr)
     return 0
@@ -476,19 +499,35 @@ def cmd_eval(args):
 
 # --- auditing ---------------------------------------------------------------
 
+def _check_one(item, parse, rules):
+    """(None, the six flags of unit i's RoundtripReport), or (step,
+    message) of the ToolkitError that stopped it."""
+    _, unit = item
+    step = _READ
+    try:
+        tree = parse(unit)
+        step = _LEXICALIZE
+        tree = _lexicalize(tree, rules)
+        step = _AUDIT
+        report = roundtrip_check(tree)
+    except ToolkitError as exc:
+        return step, str(exc)
+    return None, tuple(vars(report).values())   # in field order
+
+
 def cmd_check(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or _sniff_format(text)
-    trees = _load_trees(text, fmt, rules, args.input)
+    worker = functools.partial(_check_one, rules=rules)
+    flags = _map_units(worker, text, fmt, args.input, args.jobs)
     summary = {
-        'trees': len(trees), 'roundtrip_failures': 0,
+        'trees': len(flags), 'roundtrip_failures': 0,
         'equivalence_failures': 0, 'continuous': 0, 'projective': 0,
         'nested': 0, 'binary': 0, 'strictly_ordered': 0,
     }
     bad = []
-    for i, tree in enumerate(trees, 1):
-        report = roundtrip_check(tree)
+    for i, report in enumerate(starmap(RoundtripReport, flags), 1):
         summary['continuous'] += report.continuous
         summary['projective'] += report.projective
         summary['nested'] += report.nested
@@ -507,7 +546,7 @@ def cmd_check(args):
         print(f'# violations in sentences: {shown}'
               + (' ...' if len(bad) > 10 else ''), file=sys.stderr)
         return 2
-    print(f'# {len(trees)} trees checked, no violations', file=sys.stderr)
+    print(f'# {len(flags)} trees checked, no violations', file=sys.stderr)
     return 0
 
 
@@ -593,6 +632,9 @@ def build_parser():
     _add_io(p)
     p.add_argument('--format', choices=('bracketed', 'export', 'json'))
     p.add_argument('--head-rules', default='leftmost')
+    p.add_argument('--jobs', type=_int_at_least(1), default=1,
+                   help='worker processes that read, lexicalize and '
+                        'check trees (default 1)')
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser('gen', help='generate a synthetic treebank')

@@ -3,7 +3,8 @@
 Four formats:
 
 * bracketed: one tree per line, ``(S (NP (DT The) ...) ...)``; an extra
-  label-less outer wrapper ``( ... )`` is tolerated on input.  Continuous
+  label-less outer wrapper ``( ... )`` is tolerated on input, a
+  label-less bracket anywhere inside the tree is not.  Continuous
   trees only; the writer refuses discontinuous input and points to export.
 * export: NEGRA/TIGER export 3 or 4.  ``#BOS n`` .. ``#EOS n`` blocks,
   terminals in order, ``#5xx`` constituent lines with parent pointers;
@@ -128,7 +129,11 @@ def parse_bracketed(unit, path=None):
                 raise TreebankFormatError('unbalanced )', path, lineno)
             label, children = stack.pop()
             if label is None:
-                # label-less wrapper: must hold exactly one subtree
+                # label-less wrapper: must be outermost and hold exactly
+                # one subtree
+                if stack:
+                    raise TreebankFormatError(
+                        'label-less bracket inside a tree', path, lineno)
                 if len(children) != 1 or isinstance(children[0], str):
                     raise TreebankFormatError(
                         'wrapper must contain exactly one tree', path, lineno)

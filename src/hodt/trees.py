@@ -12,6 +12,7 @@ labels is a head-ordered dependency tree.
 Positions are 1-based throughout; head 0 in a DTree marks the root word.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import TreeStructureError
@@ -234,6 +235,8 @@ def strip_unaries(tree):
         children = tuple(strip(c) for c in node.children)
         if len(children) == 1:
             return children[0]
+        if all(map(operator.is_, children, node.children)):
+            return node     # nothing stripped below: keep the subtree
         return proper(node.label, node.head, children)
 
     return CTree(strip(tree.root), tree.sentence)

@@ -9,7 +9,8 @@ import pytest
 from hodt import cli
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree
-from hodt.errors import HeadRuleError, ModelFormatError, TreebankFormatError
+from hodt.errors import (HeadRuleError, ModelFormatError, TreebankFormatError,
+                         TreeStructureError)
 from hodt.headrules import load_rules
 from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
@@ -355,7 +356,7 @@ def _serial_and_parallel(tmp_path, capsys, *argv):
     return runs
 
 
-@pytest.mark.parametrize('cmd', ['convert', 'parse'])
+@pytest.mark.parametrize('cmd', ['convert', 'check', 'parse'])
 @pytest.mark.parametrize('jobs', ['0', '-3', 'two'])
 def test_jobs_must_be_a_positive_integer(capsys, cmd, jobs):
     argv = [cmd, '--jobs', jobs] + (['-m', 'unused'] if cmd == 'parse'
@@ -660,6 +661,192 @@ def test_convert_read_fault_on_line_9_beats_the_later_steps(
         tmp_path, capsys, '-i', str(bank), '--encoding', 'delta')
     assert (code, out) == (1, '')
     assert err.startswith(f'error: {bank}:9: {breaks}')
+
+
+# --- check at any --jobs -----------------------------------------------------
+# check splits its input like convert: read errors first, in file order,
+# then the split's fault, then lexicalization errors, then round-trip
+# errors, each by tree and without a "sentence N:" prefix
+
+def _check_at_each_jobs(tmp_path, capsys, *argv):
+    """(code, stdout, stderr) of check argv, the same at --jobs 1, 2, 4;
+    stdout is the report's JSON."""
+    runs = []
+    for jobs in ('1', '2', '4'):
+        out = tmp_path / 'check.json'
+        code, stdout, err = _run(capsys, 'check', *argv, '--jobs', jobs,
+                                 '-o', str(out))
+        assert stdout == ''
+        assert cli._WORK is None
+        runs.append((code, out.read_text() if out.exists() else '', err))
+        out.unlink(missing_ok=True)
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    return runs[0]
+
+
+def _numbered_bank(tmp_path, n, write=write_export, name='bank.export'):
+    """n six-token trees, the first form of tree i being t<i>."""
+    trees = _trees(n)
+    for i in range(1, n + 1):
+        trees = _with_form(trees, i, f't{i}')
+    bank = tmp_path / name
+    bank.write_text(write(trees))
+    return bank
+
+
+def _tree_number(tree):
+    """i of a tree of _numbered_bank, lexicalized or raw."""
+    if isinstance(tree, CTree):
+        return int(tree.sentence.tokens[0].form[1:])
+    while not isinstance(tree, Token):
+        tree = tree.children[0]
+    return int(tree.form[1:])
+
+
+@pytest.mark.parametrize('fmt, write', [
+    ('export', write_export), ('brackets', write_bracketed),
+    ('json', write_json_corpus)])
+def test_check_jobs_identical_on_a_clean_bank(tmp_path, capsys, fmt, write):
+    bank = _numbered_bank(tmp_path, 12, write, f'clean.{fmt}')
+    code, out, err = _check_at_each_jobs(tmp_path, capsys, '-i', str(bank))
+    assert code == 0
+    assert json.loads(out)['trees'] == 12
+    assert err == '# 12 trees checked, no violations\n'
+
+
+def test_check_jobs_identical_past_ten_violations(tmp_path, capsys,
+                                                  monkeypatch):
+    # odd trees fail the roundtrip, every third the equivalence
+    real = cli.roundtrip_check
+
+    def flawed(tree):
+        report = real(tree)
+        i = _tree_number(tree)
+        if i % 2:
+            report.roundtrip_equal = False
+        if i % 3 == 0:
+            report.continuous = not report.continuous
+        return report
+
+    monkeypatch.setattr(cli, 'roundtrip_check', flawed)
+    bank = _numbered_bank(tmp_path, 30)
+    code, out, err = _check_at_each_jobs(tmp_path, capsys, '-i', str(bank))
+    assert code == 2
+    assert json.loads(out) == {
+        'trees': 30, 'roundtrip_failures': 15, 'equivalence_failures': 10,
+        'continuous': 20, 'projective': 30, 'nested': 30, 'binary': 3,
+        'strictly_ordered': 3}
+    assert err == ('# violations in sentences: '
+                   '1, 3, 5, 6, 7, 9, 11, 12, 13, 15 ...\n')
+
+
+def test_check_shows_ten_violations_without_a_cut(tmp_path, capsys,
+                                                  monkeypatch):
+    real = cli.roundtrip_check
+
+    def flawed(tree):
+        report = real(tree)
+        report.roundtrip_equal = _tree_number(tree) > 10
+        return report
+
+    monkeypatch.setattr(cli, 'roundtrip_check', flawed)
+    bank = _numbered_bank(tmp_path, 12)
+    code, _, err = _check_at_each_jobs(tmp_path, capsys, '-i', str(bank))
+    assert code == 2
+    assert err == '# violations in sentences: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n'
+
+
+def _failing_at(monkeypatch, name, bad, message):
+    """cli.<name> raising TreeStructureError(message) on tree `bad`."""
+    real = getattr(cli, name)
+
+    def failing(tree, *args):
+        if _tree_number(tree) == bad:
+            raise TreeStructureError(message)
+        return real(tree, *args)
+
+    monkeypatch.setattr(cli, name, failing)
+
+
+def test_check_errors_carry_no_sentence_prefix(tmp_path, capsys,
+                                               monkeypatch):
+    bank = _numbered_bank(tmp_path, 6, write_bracketed, 'bank.brackets')
+    _failing_at(monkeypatch, 'roundtrip_check', 5, 'audit 5')
+    _failing_at(monkeypatch, 'lexicalize', 4, 'lexicalize 4')
+    # a lexicalization error beats an earlier tree's round-trip error
+    assert _check_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', 'error: lexicalize 4\n')
+    monkeypatch.undo()
+    _failing_at(monkeypatch, 'roundtrip_check', 5, 'audit 5')
+    _failing_at(monkeypatch, 'roundtrip_check', 3, 'audit 3')
+    assert _check_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', 'error: audit 3\n')
+
+
+def test_check_read_fault_beats_an_earlier_check_error(tmp_path, capsys,
+                                                        monkeypatch):
+    lines = _numbered_bank(tmp_path, 6).read_text().split('\n')
+    short = lines.index('#BOS 5') + 1
+    lines.insert(short, 'short\tX')
+    bank = tmp_path / 'short.export'
+    bank.write_text('\n'.join(lines))
+    _failing_at(monkeypatch, 'lexicalize', 1, 'lexicalize 1')
+    _failing_at(monkeypatch, 'roundtrip_check', 2, 'audit 2')
+    assert _check_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', f'error: {bank}:{short + 1}: short token line\n')
+
+
+def test_check_reports_the_split_fault_after_every_unit(tmp_path, capsys,
+                                                        monkeypatch):
+    text = _numbered_bank(tmp_path, 5).read_text()
+    bank = tmp_path / 'open.export'
+    bank.write_text(text + '#BOS 6\nw1\tX\t--\t--\t0\n')
+    bos = text.count('\n') + 1
+    _failing_at(monkeypatch, 'lexicalize', 2, 'lexicalize 2')
+    # the split's fault beats every lexicalization and round-trip error
+    assert _check_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', f'error: {bank}:{bos}: unterminated #BOS block\n')
+    # but not a read error in a unit before it
+    lines = text.split('\n')
+    bad = lines.index('#BOS 3') + 1
+    lines[bad] = lines[bad].rsplit('\t', 1)[0] + '\t777'
+    bank.write_text('\n'.join(lines) + '#BOS 6\nw1\tX\t--\t--\t0\n')
+    assert _check_at_each_jobs(tmp_path, capsys, '-i', str(bank)) == (
+        1, '', f'error: {bank}:{bad + 1}: dangling parent pointer 777\n')
+
+
+@pytest.mark.parametrize('fmt, write, parse_name', [
+    ('export', write_export, 'parse_export'),
+    ('brackets', write_bracketed, 'parse_bracketed'),
+    ('json', write_json_corpus, 'parse_json')])
+def test_check_parses_each_unit_once_and_reads_no_whole_file(
+        tmp_path, capsys, monkeypatch, fmt, write, parse_name):
+    def whole_file(*args, **kwargs):
+        raise AssertionError('check read the whole file at once')
+
+    for name in ('read_bracketed', 'read_export', 'read_json_corpus'):
+        monkeypatch.setattr(cli, name, whole_file)
+    calls = []
+    real = getattr(cli, parse_name)
+
+    def spy(unit, path=None):
+        calls.append(unit)
+        return real(unit, path)
+
+    monkeypatch.setattr(cli, parse_name, spy)
+    bank = _numbered_bank(tmp_path, 7, write, f'bank.{fmt}')
+    code, out, _ = _run(capsys, 'check', '-i', str(bank))
+    assert code == 0
+    assert json.loads(out)['trees'] == 7
+    assert len(calls) == 7
+    assert len({repr(unit) for unit in calls}) == 7
+
+
+def test_check_refuses_an_inner_label_less_bracket(tmp_path, capsys):
+    bank = tmp_path / 'inner.brackets'
+    bank.write_text('(S (A a) (B b))\n(S (A a) ( (B b)))\n')
+    assert _run(capsys, 'check', '-i', str(bank)) == (
+        1, '', f'error: {bank}:2: label-less bracket inside a tree\n')
 
 
 def test_parse_jobs_continuous_identical(tmp_path, toy_file, capsys):

@@ -46,6 +46,15 @@ def test_read_bracketed_wrapper():
     assert tree == RawNode('X', (Token(1, 'w', 'T'),))
 
 
+@pytest.mark.parametrize('line', [
+    '(S (A a) ( (B b)))', '(((X (T w))))', '(S (A a) ( ))'])
+def test_read_bracketed_refuses_an_inner_label_less_bracket(line):
+    with pytest.raises(TreebankFormatError) as err:
+        read_bracketed('(X (T w))\n' + line, 'in.brackets')
+    assert str(err.value) == (
+        'in.brackets:2: label-less bracket inside a tree')
+
+
 def test_read_bracketed_blank_lines_skipped():
     trees = read_bracketed('\n' + ENGLISH_LINE + '\n\n(X (T w))\n')
     assert len(trees) == 2

@@ -1,3 +1,5 @@
+import pytest
+
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.reduction import ctree_to_dtree
 from hodt.trees import (CTree, DTree, head_outward, is_continuous,
@@ -71,6 +73,37 @@ def test_strip_unaries(english_tree, english_tree_unaryless):
     kept = strip_unaries(two)
     assert kept.root.label == 'Z'
     assert len(kept.root.children) == 2
+
+
+def _rebuild_stripped(tree):
+    """strip_unaries as a full rebuild of every proper node."""
+
+    def strip(node):
+        if node.kind != 'proper':
+            return node
+        children = tuple(strip(c) for c in node.children)
+        if len(children) == 1:
+            return children[0]
+        return proper(node.label, node.head, children)
+
+    return CTree(strip(tree.root), tree.sentence)
+
+
+def test_strip_unaries_keeps_a_unary_free_subtree(english_tree_unaryless):
+    stripped = strip_unaries(english_tree_unaryless)
+    assert stripped.root is english_tree_unaryless.root
+
+
+@pytest.mark.parametrize('disc', [0.0, 0.5])
+@pytest.mark.parametrize('unary', [0.2, 0.6])
+def test_strip_unaries_equals_the_full_rebuild(disc, unary):
+    cfg = GenConfig(seed=11, discontinuity_probability=disc,
+                    unary_probability=unary)
+    for i in range(40):
+        tree = gen_ctree(cfg, 1 + i % 12, index=i)
+        stripped = strip_unaries(tree)
+        assert stripped == _rebuild_stripped(tree)
+        assert strip_unaries(stripped).root is stripped.root
 
 
 def test_validate_accepts_good_trees(english_tree, german_tree):
