@@ -12,10 +12,11 @@ Subcommands:
 Every code path is deterministic for a fixed seed: two runs produce
 byte-identical outputs, bundles included.
 
-convert and check share one per-unit driver (_map_units): the parent
-splits the input at tree boundaries, and each tree is read, lexicalized
-and encoded or audited on its own, in up to --jobs forked workers.
-parse runs its per-sentence pipeline (_parse_one) in such workers too.
+Every command that reads trees or sentences (convert, check, train,
+eval and parse) goes through one per-unit driver (_map_units): the
+parent splits the input at tree or sentence boundaries, and each unit
+is read and run through the command's stages (lexicalize, encode,
+audit, _parse_one, ...) on its own, in up to --jobs forked workers.
 Output, summary lines and errors are the same for any --jobs.
 """
 
@@ -38,10 +39,10 @@ from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
 from .reduction import (RoundtripReport, ctree_to_dtree, dtree_to_ctree,
                         recover_order, roundtrip_check)
-from .treebank_io import (join_conll, parse_bracketed, parse_export,
-                          parse_json, read_bracketed, read_conll, read_export,
-                          read_json_corpus, read_sentences, render_conll,
-                          split_export, split_lines, write_bracketed,
+from .treebank_io import (join_conll, parse_bracketed, parse_conll,
+                          parse_export, parse_json, parse_sentence,
+                          render_conll, split_conll, split_export,
+                          split_lines, split_sentences, write_bracketed,
                           write_export, write_json_corpus)
 from .trees import CTree, DTree, strip_unaries, validate
 from .unary_recovery import (NULL_CLASS, extract_instances, recover,
@@ -66,7 +67,7 @@ def _write_output(path, text):
             f.write(text)
 
 
-def _sniff_format(text):
+def _sniff_format(text, path):
     for line in text.split('\n'):
         stripped = line.strip()
         if not stripped:
@@ -81,7 +82,7 @@ def _sniff_format(text):
         if len(cols) >= 10 and cols[0].isdigit():
             return 'conll'
         return 'tagged'
-    raise ToolkitError('empty input')
+    raise TreebankFormatError('empty input', path)
 
 
 def _resolve_rules(spec):
@@ -104,25 +105,19 @@ def _resolve_rules(spec):
 
 
 def _tree_reader(fmt):
-    """(read, split, parse) of the fmt tree reader: the whole-file
-    reader, and the split and per-unit parse it is made of."""
+    """(split, parse) of the fmt tree reader: its split into one unit per
+    tree and its parse of one unit."""
     if fmt == 'bracketed':
-        return read_bracketed, split_lines, parse_bracketed
+        return split_lines, parse_bracketed
     if fmt == 'export':
-        return read_export, split_export, parse_export
+        return split_export, parse_export
     if fmt == 'json':
-        return read_json_corpus, split_lines, parse_json
+        return split_lines, parse_json
     raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
 
 
 def _lexicalize(tree, rules):
     return tree if isinstance(tree, CTree) else lexicalize(tree, rules)
-
-
-def _load_trees(text, fmt, rules, path):
-    """Every tree of the fmt tree bank text, read and lexicalized."""
-    read, _, _ = _tree_reader(fmt)
-    return [_lexicalize(t, rules) for t in read(text, path)]
 
 
 def _write_trees(trees, fmt, path):
@@ -170,86 +165,82 @@ def _probability(arg):
 _WORK = None
 
 
-def _guarded(fn, item):
-    """(fn(item), None), or (None, message) when fn raises a ToolkitError."""
-    try:
-        return fn(item), None
-    except ToolkitError as exc:
-        return None, str(exc)
-
-
 def _run(i):
     fn, items = _WORK
-    return _guarded(fn, items[i])
+    return fn(items[i])
 
 
 def _pmap(fn, items, jobs):
-    """[fn(item) for item in items] over at most `jobs` forked workers.
+    """[fn(item) for item in items] over at most `jobs` forked workers;
+    at jobs 1 the items are taken one at a time as fn needs them.
 
     The workers inherit fn and items, which may hold whole models or the
     unparsed text of each tree; only item indices are sent to them and
     only results come back, so a result should be small: rendered text
     costs the parent less to unpickle than the objects it was made from.
-    A ToolkitError comes back as a value, and the first one in input
-    order is raised as "sentence N: ...", so the message does not depend
-    on `jobs`.
     """
     global _WORK
-    workers = min(jobs, len(items))
-    if workers < 2:
-        results = (_guarded(fn, item) for item in items)
-    else:
-        from multiprocessing import get_context
-        _WORK = (fn, items)
-        try:
-            with get_context('fork').Pool(workers) as pool:
-                results = pool.map(_run, range(len(items)))
-        finally:
-            _WORK = None
-    out = []
-    for i, (value, error) in enumerate(results, 1):
-        if error is not None:
-            raise ToolkitError(f'sentence {i}: {error}')
-        out.append(value)
-    return out
+    if jobs > 1:
+        items = list(items)
+        jobs = min(jobs, len(items))
+    if jobs < 2:
+        return list(map(fn, items))
+    from multiprocessing import get_context
+    _WORK = (fn, items)
+    try:
+        with get_context('fork').Pool(jobs) as pool:
+            return pool.map(_run, range(len(items)))
+    finally:
+        _WORK = None
 
 
 # --- per-unit driver --------------------------------------------------------
 
-# the steps of handling one tree, in the order their errors are reported:
-# reading its unit, then the command's own steps
-_READ = 0
-_ENCODE, _WRITE = 1, 2          # convert
-_LEXICALIZE, _AUDIT = 1, 2      # check
-
-
-def _map_units(step, text, fmt, path, jobs):
-    """[step((i, unit), parse)] over the units of the fmt tree bank text,
-    at most `jobs` at a time in forked workers.
-
-    The parent only splits the text into units (one per tree); each
-    worker reads its unit with the reader's per-unit parse and does the
-    command's work on it, so no tree is built in the parent.  step
-    returns (None, value), or (step, message) of the ToolkitError that
-    stopped it, where reading is _READ.  The error raised is the first
-    by (step, unit): read errors in file order, then the split's fault,
-    which ends the split and so follows every unit, then each later
-    step's errors by unit.  Neither the error nor its message depends on
-    `jobs`.
-    """
-    _, split, parse = _tree_reader(fmt)
-    units, fault = [], None
+def _run_unit(item, parse, stages):
+    """(None, the value of unit i through parse and then stages), or
+    (step, message) of the ToolkitError that stopped it, where parse is
+    step 0 and stage k step k."""
+    i, unit = item
+    step = 0
     try:
-        for unit in split(text, path):
-            units.append(unit)
-    except TreebankFormatError as exc:
-        fault = exc
-    worker = functools.partial(step, parse=functools.partial(parse, path=path))
-    results = _pmap(worker, list(enumerate(units, 1)), jobs)
-    errors = [(k, i, value)
-              for i, (k, value) in enumerate(results) if k is not None]
-    if fault is not None:
-        errors.append((_READ, len(units), str(fault)))
+        value = parse(unit)
+        for step, (fn, _) in enumerate(stages, 1):
+            value = fn(i, value)
+    except ToolkitError as exc:
+        numbered = step and stages[step - 1][1]
+        return step, f'sentence {i}: {exc}' if numbered else str(exc)
+    return None, value
+
+
+def _map_units(reader, text, path, stages=(), jobs=1):
+    """[the value of each unit of text through reader and stages], at
+    most `jobs` units at a time in forked workers.
+
+    reader is a (split, parse) pair.  The parent splits the text into
+    units (one per tree or sentence); each unit is read with parse and
+    run through stages in a worker, or at jobs 1 in the parent as the
+    split yields it.  A stage is (fn, numbered): fn(i, value) of unit i
+    (from 1), whose ToolkitError reads "sentence i: ..." when numbered.
+    The error raised is the first by (step, unit): read errors in file
+    order, then the split's fault, which ends the split and so follows
+    every unit, then each stage's errors by unit.  Neither the error nor
+    its message depends on `jobs`.
+    """
+    split, parse = reader
+    faults = []
+
+    def units():
+        try:
+            yield from enumerate(split(text, path), 1)
+        except TreebankFormatError as exc:
+            faults.append(str(exc))
+
+    worker = functools.partial(_run_unit, stages=stages,
+                               parse=functools.partial(parse, path=path))
+    results = _pmap(worker, units(), jobs)
+    errors = [(step, i, value)
+              for i, (step, value) in enumerate(results) if step is not None]
+    errors += [(0, len(results), fault) for fault in faults]
     if errors:
         raise ToolkitError(min(errors)[2])
     return [value for _, value in results]
@@ -268,29 +259,16 @@ def _encode_tree(tree, scheme, strip):
     return encode_direct(dtree)
 
 
-def _convert_one(item, parse, rules, scheme, out):
-    """(None, (CoNLL block, arc labels)) of unit i, or (step, message) of
-    the ToolkitError that stopped it."""
-    i, unit = item
-    step = _READ
-    try:
-        tree = parse(unit)
-        step = _ENCODE
-        enc = _encode_tree(_lexicalize(tree, rules), scheme, strip=False)
-        step = _WRITE
-        return None, (render_conll(i, enc, out),
-                      [label for _, _, label in enc.arcs()])
-    except ToolkitError as exc:
-        return step, f'sentence {i}: {exc}' if step == _ENCODE else str(exc)
-
-
 def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text)
-    worker = functools.partial(_convert_one, rules=rules,
-                               scheme=args.encoding, out=args.output)
-    results = _map_units(worker, text, fmt, args.input, args.jobs)
+    fmt = args.format or _sniff_format(text, args.input)
+    results = _map_units(_tree_reader(fmt), text, args.input, (
+        (lambda i, tree: _encode_tree(_lexicalize(tree, rules),
+                                      args.encoding, strip=False), True),
+        (lambda i, enc: (render_conll(i, enc, args.output),
+                         [label for _, _, label in enc.arcs()]), False),
+    ), args.jobs)
     _write_output(args.output, join_conll(block for block, _ in results))
     labels = [arc_labels for _, arc_labels in results]
     print(f'# {len(results)} sentences, {sum(map(len, labels))} arcs, '
@@ -310,15 +288,17 @@ def cmd_train(args):
         raise ToolkitError('the delta encoding requires continuous mode')
     rules, rules_text = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text)
-    trees = _load_trees(text, fmt, rules, args.input)
-    if not trees:
-        raise ToolkitError('training input holds no trees')
+    fmt = args.format or _sniff_format(text, args.input)
     # direct/delta train on unaryless skeletons (the restorer puts the
     # chains back at parse time); hn keeps them inside the spine labels
-    worker = functools.partial(_encode_tree, scheme=args.encoding,
-                               strip=args.encoding != 'hn')
-    corpus = _pmap(worker, trees, jobs=1)
+    strip = args.encoding != 'hn'
+    pairs = _map_units(_tree_reader(fmt), text, args.input, (
+        (lambda i, tree: _lexicalize(tree, rules), False),
+        (lambda i, tree: (tree, _encode_tree(tree, args.encoding, strip)),
+         True)))
+    if not pairs:
+        raise ToolkitError('training input holds no trees')
+    trees, corpus = map(list, zip(*pairs))
     projective = args.mode == 'continuous'
     parser_model = train_unlabeled(corpus, args.epochs, seed=args.seed,
                                    projective=projective)
@@ -436,12 +416,14 @@ def cmd_parse(args):
     manifest, parser_model, labeler_model, unary_model = _load_bundle(
         args.model, want_unaries=not args.no_unaries)
     continuous = manifest['mode'] == 'continuous'
-    sentences = read_sentences(_read_input(args.input), args.input)
-    worker = functools.partial(
+    parse_one = functools.partial(
         _parse_one, parser_model=parser_model, labeler_model=labeler_model,
         unary_model=unary_model, scheme=manifest['encoding'],
         continuous=continuous)
-    results = _pmap(worker, sentences, args.jobs)
+    results = _map_units(
+        (split_sentences, parse_sentence), _read_input(args.input),
+        args.input, ((lambda i, sentence: parse_one(sentence), True),),
+        args.jobs)
     trees = [tree for tree, _, _ in results]
     fmt = args.format or ('bracketed' if continuous else 'export')
     _write_output(args.output, _write_trees(trees, fmt, args.output))
@@ -467,24 +449,28 @@ def _aligned(score, gold, pred, *args):
 def cmd_eval(args):
     gold_text = _read_input(args.gold)
     pred_text = _read_input(args.pred)
-    gold_fmt = args.format or _sniff_format(gold_text)
-    pred_fmt = args.format or _sniff_format(pred_text)
+    gold_fmt = args.format or _sniff_format(gold_text, args.gold)
+    pred_fmt = args.format or _sniff_format(pred_text, args.pred)
     if (gold_fmt == 'conll') != (pred_fmt == 'conll'):
         raise ToolkitError(
             f'cannot score {pred_fmt} predictions against {gold_fmt} gold')
     punct = _split_csv(args.punct_pos)
     if gold_fmt == 'conll':
-        gold = read_conll(gold_text, args.gold)
-        pred = read_conll(pred_text, args.pred)
+        reader = split_conll, parse_conll
+        gold = _map_units(reader, gold_text, args.gold)
+        pred = _map_units(reader, pred_text, args.pred)
         uas, las = _aligned(attachment_scores, gold, pred, punct)
         report = {'kind': 'attachment', 'sentences': len(gold),
                   'uas': uas, 'las': las}
         print(f'# UAS {uas:.4f}  LAS {las:.4f} '
               f'over {len(gold)} sentences', file=sys.stderr)
     else:
-        rules = LEFTMOST  # head choice is irrelevant to bracket scoring
-        gold = _load_trees(gold_text, gold_fmt, rules, args.gold)
-        pred = _load_trees(pred_text, pred_fmt, rules, args.pred)
+        # head choice is irrelevant to bracket scoring
+        stages = ((lambda i, tree: _lexicalize(tree, LEFTMOST), False),)
+        gold = _map_units(_tree_reader(gold_fmt), gold_text, args.gold,
+                          stages)
+        pred = _map_units(_tree_reader(pred_fmt), pred_text, args.pred,
+                          stages)
         cfg = EvalConfig(punctuation_pos=punct,
                          ignore_root_labels=_split_csv(args.ignore_root))
         scores = _aligned(evalb, gold, pred, cfg)
@@ -499,28 +485,16 @@ def cmd_eval(args):
 
 # --- auditing ---------------------------------------------------------------
 
-def _check_one(item, parse, rules):
-    """(None, the six flags of unit i's RoundtripReport), or (step,
-    message) of the ToolkitError that stopped it."""
-    _, unit = item
-    step = _READ
-    try:
-        tree = parse(unit)
-        step = _LEXICALIZE
-        tree = _lexicalize(tree, rules)
-        step = _AUDIT
-        report = roundtrip_check(tree)
-    except ToolkitError as exc:
-        return step, str(exc)
-    return None, tuple(vars(report).values())   # in field order
-
-
 def cmd_check(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text)
-    worker = functools.partial(_check_one, rules=rules)
-    flags = _map_units(worker, text, fmt, args.input, args.jobs)
+    fmt = args.format or _sniff_format(text, args.input)
+    flags = _map_units(_tree_reader(fmt), text, args.input, (
+        (lambda i, tree: _lexicalize(tree, rules), False),
+        # the report's six flags, in field order
+        (lambda i, tree: tuple(vars(roundtrip_check(tree)).values()),
+         False),
+    ), args.jobs)
     summary = {
         'trees': len(flags), 'roundtrip_failures': 0,
         'equivalence_failures': 0, 'continuous': 0, 'projective': 0,

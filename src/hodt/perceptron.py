@@ -14,8 +14,9 @@ code, and only about 2.5% of those strings repeat (spans with the same
 POS between them), so they go straight to `hash_features`; the labeler
 conjoins its labels onto the parser's arc digests.  The unary restorer,
 which hashes a whole training corpus in one call, goes through
-`hash_distinct`, which digests each distinct string once.  The digest of a string does not depend on how
-many times it is met, so weights and outputs are the same either way.
+`hash_distinct`, which digests each distinct string once.  The digest
+of a string does not depend on how many times it is met, so weights and
+outputs are the same either way.
 `hash_features` copies one blake2b state per string, appends the
 digests to one buffer and reads it as little-endian uint64.
 

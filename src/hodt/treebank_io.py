@@ -16,8 +16,8 @@ Four formats:
 * json: a canonical one-line-per-tree dump of lexicalized trees, used for
   golden files and debugging.
 
-read_sentences reads the input of ``hodt parse``: ``form/POS`` lines or
-CoNLL token columns.
+read_sentences (split_sentences and parse_sentence) reads the input of
+``hodt parse``: ``form/POS`` lines or CoNLL token columns.
 
 Readers take a string or an iterable of lines, tolerate CRLF, and report
 malformed input as TreebankFormatError with file/line positions; writers
@@ -28,13 +28,14 @@ stores head positions.  The three tree readers reject a tree nested
 deeper than MAX_DEPTH levels.  Every writer but json refuses a tree
 with a field that its own reader would misread (_MISREAD).
 
-Each tree reader is a split of the text into one unit per tree
-(split_lines, split_export), which finds only the faults between units,
-and a parse of each unit on its own (parse_bracketed, parse_export,
-parse_json).  A split yields the units as it goes and raises at its
+Each reader is a split of the text into one unit per tree or sentence
+(split_lines, split_export, split_conll, split_sentences), which finds
+only the faults between units, and a parse of each unit on its own
+(parse_bracketed, parse_export, parse_json, parse_conll,
+parse_sentence).  A split yields the units as it goes and raises at its
 first fault, so the reader reports an error inside an earlier unit
-first.  The units hold their line numbers, so `hodt convert` can parse
-them in its workers.  Likewise write_conll joins the blocks of
+first.  The units hold their line numbers, so the hodt commands can
+parse them in their workers.  Likewise write_conll joins the blocks of
 render_conll.
 """
 
@@ -74,8 +75,15 @@ _MISREAD = {
 
 
 def _lines_of(source):
+    """The lines of source, without their line ends.  A string is split
+    about 4 KiB at a time, each piece cut at a line feed, so its lines
+    are never all held at once."""
     if isinstance(source, str):
-        source = source.split('\n')
+        text, start = source, 0
+        while (end := text.find('\n', start + 4096)) >= 0:
+            yield from _lines_of(text[start:end].split('\n'))
+            start = end + 1
+        source = text[start:].split('\n')
     for line in source:
         yield line.rstrip('\r\n')
 
@@ -444,7 +452,9 @@ def _conll_token(cols, expected, path, lineno):
                  None if feats == '_' else feats)
 
 
-def _conll_rows(source):
+def split_conll(source, path=None):
+    """The rows of each blank-line-separated sentence, as a list of
+    (line number, columns); CoNLL has no fault between units."""
     sentence = []
     for lineno, line in enumerate(_lines_of(source), 1):
         if not line.strip():
@@ -460,6 +470,57 @@ def _conll_rows(source):
         yield sentence
 
 
+def parse_conll(rows, path=None, on_root_anomaly='repair', stats=None):
+    """The encoded dependency tree of one unit of split_conll; the
+    options are read_conll's."""
+    tokens, heads, labels = [], [], []
+    first_line = rows[0][0]
+    for expected, (lineno, cols) in enumerate(rows, 1):
+        if len(cols) != _CONLL_COLUMNS:
+            raise TreebankFormatError(
+                f'expected {_CONLL_COLUMNS} columns, got {len(cols)}',
+                path, lineno)
+        tokens.append(_conll_token(cols, expected, path, lineno))
+        head, deprel = cols[6:8]
+        try:
+            heads.append(int(head))
+        except ValueError:
+            raise TreebankFormatError(
+                f'HEAD {head!r} is not an integer', path, lineno) from None
+        labels.append(deprel)
+    n = len(tokens)
+    for lineno, cols in rows:
+        if not 0 <= int(cols[6]) <= n:
+            raise TreebankFormatError(
+                f'HEAD {cols[6]} out of range', path, lineno)
+    roots = [i for i, h in enumerate(heads) if h == 0]
+    if len(roots) != 1:
+        if on_root_anomaly == 'reject':
+            raise TreebankFormatError(
+                f'{len(roots)} root tokens', path, first_line)
+        if stats is not None:
+            stats['root_repairs'] = stats.get('root_repairs', 0) + 1
+        if not roots:
+            heads[0], labels[0], roots = 0, ROOT_LABEL, [0]
+        for extra in roots[1:]:
+            heads[extra] = roots[0] + 1
+    # break any cycle left by the input or the root repair
+    root_pos = roots[0] + 1
+    for start in range(1, n + 1):
+        seen, v = set(), start
+        while v != 0 and v not in seen:
+            seen.add(v)
+            v = heads[v - 1]
+        if v == start:
+            if on_root_anomaly == 'reject':
+                raise TreebankFormatError(
+                    f'cycle through token {start}', path, first_line)
+            if stats is not None:
+                stats['cycle_repairs'] = stats.get('cycle_repairs', 0) + 1
+            heads[start - 1] = root_pos
+    return DTree(Sentence(tuple(tokens)), tuple(heads), tuple(labels))
+
+
 def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
     """Parse encoded dependency trees.  Sentences with zero or several
     HEAD-0 rows are repaired (counted in stats['root_repairs']) or
@@ -467,63 +528,8 @@ def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
     (stats['cycle_repairs'])."""
     if on_root_anomaly not in ('repair', 'reject'):
         raise ValueError("on_root_anomaly must be 'repair' or 'reject'")
-    corpus = []
-    for rows in _conll_rows(source):
-        tokens = []
-        heads = []
-        labels = []
-        first_line = rows[0][0]
-        for expected, (lineno, cols) in enumerate(rows, 1):
-            if len(cols) != _CONLL_COLUMNS:
-                raise TreebankFormatError(
-                    f'expected {_CONLL_COLUMNS} columns, got {len(cols)}',
-                    path, lineno)
-            tokens.append(_conll_token(cols, expected, path, lineno))
-            head, deprel = cols[6:8]
-            try:
-                heads.append(int(head))
-            except ValueError:
-                raise TreebankFormatError(
-                    f'HEAD {head!r} is not an integer', path, lineno) from None
-            labels.append(deprel)
-        n = len(tokens)
-        for lineno, cols in rows:
-            if not 0 <= int(cols[6]) <= n:
-                raise TreebankFormatError(
-                    f'HEAD {cols[6]} out of range', path, lineno)
-        roots = [i for i, h in enumerate(heads) if h == 0]
-        if len(roots) != 1:
-            if on_root_anomaly == 'reject':
-                raise TreebankFormatError(
-                    f'{len(roots)} root tokens', path, first_line)
-            if stats is not None:
-                stats['root_repairs'] = stats.get('root_repairs', 0) + 1
-            if not roots:
-                heads[0] = 0
-                labels[0] = ROOT_LABEL
-                roots = [0]
-            else:
-                keep = roots[0]
-                for extra in roots[1:]:
-                    heads[extra] = keep + 1
-        # break any cycle left by the input or the root repair
-        root_pos = roots[0] + 1
-        for start in range(1, n + 1):
-            seen = set()
-            v = start
-            while v != 0 and v not in seen:
-                seen.add(v)
-                v = heads[v - 1]
-            if v != 0 and v == start:
-                if on_root_anomaly == 'reject':
-                    raise TreebankFormatError(
-                        f'cycle through token {start}', path, first_line)
-                if stats is not None:
-                    stats['cycle_repairs'] = stats.get('cycle_repairs', 0) + 1
-                heads[start - 1] = root_pos
-        corpus.append(DTree(
-            Sentence(tuple(tokens)), tuple(heads), tuple(labels)))
-    return corpus
+    return [parse_conll(rows, path, on_root_anomaly, stats)
+            for rows in split_conll(source)]
 
 
 def _conll_fields(enc):
@@ -575,23 +581,40 @@ def write_conll(corpus, path=None):
 
 # --- parser input -----------------------------------------------------------
 
-def read_sentences(source, path=None):
-    """Sentences to parse, in one of two layouts picked by the first
+def split_sentences(source, path=None):
+    """The sentences to parse, in one of two layouts picked by the first
     non-blank line: CoNLL token columns if it holds a tab (ID, FORM,
     LEMMA, CPOS, POS, FEATS and any further columns, one token per row,
     a blank line after each sentence), else one sentence per line of
-    whitespace-separated ``form/POS`` tokens."""
-    sentences = []
-    tokens = []
+    whitespace-separated ``form/POS`` tokens.  Each unit is (CoNLL or
+    not, the (line number, text) of its rows); input with no unit is
+    the one fault."""
+    rows = []
     conll = None
     for lineno, line in enumerate(_lines_of(source), 1):
         if not line.strip():
-            if tokens:
-                sentences.append(Sentence(tuple(tokens)))
-                tokens = []
+            if rows:
+                yield True, rows
+                rows = []
             continue
         if conll is None:
             conll = '\t' in line
+        if conll:
+            rows.append((lineno, line))
+        else:
+            yield False, [(lineno, line)]
+    if rows:
+        yield True, rows
+    if conll is None:
+        raise TreebankFormatError('empty input', path)
+
+
+def parse_sentence(unit, path=None):
+    """The Sentence of one unit of split_sentences.  A form/POS token
+    needs a non-empty form and POS; it splits at its last ``/``."""
+    conll, rows = unit
+    tokens = []
+    for lineno, line in rows:
         if conll:
             cols = line.split('\t')
             if len(cols) < 6:
@@ -601,18 +624,18 @@ def read_sentences(source, path=None):
             tokens.append(_conll_token(cols, len(tokens) + 1, path, lineno))
             continue
         for item in line.split():
-            if '/' not in item:
+            form, _, pos = item.rpartition('/')
+            if not (form and pos):
                 raise TreebankFormatError(
                     f'expected form/POS tokens, got {item!r}', path, lineno)
-            form, pos = item.rsplit('/', 1)
             tokens.append(Token(len(tokens) + 1, form, pos))
-        sentences.append(Sentence(tuple(tokens)))
-        tokens = []
-    if tokens:
-        sentences.append(Sentence(tuple(tokens)))
-    if not sentences:
-        raise TreebankFormatError('empty input', path)
-    return sentences
+    return Sentence(tuple(tokens))
+
+
+def read_sentences(source, path=None):
+    """Parse the sentences of split_sentences."""
+    return [parse_sentence(unit, path)
+            for unit in split_sentences(source, path)]
 
 
 # --- canonical json ---------------------------------------------------------

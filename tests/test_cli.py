@@ -815,31 +815,64 @@ def test_check_reports_the_split_fault_after_every_unit(tmp_path, capsys,
         1, '', f'error: {bank}:{bad + 1}: dangling parent pointer 777\n')
 
 
-@pytest.mark.parametrize('fmt, write, parse_name', [
-    ('export', write_export, 'parse_export'),
-    ('brackets', write_bracketed, 'parse_bracketed'),
-    ('json', write_json_corpus, 'parse_json')])
-def test_check_parses_each_unit_once_and_reads_no_whole_file(
-        tmp_path, capsys, monkeypatch, fmt, write, parse_name):
+def _refuse_whole_file_reads(monkeypatch):
+    """Make every whole-file reader of treebank_io fail."""
     def whole_file(*args, **kwargs):
-        raise AssertionError('check read the whole file at once')
+        raise AssertionError('read the whole file at once')
 
-    for name in ('read_bracketed', 'read_export', 'read_json_corpus'):
-        monkeypatch.setattr(cli, name, whole_file)
+    for name in ('read_bracketed', 'read_export', 'read_json_corpus',
+                 'read_conll', 'read_sentences'):
+        monkeypatch.setattr(f'hodt.treebank_io.{name}', whole_file)
+
+
+def _spy(monkeypatch, name):
+    """The list of units that cli.<name>, a per-unit parse, is called on."""
     calls = []
-    real = getattr(cli, parse_name)
+    real = getattr(cli, name)
 
     def spy(unit, path=None):
         calls.append(unit)
         return real(unit, path)
 
-    monkeypatch.setattr(cli, parse_name, spy)
-    bank = _numbered_bank(tmp_path, 7, write, f'bank.{fmt}')
-    code, out, _ = _run(capsys, 'check', '-i', str(bank))
-    assert code == 0
-    assert json.loads(out)['trees'] == 7
-    assert len(calls) == 7
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize('cmd', ['convert', 'check', 'train', 'eval'])
+@pytest.mark.parametrize('fmt, write, parse_name', [
+    ('export', write_export, 'parse_export'),
+    ('brackets', write_bracketed, 'parse_bracketed'),
+    ('json', write_json_corpus, 'parse_json')])
+def test_commands_parse_each_unit_once_and_read_no_whole_file(
+        tmp_path, capsys, monkeypatch, cmd, fmt, write, parse_name):
+    _refuse_whole_file_reads(monkeypatch)
+    calls = _spy(monkeypatch, parse_name)
+    bank = str(_numbered_bank(tmp_path, 7, write, f'bank.{fmt}'))
+    argv = {'convert': ['convert', '-i', bank, '-o', str(tmp_path / 'out')],
+            'check': ['check', '-i', bank, '-o', str(tmp_path / 'out')],
+            'train': ['train', '-i', bank, '-m', str(tmp_path / 'm'),
+                      '--epochs', '1'],
+            'eval': ['eval', bank, bank]}[cmd]
+    code, _, err = _run(capsys, *argv)
+    assert code == 0, err
+    # eval reads the bank twice, as gold and as predictions
+    assert len(calls) == 7 * (2 if cmd == 'eval' else 1)
     assert len({repr(unit) for unit in calls}) == 7
+
+
+def test_parse_parses_each_sentence_once_and_reads_no_whole_file(
+        tmp_path, toy_bundle, capsys, monkeypatch):
+    _refuse_whole_file_reads(monkeypatch)
+    calls = _spy(monkeypatch, 'parse_sentence')
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N\nsees/V\n\nthe/D cat/N\n')
+    code, out, err = _run(capsys, 'parse', '-m', str(toy_bundle),
+                          '-i', str(sents))
+    assert code == 0, err
+    assert out.count('\n') == 3
+    assert calls == [(False, [(1, 'the/D dog/N')]),
+                     (False, [(2, 'sees/V')]),
+                     (False, [(4, 'the/D cat/N')])]
 
 
 def test_check_refuses_an_inner_label_less_bracket(tmp_path, capsys):
@@ -1098,6 +1131,11 @@ def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
     ('1\tthe\t_\tD\tD\t_\n5\tdog\t_\tN\tN\t_\n',
      "2: token id '5', expected 2"),
     ('the/D dog/N\nthe dog/N\n', "2: expected form/POS tokens, got 'the'"),
+    # an empty form or POS; the token splits at its last /
+    ('/NN a/DT\n', "1: expected form/POS tokens, got '/NN'"),
+    ('the/D a/\n', "1: expected form/POS tokens, got 'a/'"),
+    ('the/D\na/NN/ b/N\n', "2: expected form/POS tokens, got 'a/NN/'"),
+    ('the/D\nb/N /\n', "2: expected form/POS tokens, got '/'"),
 ])
 def test_parse_input_errors_name_the_line(tmp_path, toy_bundle, capsys,
                                           text, message):
@@ -1108,3 +1146,111 @@ def test_parse_input_errors_name_the_line(tmp_path, toy_bundle, capsys,
     assert code == 1
     assert out == ''
     assert err == f'error: {sents}:{message}\n'
+
+
+def test_parse_splits_a_token_at_its_last_slash(tmp_path, toy_bundle,
+                                                 capsys):
+    sents = tmp_path / 'in.txt'
+    sents.write_text('a//N b/c/V\n')
+    code, out, err = _run(capsys, 'parse', '-m', str(toy_bundle),
+                          '-i', str(sents), '--format', 'json')
+    assert code == 0, err
+    (tree,) = read_json_corpus(out)
+    assert [(t.form, t.pos) for t in tree.sentence] == [
+        ('a/', 'N'), ('b/c', 'V')]
+
+
+@pytest.mark.parametrize('case', [
+    'convert', 'check', 'train', 'parse', 'eval_gold', 'eval_pred',
+    'convert_stdin', 'parse_stdin'])
+def test_empty_input_names_its_file(tmp_path, toy_bundle, toy_file, capsys,
+                                    monkeypatch, case):
+    command, _, side = case.partition('_')
+    empty = tmp_path / 'empty.txt'
+    empty.write_text('\n \n\t\n')
+    if side == 'stdin':
+        monkeypatch.setattr('sys.stdin', io.TextIOWrapper(
+            io.BytesIO(b'\n\n')))
+        empty = '-'
+    argv = {'convert': ['convert', '-i', empty],
+            'check': ['check', '-i', empty],
+            'train': ['train', '-i', empty, '-m', tmp_path / 'm'],
+            'parse': ['parse', '-m', toy_bundle, '-i', empty],
+            'eval': ['eval', *((toy_file, empty) if side == 'pred'
+                               else (empty, toy_file))]}[command]
+    assert _run(capsys, *map(str, argv)) == (
+        1, '', f'error: {empty}: empty input\n')
+
+
+# --- error precedence of parse, train and eval ------------------------------
+# as for convert and check: read errors in file order, then the split's
+# fault, then each later stage's errors by unit
+
+def test_parse_read_error_beats_an_earlier_parse_error(
+        tmp_path, toy_bundle, capsys, monkeypatch):
+    real = cli._parse_one
+
+    def failing(sentence, *args, **kwargs):
+        if sentence.tokens[0].form == 'bad':
+            raise cli.ToolkitError('no parse')
+        return real(sentence, *args, **kwargs)
+
+    monkeypatch.setattr(cli, '_parse_one', failing)
+    sents = tmp_path / 'in.txt'
+    sents.write_text('bad/D dog/N\nsees/V\nthe cat/N\nbad/N\n')
+    runs = [_run(capsys, 'parse', '-m', str(toy_bundle), '-i', str(sents),
+                 '--jobs', jobs) for jobs in ('1', '2', '4')]
+    assert runs == [(1, '', f"error: {sents}:3: expected form/POS tokens, "
+                            f"got 'the'\n")] * 3
+    sents.write_text('the/D dog/N\nsees/V\nbad/D cat/N\nbad/N\n')
+    runs = [_run(capsys, 'parse', '-m', str(toy_bundle), '-i', str(sents),
+                 '--jobs', jobs) for jobs in ('1', '2', '4')]
+    assert runs == [(1, '', 'error: sentence 3: no parse\n')] * 3
+
+
+def test_train_lexicalization_error_beats_an_earlier_encoding_error(
+        tmp_path, capsys, monkeypatch):
+    # tree 2 is discontinuous, which delta cannot encode
+    trees = _trees(6, discontinuous=(2,))
+    for i in range(1, 7):
+        trees = _with_form(trees, i, f't{i}')
+    bank = tmp_path / 'bank.export'
+    bank.write_text(write_export(trees))
+    argv = ['train', '-i', str(bank), '-m', str(tmp_path / 'm'),
+            '--encoding', 'delta', '--epochs', '1']
+    assert _run(capsys, *argv) == (
+        1, '', 'error: sentence 2: delta encoding needs a projective and '
+               'nested tree\n')
+    _failing_at(monkeypatch, 'lexicalize', 4, 'lexicalize 4')
+    assert _run(capsys, *argv) == (1, '', 'error: lexicalize 4\n')
+    assert not (tmp_path / 'm').exists()
+
+
+def test_train_read_error_beats_an_earlier_lexicalization_error(
+        tmp_path, capsys, monkeypatch):
+    lines = _numbered_bank(tmp_path, 6).read_text().split('\n')
+    short = lines.index('#BOS 5') + 1
+    lines.insert(short, 'short\tX')
+    bank = tmp_path / 'short.export'
+    bank.write_text('\n'.join(lines))
+    _failing_at(monkeypatch, 'lexicalize', 1, 'lexicalize 1')
+    assert _run(capsys, 'train', '-i', str(bank),
+                '-m', str(tmp_path / 'm')) == (
+        1, '', f'error: {bank}:{short + 1}: short token line\n')
+
+
+def test_eval_gold_read_error_beats_a_pred_read_error(tmp_path, capsys,
+                                                      monkeypatch):
+    gold = _numbered_bank(tmp_path, 4, write_bracketed, 'gold.brackets')
+    pred = _numbered_bank(tmp_path, 4, write_bracketed, 'pred.brackets')
+    pred.write_text('(S (A a)\n' + pred.read_text())
+    assert _run(capsys, 'eval', str(gold), str(pred)) == (
+        1, '', f'error: {pred}:1: unbalanced (\n')
+    gold.write_text(gold.read_text() + '(S (A a)))\n')
+    assert _run(capsys, 'eval', str(gold), str(pred)) == (
+        1, '', f'error: {gold}:5: unbalanced )\n')
+    # and a gold lexicalization error beats a pred read error
+    gold.write_text(gold.read_text().rsplit('\n', 2)[0] + '\n')
+    _failing_at(monkeypatch, 'lexicalize', 3, 'lexicalize 3')
+    assert _run(capsys, 'eval', str(gold), str(pred)) == (
+        1, '', 'error: lexicalize 3\n')

@@ -60,6 +60,20 @@ def test_read_bracketed_blank_lines_skipped():
     assert len(trees) == 2
 
 
+@pytest.mark.parametrize('newline', ['\n', '\r\n'])
+def test_readers_split_a_long_string_as_its_lines(newline):
+    # a string is split about 4 KiB at a time, each piece cut at a line
+    # feed; these texts span many pieces
+    trees = [gen_ctree(GenConfig(seed=4), 8, index=i) for i in range(300)]
+    text = write_export(trees).replace('\n', newline)
+    assert len(text) > 40_000
+    assert read_export(text) == read_export(text.splitlines(keepends=True))
+    lines = write_bracketed(trees).split('\n')
+    lines[250] += ')'
+    with pytest.raises(TreebankFormatError, match=r'^b:251: unbalanced \)$'):
+        read_bracketed(newline.join(lines), path='b')
+
+
 def test_read_bracketed_errors():
     with pytest.raises(TreebankFormatError) as err:
         read_bracketed('(S (NP')
