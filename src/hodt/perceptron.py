@@ -20,12 +20,21 @@ outputs are the same either way.
 `hash_features` copies one blake2b state per string, appends the
 digests to one buffer and reads it as little-endian uint64.
 
-A model is dense only while it trains: a fresh LinearModel holds one
-float per masked index (32 MiB at the default 22 bits), and `indices`
-is the masked digest itself.  Averaging uses the running-totals trick:
-alongside w we keep u = sum of t * delta over all updates, where t
-counts examples seen, and the averaged vector is w - u / T.  A model
-trained for zero epochs stays all-zero by construction.
+A model never holds a float per masked index.  A fresh LinearModel is
+open: `indices` gives each masked index the next free slot the first
+time it meets it, and `weights` (and the trainer's running totals) hold
+one float per slot handed out, grown geometrically.  Slot 0 is never
+handed out and holds 0.0.  The slot of an index is kept in an int32 map
+over the whole masked space, an anonymous mmap: its pages are touched
+only where indices land (16 MiB at the default 22 bits when all are),
+and they go back to the OS when compaction drops the map, which a heap
+block of that size freed by glibc need not do.  Every update adds to
+one slot per masked index, in the order a dense vector would take it,
+so the weights equal those of a dense vector bit for bit.  Averaging
+uses the running-totals trick: alongside w we keep u = sum of t * delta
+over all updates, where t counts examples seen, and the averaged vector
+is w - u / T, element by element over the slots.  A model trained for
+zero epochs stays all-zero by construction.
 
 Averaging ends training: the model is then compacted, as a loaded model
 is built, to `keys`, the sorted masked indices of its nonzero weights,
@@ -42,6 +51,7 @@ the number of weights.
 """
 
 import json
+import mmap
 import sys
 from hashlib import blake2b
 
@@ -51,6 +61,9 @@ from .errors import ModelFormatError, read_utf8
 from .rng import GAMMA, MASK64, Rng
 
 DIM_BITS = 22
+
+# slots an open model holds before its first growth
+_FIRST_SLOTS = 1 << 12
 
 _GAMMA_U64 = np.uint64(GAMMA)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -126,10 +139,17 @@ def conjoin_grid(hashes, keys):
         return _mix_vec(hashes[..., None, :] + mixed[..., None])
 
 
+def _resized(array, size):
+    """A zero-padded copy of a 1-d array, grown to size."""
+    out = np.zeros(size, dtype=array.dtype)
+    out[:array.size] = array
+    return out
+
+
 class LinearModel:
-    """Weights addressed by masked digests: dense while training, compact
-    (nonzero weights only) once averaged or loaded; see the module
-    docstring.
+    """Weights addressed by masked digests: open (one slot per index
+    seen) while training, compact (nonzero weights only) once averaged
+    or loaded; see the module docstring.
 
     meta is a caller-owned json-serializable dict (label alphabets,
     featurizer settings); it rides along in the model file.
@@ -141,17 +161,23 @@ class LinearModel:
         self.dim_bits = dim_bits
         self.mask = (1 << dim_bits) - 1
         self.meta = dict(meta or {})
-        self.keys = None  # dense until compact()
-        self.weights = np.zeros(1 << dim_bits)
+        self.keys = None  # open until compact()
+        # the slot of each masked index, 0 until it is seen
+        self._slot_of = np.frombuffer(mmap.mmap(-1, 4 << dim_bits),
+                                      dtype=np.int32)
+        self._used = 1  # slots handed out, slot 0 included
+        size = min(_FIRST_SLOTS, self.mask + 2)
+        self._slot_keys = np.zeros(size, dtype=np.intp)
+        self.weights = np.zeros(size)
 
     def indices(self, hashes):
-        """Where each digest's weight sits in `weights`: the masked digest
-        in a dense model, its slot in a compact one (slot 0, which holds
-        0.0, for a digest with no weight)."""
+        """Where each digest's weight sits in `weights`: its slot, handed
+        out on first sight in an open model; in a compact one, slot 0
+        (which holds 0.0) for a digest with no weight."""
         # a masked digest is below 2**30, so its bits read the same as intp
         idx = np.bitwise_and(hashes, np.uint64(self.mask)).view(np.intp)
         if self.keys is None:
-            return idx
+            return self._open_slots(idx)
         entry = self._lookup[idx >> 5]
         # shift the index's own flag to bit 63: what is left are the flags
         # of its block at or below it (the shift is at least 32, so the
@@ -162,22 +188,46 @@ class LinearModel:
         slot *= (below >> np.uint64(63)).view(np.intp)
         return slot
 
+    def _open_slots(self, idx):
+        """The slots of masked indices, handing the indices not seen yet
+        the next free slots, in ascending order of index."""
+        slots = self._slot_of[idx].astype(np.intp)
+        new = slots == 0
+        if new.any():
+            fresh, rank = np.unique(idx[new], return_inverse=True)
+            first = self._used
+            self._used += fresh.size
+            if self._used > self.weights.size:
+                size = min(max(self._used, 2 * self.weights.size),
+                           self.mask + 2)
+                self.weights = _resized(self.weights, size)
+                self._slot_keys = _resized(self._slot_keys, size)
+            self._slot_of[fresh] = np.arange(first, self._used)
+            self._slot_keys[first:self._used] = fresh
+            slots[new] = rank + first
+        return slots
+
     def score(self, hashes):
         return float(self.weights[self.indices(hashes)].sum())
 
     def nonzero(self):
         """(indices, values) of the nonzero weights, indices ascending."""
         if self.keys is None:
-            keys = np.flatnonzero(self.weights)
-            return keys, self.weights[keys]
+            values = self.weights[1:self._used]
+            kept = np.flatnonzero(values)
+            keys = self._slot_keys[kept + 1]
+            order = np.argsort(keys)
+            return keys[order], values[kept[order]]
         return self.keys, self.weights[1:]
 
     def compact(self):
-        """Keep only the nonzero weights, and drop the dense vector."""
+        """Keep only the nonzero weights, and drop the slot map."""
         self._set_compact(*self.nonzero())
         return self
 
     def _set_compact(self, keys, values):
+        # dropping the map unmaps it, so its pages leave the process
+        self._slot_of = self._slot_keys = None
         self.keys = keys
         self.weights = np.concatenate(([0.0], values))
         # one word per block of 32 indices: the low half flags the
@@ -264,7 +314,7 @@ class LinearModel:
 
 
 class AveragedTrainer:
-    """Perceptron updates against a fresh (dense) LinearModel, averaged
+    """Perceptron updates against a fresh (open) LinearModel, averaged
     and compacted on finish."""
 
     def __init__(self, model):
@@ -278,17 +328,21 @@ class AveragedTrainer:
         self._tick += 1
 
     def update_indices(self, idx, delta):
-        """Add delta (scalar or per-feature array) at masked indices."""
-        np.add.at(self.model.weights, idx, delta)
+        """Add delta (scalar or per-feature array) at slots."""
+        weights = self.model.weights
+        if self._totals.size < weights.size:  # the model handed out more
+            self._totals = _resized(self._totals, weights.size)
+        np.add.at(weights, idx, delta)
         np.add.at(self._totals, idx, np.multiply(delta, float(self._tick)))
 
     def average(self):
         """Replace the working weights with their running average, and
         compact the model: training ends here."""
         if self._tick:
-            # in place: no third dense vector at the learner's peak
+            # in place, over the slots that have totals (the rest were
+            # never updated and stay 0.0)
             self._totals /= self._tick
-            self.model.weights -= self._totals
+            self.model.weights[:self._totals.size] -= self._totals
         self._totals = None
         return self.model.compact()
 

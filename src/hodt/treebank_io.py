@@ -328,14 +328,20 @@ def split_export(source, path=None):
 
     Outside the #BOS..#EOS blocks only blank lines, ``#FORMAT 3`` and
     ``#FORMAT 4`` lines, %% comments and #BOT..#EOT header tables may
-    appear.
+    appear.  Each block's lines are collected as the split reads them,
+    so the input is never held whole.
     """
-    lines = list(_lines_of(source))
     bos_line = None     # line of the open #BOS
+    block = []          # the lines after it so far
     table = None        # line of the open #BOT
     version = 3
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(_lines_of(source), 1):
         stripped = line.strip()
+        # in a block, every line but these three is the block's
+        if bos_line is not None and not stripped.startswith(
+                ('#EOS', '#BOS', '#FORMAT')):
+            block.append(line)
+            continue
         if not stripped:
             continue
         if table is not None:
@@ -353,9 +359,9 @@ def split_export(source, path=None):
                     path, lineno)
             version = int(parts[1])
             continue
-        if bos_line is None and stripped.startswith('%%'):
+        if stripped.startswith('%%'):
             continue
-        if bos_line is None and stripped.startswith('#BOT'):
+        if stripped.startswith('#BOT'):
             table = lineno
             continue
         if stripped.startswith('#BOS'):
@@ -366,12 +372,11 @@ def split_export(source, path=None):
         if stripped.startswith('#EOS'):
             if bos_line is None:
                 raise TreebankFormatError('#EOS outside a block', path, lineno)
-            yield bos_line, version, lines[bos_line:lineno - 1]
-            bos_line = None
+            yield bos_line, version, block
+            bos_line, block = None, []
             continue
-        if bos_line is None:
-            raise TreebankFormatError(
-                f'expected #BOS, got {stripped[:30]!r}', path, lineno)
+        raise TreebankFormatError(
+            f'expected #BOS, got {stripped[:30]!r}', path, lineno)
     if table is not None:
         raise TreebankFormatError('unterminated #BOT table', path, table)
     if bos_line is not None:

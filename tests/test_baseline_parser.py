@@ -169,8 +169,11 @@ def test_parse_heads_returns_the_digests_of_the_chosen_arcs(projective,
                                                             words):
     # random weights, so that the decoded trees vary
     model = LinearModel(dim_bits=12, meta={'projective': projective})
-    model.weights = np.random.default_rng(len(words)).standard_normal(
-        model.weights.shape)
+    # index i gets the i-th value: the slots are handed out in a
+    # separate statement, since handing them out may grow `weights`
+    slots = model.indices(np.arange(1 << 12, dtype=np.uint64))
+    model.weights[slots] = np.random.default_rng(len(words)).standard_normal(
+        slots.size)
     sentence = make_sentence(*words)
     heads, digests = parse_heads(model, sentence)
     assert digests.shape == (len(sentence), FEATURES_PER_ARC)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -290,18 +293,76 @@ def test_trained_weights_are_pinned(learner):
     assert _weights_digest(model) == PINNED[learner]
 
 
+def _arrays(*objects):
+    return [a for obj in objects for a in vars(obj).values()
+            if isinstance(a, np.ndarray)]
+
+
 @pytest.mark.parametrize('learner', sorted(PINNED))
-def test_runtime_models_hold_only_their_nonzero_weights(learner, tmp_path):
+def test_runtime_models_hold_only_their_nonzero_weights(learner, tmp_path,
+                                                        monkeypatch):
     # a dense model at 22 bits holds 32 MiB; a compact one a 1 MiB
-    # lookup plus 16 bytes per nonzero weight
+    # lookup plus 16 bytes per nonzero weight; an open one, fresh or as
+    # the epoch loop leaves it, an int32 slot map over the masked space
+    # plus a few floats per slot handed out
+    training = []
+    average = AveragedTrainer.average
+
+    def spy(trainer):
+        training.append(_arrays(trainer, trainer.model))
+        return average(trainer)
+
+    monkeypatch.setattr(AveragedTrainer, 'average', spy)
     model = _train_pinned(learner)
+    for arrays in (_arrays(LinearModel()), *training):
+        assert [a.dtype for a in arrays if a.size >= 2**22] == [np.int32]
+        assert sum(a.nbytes for a in arrays if a.size < 2**22) < 2 * 2**20
     path = tmp_path / 'model.json'
     model.save(str(path))
     for m in (model, LinearModel.load(str(path))):
         assert m.dim_bits == 22
-        held = sum(a.nbytes for a in vars(m).values()
-                   if isinstance(a, np.ndarray))
+        held = sum(a.nbytes for a in _arrays(m))
         assert held < 2 * 2**20
+
+
+# Trains the parser on a small toy bank in a fresh process and prints how
+# far that raised the process's peak RSS (VmHWM, as the benchmark reads
+# it) above its peak before training.
+_TRAIN_ONE = """
+from hodt.baseline_parser import train_unlabeled
+from hodt.corpus_gen import GenConfig, gen_toy_treebank
+from hodt.encoding import encode_direct
+from hodt.reduction import ctree_to_dtree
+from hodt.trees import strip_unaries
+
+
+def peak():
+    with open('/proc/self/status') as status:
+        for line in status:
+            if line.startswith('VmHWM:'):
+                return int(line.split()[1]) * 1024
+
+
+corpus = [encode_direct(ctree_to_dtree(strip_unaries(t)))
+          for t in gen_toy_treebank(GenConfig(seed=7), 60)]
+before = peak()
+train_unlabeled(corpus, epochs=2, seed=2)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists('/proc/self/status'),
+                    reason='reads VmHWM from /proc')
+def test_training_a_learner_holds_no_dense_vector():
+    # one dense vector of 2**22 floats is 32 MiB; a dense trainer holds
+    # two (weights and totals), and touches all of both when it averages
+    src = os.path.dirname(os.path.dirname(perceptron.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get('PYTHONPATH')))))
+    done = subprocess.run([sys.executable, '-c', _TRAIN_ONE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 32 * 2**20
 
 
 @pytest.mark.parametrize('learner', sorted(PINNED))
@@ -329,9 +390,13 @@ def test_a_compact_model_cannot_be_trained():
 
 
 def _dense(dim_bits, weights):
+    """An open model with weights[i] at masked index i.  The slot is
+    handed out before the assignment, which would otherwise write into
+    the `weights` that handing it out replaces."""
     model = LinearModel(dim_bits)
     for i, value in weights.items():
-        model.weights[i] = value
+        slot = model.indices(np.array([i], dtype=np.uint64))
+        model.weights[slot] = value
     return model
 
 
@@ -378,6 +443,82 @@ def test_compact_scores_equal_dense_scores(case):
             i for i, w in weights.items() if w)
         assert (_sums(model, digests) == want).all()
         assert model.to_json() == dense.to_json()
+
+
+def _reference_json(dim_bits, meta, epochs, examples):
+    """to_json of the dense trainer: np.add.at on 2**dim_bits weights
+    and totals at the masked digests, then w - u/T, then the indices of
+    the nonzero weights."""
+    mask = np.uint64((1 << dim_bits) - 1)
+    w = np.zeros(1 << dim_bits)
+    u = np.zeros(1 << dim_bits)
+    tick = 0
+    for _ in range(epochs):
+        for updates in examples:
+            tick += 1
+            for digests, delta in updates:
+                idx = (digests & mask).astype(np.intp)
+                np.add.at(w, idx, delta)
+                np.add.at(u, idx, np.multiply(delta, float(tick)))
+    if tick:
+        w = w - u / tick
+    keys = np.flatnonzero(w)
+    return json.dumps({
+        'kind': 'linear', 'dim_bits': dim_bits, 'meta': meta,
+        'weights': [list(pair)
+                    for pair in zip(keys.tolist(), w[keys].tolist())],
+    }, sort_keys=True)
+
+
+@st.composite
+def _training_runs(draw):
+    """(dim_bits, epochs, tables_first, examples): each example a list
+    of (digests, delta) updates, delta a scalar or one value per digest.
+    The digests come from a few masked indices in drawn order, each
+    under several high halves, so that digests repeat within an update
+    and distinct digests mask to one index."""
+    dim_bits = draw(st.integers(1, 14))
+    mask = (1 << dim_bits) - 1
+    pool = draw(st.lists(st.integers(0, mask), min_size=1, max_size=12))
+    digest = st.builds(lambda i, high: (high & ~mask) | i,
+                       st.sampled_from(pool),
+                       st.sampled_from([0, 1 << 40, (1 << 64) - 1]))
+    value = st.one_of(st.sampled_from([1.0, -1.0, 0.5]),
+                      st.floats(-1e3, 1e3))
+    update = st.lists(digest, min_size=1, max_size=6).flatmap(
+        lambda d: st.tuples(
+            st.just(np.array(d, dtype=np.uint64)),
+            st.one_of(value, st.lists(value, min_size=len(d),
+                                      max_size=len(d)).map(np.array))))
+    examples = draw(st.lists(st.lists(update, max_size=3), max_size=6))
+    return dim_bits, draw(st.integers(0, 3)), draw(st.booleans()), examples
+
+
+@settings(max_examples=300, deadline=None)
+@given(_training_runs())
+@example((4, 2, True, [[(np.array([9, 25, 9], dtype=np.uint64), 1.0)],
+                       [(np.array([3, 9], dtype=np.uint64), -0.5)]]))
+@example((14, 0, True, [[(np.array([7, 2], dtype=np.uint64), 1.0)]]))
+def test_open_training_equals_the_dense_reference(run):
+    # the slots are handed out in first-seen order, either as the
+    # learners do (every table before the first update) or as each
+    # update comes; the model must serialize as the dense trainer's
+    # bit for bit
+    dim_bits, epochs, tables_first, examples = run
+    meta = {'task': 'reference'}
+    model = LinearModel(dim_bits, meta)
+    if tables_first:
+        tables = [[model.indices(d) for d, _ in updates]
+                  for updates in examples]
+    trainer = AveragedTrainer(model)
+    for _ in range(epochs):
+        for k, updates in enumerate(examples):
+            trainer.begin_example()
+            for j, (digests, delta) in enumerate(updates):
+                idx = tables[k][j] if tables_first else model.indices(digests)
+                trainer.update_indices(idx, delta)
+    assert trainer.average().to_json() == _reference_json(
+        dim_bits, meta, epochs, examples)
 
 
 def test_zero_epoch_compact_model_scores_zero():

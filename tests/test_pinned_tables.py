@@ -46,11 +46,19 @@ def _digest(arrays):
     return sha.hexdigest()
 
 
+def _masked(model, tables):
+    """The tables of an open model with each slot read back as the
+    masked index it was handed out for; slot 0, which no open model hands
+    out, reads as index 0 (the zeros an arc table leaves unread)."""
+    for table in tables:
+        yield model._slot_keys[table]
+
+
 def _arc_tables(bank):
     model = LinearModel()
     for enc in _corpus(bank):
         table, _, _ = arc_index_table(model, enc.sentence)
-        yield table
+        yield from _masked(model, [table])
 
 
 def _label_tables(bank):
@@ -61,13 +69,14 @@ def _label_tables(bank):
         for _, unary, pair in _chain_tables(
                 model, enc.sentence, enc.heads, n_labels,
                 tree_arc_digests(enc.sentence, enc.heads)):
-            yield from (unary, pair)
+            yield from _masked(model, (unary, pair))
 
 
 def _unary_rows(bank):
     data = extract_instances(BANKS[bank]())
     model = LinearModel()
-    yield from _instance_indices(model, data.instances, len(data.classes))
+    yield from _masked(model, _instance_indices(model, data.instances,
+                                                len(data.classes)))
 
 
 TABLES = {'arcs': _arc_tables, 'labels': _label_tables,

@@ -5,6 +5,7 @@ from hodt.encoding import ROOT_LABEL, encode_direct
 from hodt.errors import TreebankFormatError
 from hodt.headrules import lexicalize, load_rules
 from hodt.reduction import ctree_to_dtree
+from hodt import treebank_io
 from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_export, read_json_corpus,
     read_sentences, write_bracketed, write_conll, write_export,
@@ -331,6 +332,27 @@ def test_export_rejects_lines_outside_blocks():
         with pytest.raises(TreebankFormatError) as err:
             read_export(text)
         assert err.value.line == line
+
+
+def test_split_export_yields_a_block_before_reading_on(monkeypatch):
+    read = []
+    lines_of = treebank_io._lines_of
+
+    def spy(source):
+        for line in lines_of(source):
+            read.append(line)
+            yield line
+
+    monkeypatch.setattr(treebank_io, '_lines_of', spy)
+    text = ''.join(f'#BOS {i}\nw\tT\t--\t--\t0\n\n#EOS {i}\n'
+                   for i in (1, 2, 3))
+    units = treebank_io.split_export(text, 'in.export')
+    assert next(units) == (1, 3, ['w\tT\t--\t--\t0', ''])
+    # the split stopped at the first #EOS: the rest is not read yet
+    assert read == ['#BOS 1', 'w\tT\t--\t--\t0', '', '#EOS 1']
+    assert [(bos, lines) for bos, _, lines in units] == [
+        (5, ['w\tT\t--\t--\t0', '']), (9, ['w\tT\t--\t--\t0', ''])]
+    assert len(read) == 13
 
 
 def test_export_header_lines_outside_blocks():
