@@ -329,7 +329,7 @@ def split_export(source, path=None):
     Outside the #BOS..#EOS blocks only blank lines, ``#FORMAT 3`` and
     ``#FORMAT 4`` lines, %% comments and #BOT..#EOT header tables may
     appear.  Each block's lines are collected as the split reads them,
-    so the input is never held whole.
+    so the lines of the whole input are never held at once.
     """
     bos_line = None     # line of the open #BOS
     block = []          # the lines after it so far
