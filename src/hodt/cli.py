@@ -16,7 +16,7 @@ Every command that reads trees or sentences (convert, check, train,
 eval and parse) goes through one per-unit driver (_map_units): the
 parent splits the input at tree or sentence boundaries, and each unit
 is read and run through the command's stages (lexicalize, encode,
-audit, _parse_one, ...) on its own, in up to --jobs forked workers.
+audit, _parse_one, render, ...) on its own, in up to --jobs forked workers.
 Output, summary lines and errors are the same for any --jobs.
 """
 
@@ -39,11 +39,9 @@ from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
 from .reduction import (RoundtripReport, ctree_to_dtree, dtree_to_ctree,
                         recover_order, roundtrip_check)
-from .treebank_io import (join_conll, parse_bracketed, parse_conll,
-                          parse_export, parse_json, parse_sentence,
-                          render_conll, split_conll, split_export,
-                          split_lines, split_sentences, write_bracketed,
-                          write_export, write_json_corpus)
+from .treebank_io import (TREE_FORMATS, join_conll, join_trees,
+                          parse_conll, parse_sentence, render_conll,
+                          sniff_format, split_conll, split_sentences)
 from .trees import CTree, DTree, strip_unaries, validate
 from .unary_recovery import (NULL_CLASS, extract_instances, recover,
                              train_unary)
@@ -67,24 +65,6 @@ def _write_output(path, text):
             f.write(text)
 
 
-def _sniff_format(text, path):
-    for line in text.split('\n'):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith('#FORMAT') or stripped.startswith('#BOS'):
-            return 'export'
-        if stripped.startswith('{'):
-            return 'json'
-        if stripped.startswith('('):
-            return 'bracketed'
-        cols = stripped.split('\t')
-        if len(cols) >= 10 and cols[0].isdigit():
-            return 'conll'
-        return 'tagged'
-    raise TreebankFormatError('empty input', path)
-
-
 def _resolve_rules(spec):
     """Builtin name or file path -> (HeadRuleSet, fingerprint text)."""
     if spec == 'leftmost':
@@ -105,29 +85,15 @@ def _resolve_rules(spec):
 
 
 def _tree_reader(fmt):
-    """(split, parse) of the fmt tree reader: its split into one unit per
-    tree and its parse of one unit."""
-    if fmt == 'bracketed':
-        return split_lines, parse_bracketed
-    if fmt == 'export':
-        return split_export, parse_export
-    if fmt == 'json':
-        return split_lines, parse_json
-    raise ToolkitError(f'cannot read constituent trees from {fmt!r} input')
+    """The TREE_FORMATS entry of fmt, named by the user or sniff_format."""
+    if fmt not in TREE_FORMATS:
+        raise ToolkitError(
+            f'cannot read constituent trees from {fmt!r} input')
+    return TREE_FORMATS[fmt]
 
 
 def _lexicalize(tree, rules):
     return tree if isinstance(tree, CTree) else lexicalize(tree, rules)
-
-
-def _write_trees(trees, fmt, path):
-    if fmt == 'bracketed':
-        return write_bracketed(trees, path)
-    if fmt == 'export':
-        return write_export(trees, path=path)
-    if fmt == 'json':
-        return write_json_corpus(trees)
-    raise ToolkitError(f'cannot write constituent trees as {fmt!r}')
 
 
 def _split_csv(arg):
@@ -216,7 +182,7 @@ def _map_units(reader, text, path, stages=(), jobs=1):
     """[the value of each unit of text through reader and stages], at
     most `jobs` units at a time in forked workers.
 
-    reader is a (split, parse) pair.  The parent splits the text into
+    reader is a (split, parse, ...) tuple.  The parent splits the text into
     units (one per tree or sentence); each unit is read with parse and
     run through stages in a worker, or at jobs 1 in the parent as the
     split yields it.  A stage is (fn, numbered): fn(i, value) of unit i
@@ -226,7 +192,7 @@ def _map_units(reader, text, path, stages=(), jobs=1):
     every unit, then each stage's errors by unit.  Neither the error nor
     its message depends on `jobs`.
     """
-    split, parse = reader
+    split, parse = reader[:2]
     faults = []
 
     def units():
@@ -262,7 +228,7 @@ def _encode_tree(tree, scheme, strip):
 def cmd_convert(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text, args.input)
+    fmt = args.format or sniff_format(text, args.input)
     results = _map_units(_tree_reader(fmt), text, args.input, (
         (lambda i, tree: _encode_tree(_lexicalize(tree, rules),
                                       args.encoding, strip=False), True),
@@ -288,7 +254,7 @@ def cmd_train(args):
         raise ToolkitError('the delta encoding requires continuous mode')
     rules, rules_text = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text, args.input)
+    fmt = args.format or sniff_format(text, args.input)
     # direct/delta train on unaryless skeletons (the restorer puts the
     # chains back at parse time); hn keeps them inside the spine labels
     strip = args.encoding != 'hn'
@@ -409,7 +375,7 @@ def _parse_one(sentence, parser_model, labeler_model, unary_model,
     problems = validate(tree)
     if problems:
         raise ToolkitError(f'produced an invalid tree: {problems[0]}')
-    return tree, result.warnings, repairs
+    return tree, result.warnings, bool(repairs.total()), repairs.tokens_changed
 
 
 def cmd_parse(args):
@@ -420,17 +386,20 @@ def cmd_parse(args):
         _parse_one, parser_model=parser_model, labeler_model=labeler_model,
         unary_model=unary_model, scheme=manifest['encoding'],
         continuous=continuous)
+    render = TREE_FORMATS[args.format or ('bracketed' if continuous
+                                          else 'export')].render
     results = _map_units(
         (split_sentences, parse_sentence), _read_input(args.input),
-        args.input, ((lambda i, sentence: parse_one(sentence), True),),
+        args.input, (
+            (lambda i, sentence: parse_one(sentence), True),
+            (lambda i, parsed: (render(i, parsed[0], args.output),
+                                *parsed[1:]), False)),
         args.jobs)
-    trees = [tree for tree, _, _ in results]
-    fmt = args.format or ('bracketed' if continuous else 'export')
-    _write_output(args.output, _write_trees(trees, fmt, args.output))
-    warnings = sum(w for _, w, _ in results)
-    repaired = sum(1 for _, _, r in results if r.total())
-    touched = sum(r.tokens_changed for _, _, r in results)
-    print(f'# parsed {len(trees)} sentences; {warnings} label fallbacks, '
+    _write_output(args.output, join_trees(text for text, *_ in results))
+    warnings = sum(w for _, w, _, _ in results)
+    repaired = sum(r for _, _, r, _ in results)
+    touched = sum(t for _, _, _, t in results)
+    print(f'# parsed {len(results)} sentences; {warnings} label fallbacks, '
           f'{repaired} sentences repaired ({touched} tokens)',
           file=sys.stderr)
     return 0
@@ -449,8 +418,8 @@ def _aligned(score, gold, pred, *args):
 def cmd_eval(args):
     gold_text = _read_input(args.gold)
     pred_text = _read_input(args.pred)
-    gold_fmt = args.format or _sniff_format(gold_text, args.gold)
-    pred_fmt = args.format or _sniff_format(pred_text, args.pred)
+    gold_fmt = args.format or sniff_format(gold_text, args.gold)
+    pred_fmt = args.format or sniff_format(pred_text, args.pred)
     if (gold_fmt == 'conll') != (pred_fmt == 'conll'):
         raise ToolkitError(
             f'cannot score {pred_fmt} predictions against {gold_fmt} gold')
@@ -488,32 +457,27 @@ def cmd_eval(args):
 def cmd_check(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
-    fmt = args.format or _sniff_format(text, args.input)
+    fmt = args.format or sniff_format(text, args.input)
     flags = _map_units(_tree_reader(fmt), text, args.input, (
         (lambda i, tree: _lexicalize(tree, rules), False),
         # the report's six flags, in field order
         (lambda i, tree: tuple(vars(roundtrip_check(tree)).values()),
          False),
     ), args.jobs)
-    summary = {
-        'trees': len(flags), 'roundtrip_failures': 0,
-        'equivalence_failures': 0, 'continuous': 0, 'projective': 0,
-        'nested': 0, 'binary': 0, 'strictly_ordered': 0,
-    }
+    summary = {'trees': len(flags), **dict.fromkeys((
+        'roundtrip_failures', 'equivalence_failures', 'continuous',
+        'projective', 'nested', 'binary', 'strictly_ordered'), 0)}
     bad = []
     for i, report in enumerate(starmap(RoundtripReport, flags), 1):
+        summary['roundtrip_failures'] += not report.roundtrip_equal
+        summary['equivalence_failures'] += not report.equivalence_ok
         summary['continuous'] += report.continuous
         summary['projective'] += report.projective
         summary['nested'] += report.nested
         summary['binary'] += report.binary_input
         summary['strictly_ordered'] += report.strictly_ordered
-        if not report.roundtrip_equal:
-            summary['roundtrip_failures'] += 1
+        if not (report.roundtrip_equal and report.equivalence_ok):
             bad.append(i)
-        if not report.equivalence_ok:
-            summary['equivalence_failures'] += 1
-            if i not in bad:
-                bad.append(i)
     _write_output(args.output, json.dumps(summary, sort_keys=True) + '\n')
     if bad:
         shown = ', '.join(str(i) for i in bad[:10])
@@ -536,8 +500,10 @@ def cmd_gen(args):
                         binary_only=bool(args.binary))
         trees = [gen_ctree(cfg, args.length or 8, index=i)
                  for i in range(args.n)]
-    fmt = args.format or ('export' if args.disc_prob else 'bracketed')
-    _write_output(args.output, _write_trees(trees, fmt, args.output))
+    render = TREE_FORMATS[args.format or ('export' if args.disc_prob
+                                          else 'bracketed')].render
+    _write_output(args.output, join_trees(
+        render(i, tree, args.output) for i, tree in enumerate(trees, 1)))
     return 0
 
 
@@ -559,7 +525,7 @@ def build_parser():
 
     p = sub.add_parser('convert', help='encode a c-treebank as dependencies')
     _add_io(p)
-    p.add_argument('--format', choices=('bracketed', 'export', 'json'))
+    p.add_argument('--format', choices=TREE_FORMATS)
     p.add_argument('--encoding', choices=ENCODINGS, default='direct')
     p.add_argument('--head-rules', default='leftmost')
     p.add_argument('--jobs', type=_int_at_least(1), default=1,
@@ -571,7 +537,7 @@ def build_parser():
     p.add_argument('-i', '--input', default='-')
     p.add_argument('-m', '--model', required=True,
                    help='bundle directory to write')
-    p.add_argument('--format', choices=('bracketed', 'export', 'json'))
+    p.add_argument('--format', choices=TREE_FORMATS)
     p.add_argument('--encoding', choices=ENCODINGS, default='direct')
     p.add_argument('--mode', choices=MODES, default='continuous')
     p.add_argument('--head-rules', default='leftmost')
@@ -583,7 +549,7 @@ def build_parser():
     p = sub.add_parser('parse', help='parse tagged text or CoNLL tokens')
     _add_io(p)
     p.add_argument('-m', '--model', required=True, help='bundle directory')
-    p.add_argument('--format', choices=('bracketed', 'export', 'json'),
+    p.add_argument('--format', choices=TREE_FORMATS,
                    help='output tree format (default by mode)')
     p.add_argument('--no-unaries', action='store_true')
     p.add_argument('--jobs', type=_int_at_least(1), default=1,
@@ -594,8 +560,7 @@ def build_parser():
     p.add_argument('gold')
     p.add_argument('pred')
     p.add_argument('-o', '--output', default='-')
-    p.add_argument('--format',
-                   choices=('bracketed', 'export', 'json', 'conll'))
+    p.add_argument('--format', choices=(*TREE_FORMATS, 'conll'))
     p.add_argument('--punct-pos', default='',
                    help='comma-separated POS tags to ignore')
     p.add_argument('--ignore-root', default='',
@@ -604,7 +569,7 @@ def build_parser():
 
     p = sub.add_parser('check', help='roundtrip audit, exit 2 on violations')
     _add_io(p)
-    p.add_argument('--format', choices=('bracketed', 'export', 'json'))
+    p.add_argument('--format', choices=TREE_FORMATS)
     p.add_argument('--head-rules', default='leftmost')
     p.add_argument('--jobs', type=_int_at_least(1), default=1,
                    help='worker processes that read, lexicalize and '
@@ -622,7 +587,7 @@ def build_parser():
     p.add_argument('--disc-prob', type=_probability)
     p.add_argument('--unary-prob', type=_probability)
     p.add_argument('--binary', action='store_true', default=None)
-    p.add_argument('--format', choices=('bracketed', 'export', 'json'))
+    p.add_argument('--format', choices=TREE_FORMATS)
     p.set_defaults(fn=cmd_gen)
     return top
 

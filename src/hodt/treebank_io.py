@@ -20,27 +20,31 @@ read_sentences (split_sentences and parse_sentence) reads the input of
 ``hodt parse``: ``form/POS`` lines or CoNLL token columns.
 
 Readers take a string or an iterable of lines, tolerate CRLF, and report
-malformed input as TreebankFormatError with file/line positions; writers
-render lexicalized CTrees and return LF-terminated text.  Bracketed and
-export readers yield unlexicalized RawNode trees over Token leaves (feed
-them to headrules.lexicalize); the json reader returns CTrees since the format
-stores head positions.  The three tree readers reject a tree nested
-deeper than MAX_DEPTH levels.  Every writer but json refuses a tree
-with a field that its own reader would misread (_MISREAD).
+malformed input as TreebankFormatError with file/line positions.
+Bracketed and export readers yield unlexicalized RawNode trees over
+Token leaves (feed them to headrules.lexicalize); the json reader
+returns CTrees since the format stores head positions.  The three tree
+readers reject a tree nested deeper than MAX_DEPTH levels.
 
 Each reader is a split of the text into one unit per tree or sentence
 (split_lines, split_export, split_conll, split_sentences), which finds
-only the faults between units, and a parse of each unit on its own
-(parse_bracketed, parse_export, parse_json, parse_conll,
-parse_sentence).  A split yields the units as it goes and raises at its
-first fault, so the reader reports an error inside an earlier unit
-first.  The units hold their line numbers, so the hodt commands can
-parse them in their workers.  Likewise write_conll joins the blocks of
-render_conll.
+only the faults between units, and a parse of each unit (parse_*).  A
+split yields the units as it goes and raises at its first fault, so an
+error inside an earlier unit is reported first.  The units hold their
+line numbers, so the hodt commands can parse them in their workers.
+Each writer joins the LF text of one tree at a time, render(i, tree,
+path) of tree i from 1: write_conll the blocks of render_conll, and
+write_bracketed, write_export and write_json_corpus (join_trees) those
+of render_bracketed, render_export and render_json.  Every render but
+json's refuses a field that its own reader would misread (_MISREAD).
+TREE_FORMATS holds the split, parse and render of each constituent
+tree format, and sniff_format names the format of a text.
 """
 
 import json
 import re
+from collections import namedtuple
+from itertools import chain
 
 from .encoding import ROOT_LABEL
 from .errors import TreebankFormatError
@@ -216,18 +220,25 @@ def _refuse_misread(i, tree, fmt, path=None, version=3):
             f'{fmt} format; write it with --format json', path)
 
 
+def render_bracketed(i, tree, path=None):
+    """The line of lexicalized tree i (counted from 1).  Continuous trees
+    only."""
+    if not is_continuous(tree):
+        raise TreebankFormatError(
+            f'tree {i} is discontinuous; write it in the export format', path)
+    _refuse_misread(i, tree, 'bracketed', path)
+    return _render(tree.root, tree.sentence)
+
+
+def join_trees(units):
+    """The file of rendered trees, one line or export block each."""
+    return '\n'.join(units) + '\n'
+
+
 def write_bracketed(trees, path=None):
-    """One line per tree, rendered from the lexicalized tree.  Continuous
-    trees only."""
-    lines = []
-    for i, tree in enumerate(trees, 1):
-        if not is_continuous(tree):
-            raise TreebankFormatError(
-                f'tree {i} is discontinuous; write it in the export format',
-                path)
-        _refuse_misread(i, tree, 'bracketed', path)
-        lines.append(_render(tree.root, tree.sentence))
-    return '\n'.join(lines) + '\n'
+    """One line per tree (render_bracketed)."""
+    return join_trees(render_bracketed(i, tree, path)
+                      for i, tree in enumerate(trees, 1))
 
 
 # --- export -----------------------------------------------------------------
@@ -257,16 +268,11 @@ def parse_export(unit, path=None):
                 'label': parts[1], 'children': [], 'line': lineno}
             units.append((parts[4], node_id, lineno))
         else:
-            if version == 4:
-                if len(parts) < 6:
-                    raise TreebankFormatError('short token line', path, lineno)
-                form, lemma, tag, morph, parent = (
-                    parts[0], parts[1], parts[2], parts[3], parts[5])
-            else:
-                if len(parts) < 5:
-                    raise TreebankFormatError('short token line', path, lineno)
-                form, lemma, tag, morph, parent = (
-                    parts[0], None, parts[1], parts[2], parts[4])
+            if version == 3:
+                parts.insert(1, None)   # no lemma column
+            if len(parts) < 6:
+                raise TreebankFormatError('short token line', path, lineno)
+            form, lemma, tag, morph, _, parent = parts[:6]
             tokens += 1
             units.append((parent, Token(
                 tokens, form, tag, None if lemma in (None, '--') else lemma,
@@ -388,56 +394,47 @@ def read_export(source, path=None):
     return [parse_export(unit, path) for unit in split_export(source, path)]
 
 
-def write_export(trees, version=3, path=None):
-    """Export blocks rendered from the lexicalized trees; a VROOT root is
+def render_export(i, tree, path=None, version=3):
+    """The #BOS i..#EOS i block of lexicalized tree i; a VROOT root is
     implicit in the format, so its children attach at the top (0)."""
-    lines = []
-    if version == 4:
-        lines.append('#FORMAT 4')
-    for i, tree in enumerate(trees, 1):
-        _refuse_misread(i, tree, 'export', path, version)
-        lines.append(f'#BOS {i}')
-        root = tree.root
-        if root.kind == PROPER and root.label == 'VROOT':
-            tops = root.children
+    _refuse_misread(i, tree, 'export', path, version)
+    root = tree.root
+    vroot = root.kind == PROPER and root.label == 'VROOT'
+    internal = []   # (yield, -depth, node, parent), parents first
+    leaf_of = {}    # position -> (preterminal label, parent)
+    stack = [(top, None, 0)
+             for top in reversed(root.children if vroot else (root,))]
+    while stack:
+        node, parent, depth = stack.pop()
+        if node.kind == PRETERMINAL:
+            leaf_of[node.head] = (node.label, parent)
         else:
-            tops = (root,)
-        internal = []   # (yield, -depth, node, parent), parents first
-        leaf_of = {}    # position -> (preterminal label, parent)
-        stack = [(top, None, 0) for top in reversed(tops)]
-        while stack:
-            node, parent, depth = stack.pop()
-            if node.kind == PRETERMINAL:
-                leaf_of[node.head] = (node.label, parent)
-            else:
-                internal.append((sorted(node.positions), -depth, node, parent))
-                stack.extend((c, node, depth + 1)
-                             for c in reversed(node.children))
-        # deepest-first within a yield so ids grow bottom-up
-        internal.sort(key=lambda entry: entry[:2])
-        ids = {id(None): 0}     # no parent: attached at the top
-        ids.update((id(node), 500 + k)
-                   for k, (_, _, node, _) in enumerate(internal))
-        for tok in tree.sentence:
-            tag, parent = leaf_of[tok.position]
-            parent = ids[id(parent)]
-            morph = tok.morph if tok.morph is not None else '--'
-            if version == 4:
-                lemma = tok.lemma if tok.lemma is not None else '--'
-                lines.append(
-                    f'{tok.form}\t{lemma}\t{tag}\t{morph}\t--\t{parent}')
-            else:
-                lines.append(f'{tok.form}\t{tag}\t{morph}\t--\t{parent}')
-        for _, _, node, parent in internal:
-            parent = ids[id(parent)]
-            if version == 4:
-                lines.append(
-                    f'#{ids[id(node)]}\t--\t{node.label}\t--\t--\t{parent}')
-            else:
-                lines.append(
-                    f'#{ids[id(node)]}\t{node.label}\t--\t--\t{parent}')
-        lines.append(f'#EOS {i}')
-    return '\n'.join(lines) + '\n'
+            internal.append((sorted(node.positions), -depth, node, parent))
+            stack.extend((c, node, depth + 1)
+                         for c in reversed(node.children))
+    # deepest-first within a yield so ids grow bottom-up
+    internal.sort(key=lambda entry: entry[:2])
+    ids = {id(None): 0}     # no parent: attached at the top
+    ids.update((id(node), 500 + k)
+               for k, (_, _, node, _) in enumerate(internal))
+    # version 4 rows; version 3 has no lemma column.  A lemma or
+    # morphology is never '' here: _refuse_misread refuses it
+    rows = [(tok.form, tok.lemma or '--', leaf_of[tok.position][0],
+             tok.morph or '--', '--', ids[id(leaf_of[tok.position][1])])
+            for tok in tree.sentence]
+    rows += [(f'#{ids[id(node)]}', '--', node.label, '--', '--',
+              ids[id(parent)]) for _, _, node, parent in internal]
+    lines = ['\t'.join(map(str, row if version == 4 else row[:1] + row[2:]))
+             for row in rows]
+    return '\n'.join([f'#BOS {i}', *lines, f'#EOS {i}'])
+
+
+def write_export(trees, version=3, path=None):
+    """The export file of the trees (render_export), after a ``#FORMAT
+    4`` line in version 4."""
+    blocks = (render_export(i, tree, path, version)
+              for i, tree in enumerate(trees, 1))
+    return join_trees(chain(['#FORMAT 4'] if version == 4 else [], blocks))
 
 
 # --- conll ------------------------------------------------------------------
@@ -682,16 +679,20 @@ def _is_token_row(row):
             and all(x is None or isinstance(x, str) for x in row[2:]))
 
 
+def render_json(i, tree, path=None):
+    """The one-line JSON object of tree i (i and path, which every render
+    takes, go unused)."""
+    obj = {'tokens': [[t.form, t.pos, t.lemma, t.morph]
+                      for t in tree.sentence],
+           'root': _node_to_obj(tree.root)}
+    return json.dumps(obj, sort_keys=True, separators=(',', ':'),
+                      ensure_ascii=False)
+
+
 def write_json_corpus(trees):
-    lines = []
-    for tree in trees:
-        obj = {
-            'tokens': [[t.form, t.pos, t.lemma, t.morph]
-                       for t in tree.sentence],
-            'root': _node_to_obj(tree.root)}
-        lines.append(json.dumps(obj, sort_keys=True, separators=(',', ':'),
-                                ensure_ascii=False))
-    return '\n'.join(lines) + '\n'
+    """One line per tree (render_json)."""
+    return join_trees(render_json(i, tree)
+                      for i, tree in enumerate(trees, 1))
 
 
 def parse_json(unit, path=None):
@@ -726,3 +727,37 @@ def parse_json(unit, path=None):
 def read_json_corpus(source, path=None):
     """Parse one tree per non-blank line; returns CTrees."""
     return [parse_json(unit, path) for unit in split_lines(source)]
+
+
+# --- the tree formats -------------------------------------------------------
+
+TreeFormat = namedtuple('TreeFormat', 'split parse render')
+
+# each constituent tree format: its split into one unit per tree, its
+# parse of one unit and its render(i, tree, path) of tree i
+TREE_FORMATS = {
+    'bracketed': TreeFormat(split_lines, parse_bracketed, render_bracketed),
+    'export': TreeFormat(split_export, parse_export, render_export),
+    'json': TreeFormat(split_lines, parse_json, render_json),
+}
+
+
+def sniff_format(source, path=None):
+    """The format its first non-blank line gives source: a TREE_FORMATS
+    name, 'conll' (CoNLL-X rows) or 'tagged' (form/POS lines); only the
+    pieces of _lines_of up to that line are split."""
+    for line in _lines_of(source):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(('#FORMAT', '#BOS')):
+            return 'export'
+        if stripped.startswith('{'):
+            return 'json'
+        if stripped.startswith('('):
+            return 'bracketed'
+        cols = stripped.split('\t')
+        if len(cols) >= 10 and cols[0].isdigit():
+            return 'conll'
+        return 'tagged'
+    raise TreebankFormatError('empty input', path)

@@ -14,8 +14,8 @@ from hodt.errors import (HeadRuleError, ModelFormatError, TreebankFormatError,
 from hodt.headrules import load_rules
 from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
-    MAX_DEPTH, read_bracketed, read_conll, read_json_corpus, read_sentences,
-    write_bracketed, write_export, write_json_corpus)
+    MAX_DEPTH, TREE_FORMATS, read_bracketed, read_conll, read_json_corpus,
+    read_sentences, write_bracketed, write_export, write_json_corpus)
 from hodt.trees import (CTree, Sentence, Token, is_continuous, preterminal,
                         proper, spine)
 from tests.conftest import deep_tree
@@ -344,12 +344,17 @@ def _gen_bank(tmp_path, capsys, name, *extra):
 
 
 def _serial_and_parallel(tmp_path, capsys, *argv):
-    """(code, output bytes, stderr) of argv at --jobs 1 and --jobs 2; the
-    work slot of _pmap is empty after each call."""
+    """(code, output bytes, stderr) of argv at --jobs 1 and --jobs 2, each
+    run writing to a fresh tmp_path/out, so that an error naming the
+    output reads the same; nothing goes to stdout, and the work slot of
+    _pmap is empty after each call."""
+    out = tmp_path / 'out'
     runs = []
     for jobs in ('1', '2'):
-        out = tmp_path / f'out.j{jobs}'
-        code, _, err = _run(capsys, *argv, '--jobs', jobs, '-o', str(out))
+        out.unlink(missing_ok=True)
+        code, stdout, err = _run(capsys, *argv, '--jobs', jobs,
+                                 '-o', str(out))
+        assert stdout == ''
         assert cli._WORK is None
         runs.append((code, out.read_bytes() if out.exists() else None,
                      err))
@@ -826,15 +831,23 @@ def _refuse_whole_file_reads(monkeypatch):
 
 
 def _spy(monkeypatch, name):
-    """The list of units that cli.<name>, a per-unit parse, is called on."""
+    """The list of units that the per-unit parse `name` is called on,
+    where cli finds it: a tree format's parse in TREE_FORMATS, any other
+    as cli.<name>."""
     calls = []
-    real = getattr(cli, name)
+    fmt = next((fmt for fmt, entry in TREE_FORMATS.items()
+                if entry.parse.__name__ == name), None)
+    real = getattr(cli, name) if fmt is None else TREE_FORMATS[fmt].parse
 
     def spy(unit, path=None):
         calls.append(unit)
         return real(unit, path)
 
-    monkeypatch.setattr(cli, name, spy)
+    if fmt is None:
+        monkeypatch.setattr(cli, name, spy)
+    else:
+        monkeypatch.setitem(TREE_FORMATS, fmt,
+                            TREE_FORMATS[fmt]._replace(parse=spy))
     return calls
 
 
@@ -910,6 +923,29 @@ def test_parse_jobs_discontinuous_identical(tmp_path, capsys):
         tmp_path, capsys, 'parse', '-m', str(bundle), '-i', str(tokens))
     assert serial[0] == 0
     assert serial[1].startswith(b'#BOS 1')
+    assert parallel == serial
+
+
+def test_bracketed_output_refuses_a_discontinuous_tree(tmp_path, capsys):
+    out = tmp_path / 'out'
+    refusal = (f'error: {out}: tree 1 is discontinuous; write it in the '
+               f'export format\n')
+    assert _run(capsys, 'gen', '--kind', 'random', '--disc-prob', '1',
+                '--format', 'bracketed', '-o', str(out)) == (1, '', refusal)
+    assert not out.exists()
+    bank = _gen_bank(tmp_path, capsys, 'disc.export', '--disc-prob', '1')
+    bundle = tmp_path / 'disc.bundle'
+    code, _, err = _run(capsys, 'train', '-i', bank, '-m', str(bundle),
+                        '--mode', 'discontinuous', '--epochs', '2')
+    assert code == 0, err
+    code, out, _ = _run(capsys, 'convert', '-i', bank)
+    assert code == 0
+    tokens = tmp_path / 'tokens.conll'
+    tokens.write_text(out)
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'parse', '-m', str(bundle), '-i', str(tokens),
+        '--format', 'bracketed')
+    assert serial == (1, None, refusal)
     assert parallel == serial
 
 
@@ -1072,21 +1108,22 @@ UNWRITABLE = {
 def test_parse_refuses_trees_its_writer_cannot_round_trip(
         tmp_path, toy_bundle, capsys, case):
     text, fmt, kind, value = UNWRITABLE[case]
+    # a second, writable sentence, so that --jobs 2 starts two workers
+    text += '\n1\tsees\t_\tV\tV\t_\n' if '\t' in text else 'sees/V\n'
     sents = tmp_path / 'in.txt'
     sents.write_text(text)
     out = tmp_path / 'out'
-    code, stdout, err = _run(capsys, 'parse', '-m', str(toy_bundle),
-                             '-i', str(sents), '-o', str(out),
-                             '--format', fmt)
-    assert (code, stdout) == (1, '')
-    assert err == (f'error: {out}: tree 1: {kind} {value!r} cannot be '
-                   f'written in the {fmt} format; write it with --format '
-                   f'json\n')
-    assert not out.exists()
+    serial, parallel = _serial_and_parallel(
+        tmp_path, capsys, 'parse', '-m', str(toy_bundle), '-i', str(sents),
+        '--format', fmt)
+    assert serial == (1, None, f'error: {out}: tree 1: {kind} {value!r} '
+                               f'cannot be written in the {fmt} format; '
+                               f'write it with --format json\n')
+    assert parallel == serial
     code, _, _ = _run(capsys, 'parse', '-m', str(toy_bundle),
                       '-i', str(sents), '-o', str(out), '--format', 'json')
     assert code == 0
-    (tree,) = read_json_corpus(out.read_text())
+    tree, _ = read_json_corpus(out.read_text())
     tok = tree.sentence.token(1)
     assert value == {'form': tok.form, 'morph': tok.morph,
                      'tag': spine(tree, 1)[-1].label}[kind]
@@ -1122,6 +1159,33 @@ def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
     serial, parallel = _serial_and_parallel(
         tmp_path, capsys, 'parse', '-m', str(toy_bundle), '-i', str(sents))
     assert serial == (1, None, 'error: sentence 2: no parse\n')
+    assert parallel == serial
+
+
+def test_parse_error_beats_an_earlier_writer_refusal(tmp_path, toy_bundle,
+                                                     capsys, monkeypatch):
+    # the pipeline runs on every sentence before any is rendered, so its
+    # error in sentence 3 comes before the writer's refusal of sentence 1
+    real = cli._parse_one
+
+    def failing(sentence, *args, **kwargs):
+        if len(sentence) == 1:
+            raise cli.ToolkitError('no parse')
+        return real(sentence, *args, **kwargs)
+
+    monkeypatch.setattr(cli, '_parse_one', failing)
+    sents = tmp_path / 'in.txt'
+    sents.write_text('a(b/N sees/V\nthe/D dog/N\nsees/V\nthe/D cat/N\n')
+    argv = ('parse', '-m', str(toy_bundle), '-i', str(sents),
+            '--format', 'bracketed')
+    serial, parallel = _serial_and_parallel(tmp_path, capsys, *argv)
+    assert serial == (1, None, 'error: sentence 3: no parse\n')
+    assert parallel == serial
+    monkeypatch.setattr(cli, '_parse_one', real)
+    serial, parallel = _serial_and_parallel(tmp_path, capsys, *argv)
+    assert serial == (1, None, f"error: {tmp_path / 'out'}: tree 1: form "
+                               f"'a(b' cannot be written in the bracketed "
+                               f"format; write it with --format json\n")
     assert parallel == serial
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hodt.corpus_gen import GenConfig, gen_ctree
@@ -73,6 +75,22 @@ def test_readers_split_a_long_string_as_its_lines(newline):
     lines[250] += ')'
     with pytest.raises(TreebankFormatError, match=r'^b:251: unbalanced \)$'):
         read_bracketed(newline.join(lines), path='b')
+
+
+def test_sniff_format_reads_only_the_first_lines():
+    # a 2.8 MB export bank after two blank lines: sniffing it splits one
+    # piece of about 4 KiB into lines, not the whole text
+    trees = [gen_ctree(GenConfig(seed=3, discontinuity_probability=0.5),
+                       25, index=i) for i in range(200)]
+    text = '\n\n' + write_export(trees) * 20
+    assert len(text) > 2_000_000
+    tracemalloc.start()
+    try:
+        assert treebank_io.sniff_format(text) == 'export'
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_read_bracketed_errors():
