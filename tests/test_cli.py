@@ -1144,8 +1144,8 @@ def test_parse_featurizes_each_sentence_once(toy_bundle, hash_calls):
         hash_calls.clear()
 
 
-def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
-                                        monkeypatch):
+def _fail_one_token_sentences(monkeypatch):
+    """Make cli._parse_one fail with 'no parse' on one-token sentences."""
     real = cli._parse_one
 
     def failing(sentence, *args, **kwargs):
@@ -1154,6 +1154,11 @@ def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
         return real(sentence, *args, **kwargs)
 
     monkeypatch.setattr(cli, '_parse_one', failing)
+
+
+def test_parse_errors_name_the_sentence(tmp_path, toy_bundle, capsys,
+                                        monkeypatch):
+    _fail_one_token_sentences(monkeypatch)
     sents = tmp_path / 'in.txt'
     sents.write_text('the/D dog/N\nsees/V\nthe/D cat/N\nbird/N\n')
     serial, parallel = _serial_and_parallel(
@@ -1166,14 +1171,7 @@ def test_parse_error_beats_an_earlier_writer_refusal(tmp_path, toy_bundle,
                                                      capsys, monkeypatch):
     # the pipeline runs on every sentence before any is rendered, so its
     # error in sentence 3 comes before the writer's refusal of sentence 1
-    real = cli._parse_one
-
-    def failing(sentence, *args, **kwargs):
-        if len(sentence) == 1:
-            raise cli.ToolkitError('no parse')
-        return real(sentence, *args, **kwargs)
-
-    monkeypatch.setattr(cli, '_parse_one', failing)
+    _fail_one_token_sentences(monkeypatch)
     sents = tmp_path / 'in.txt'
     sents.write_text('a(b/N sees/V\nthe/D dog/N\nsees/V\nthe/D cat/N\n')
     argv = ('parse', '-m', str(toy_bundle), '-i', str(sents),
@@ -1181,7 +1179,7 @@ def test_parse_error_beats_an_earlier_writer_refusal(tmp_path, toy_bundle,
     serial, parallel = _serial_and_parallel(tmp_path, capsys, *argv)
     assert serial == (1, None, 'error: sentence 3: no parse\n')
     assert parallel == serial
-    monkeypatch.setattr(cli, '_parse_one', real)
+    monkeypatch.undo()
     serial, parallel = _serial_and_parallel(tmp_path, capsys, *argv)
     assert serial == (1, None, f"error: {tmp_path / 'out'}: tree 1: form "
                                f"'a(b' cannot be written in the bracketed "
