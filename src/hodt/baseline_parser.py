@@ -28,18 +28,32 @@ Each template is emitted twice: plain, and conjoined with the attachment
 direction plus the binned distance |h - m| (bins 1,2,3,4,5,6-10,>10), so
 every arc yields exactly 34 features.
 
-featurize_arc builds the 34 strings of one arc and is the reference.
-arc_index_table builds the strings of all n^2 candidate arcs through
-arc_features, which builds each string once: every template's value is
-an integer code over numpy (h, m) grids, from per-sentence ids of each
-position's form, POS and neighbouring POS, and only the first arc of
-each distinct code is rendered.  At n = 40, about 16k of the 54,400
-strings are distinct.  arc_index_table is the only place a parsed
-sentence is featurized: parse_heads hands the digests of the chosen
-arcs to the labeler, which conjoins its labels onto them.  In training
-the labeler gets each gold tree's digests from tree_arc_digests, which
-runs arc_features over that tree's n arcs.
+featurize_arc builds the 34 strings of one arc.  It is the reference
+definition of the templates, and the tests hold the digests to it; the
+parser never builds an arc string.  sentence_atoms hashes, in one
+hash_features call, the five part strings of each position 0..n (form,
+POS, form+POS, POS+next POS, previous POS+POS) and the 2n+1
+direction+distance strings ('/R1', '/L6-10', ...).  Each template has a
+key, the digest of its prefix ('hf:', 'btw:', ...), and its digest is a
+splitmix mix (perceptron.mix) over part digests and key: the bias is
+mix(key), a head-only template mix(head part + key), a modifier-only
+one mix(modifier part + key), a two-sided one mix(mix(head part + key)
++ modifier part).  btw chains the mix over the POS digests strictly
+between h and m, one span length at a time, starting from mix(key).  A
+/ctx copy is its plain digest mixed with the arc's direction+distance
+digest.  So two (arc, template) cells get the same digest when
+featurize_arc gives them the same string, and, but for 64-bit
+collisions and a part with a space in it (which can join into the same
+string two ways), only then.
+
+arc_index_table is the only place a parsed sentence is hashed: it
+mixes the digests of all n^2 candidate arcs in blocks of at most
+_BLOCK_CELLS, and keeps only their weight indices.  parse_heads mixes
+the n chosen arcs' digests again from the same atoms for the labeler,
+which in training gets them from tree_arc_digests.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -107,11 +121,11 @@ def featurize_arc(sentence, h, m):
 
 
 # Templates 1-16 as (prefix, head part, modifier part).  A part is a
-# string of each position (0 is the virtual root), by its index in
-# _PARTS: form, POS, form and POS, POS and next POS, previous POS and
-# POS; part 0 is empty.  Template 17 (btw) is built from the arc's span.
+# digest of each position (0 is the virtual root), by its index in
+# _PARTS: form, POS, form and POS, POS and next POS, previous POS and POS;
+# part 0 is all zeros.  Template 17 (btw) is built from the arc's span.
 _PARTS = (None, 'f', 'p', 'fp', 'pn', 'vp')
-_TEMPLATES = (
+TEMPLATES = (
     ('b', None, None),
     ('hf:', 'f', None), ('hp:', 'p', None), ('hfp:', 'fp', None),
     ('mf:', None, 'f'), ('mp:', None, 'p'), ('mfp:', None, 'fp'),
@@ -120,120 +134,97 @@ _TEMPLATES = (
     ('ctx1:', 'pn', 'vp'), ('ctx2:', 'vp', 'vp'),
     ('ctx3:', 'pn', 'pn'), ('ctx4:', 'vp', 'pn'),
 )
-_HEAD_PART = np.array([_PARTS.index(head) for _, head, _ in _TEMPLATES])
-_MOD_PART = np.array([_PARTS.index(mod) for _, _, mod in _TEMPLATES])
-_PLAIN_TEMPLATES = len(_TEMPLATES) + 1
-_CTX_KEYS = 16  # direction x distance bin: 14 keys, and offset 0 (unused)
+_HEAD_PART = [_PARTS.index(head) for _, head, _ in TEMPLATES]
+_MOD_PART = [_PARTS.index(mod) for _, _, mod in TEMPLATES]
+_TWO_SIDED = [t for t, (_, h, m) in enumerate(TEMPLATES) if h and m]
+_PLAIN_TEMPLATES = len(TEMPLATES) + 1
+_KEYS = perceptron.hash_features([p for p, _, _ in TEMPLATES] + ['btw:'])
+
+# digests mixed per arc_index_table block: the n^2 candidate arcs of a
+# sentence of up to 43 tokens are one block
+_BLOCK_CELLS = 1 << 16
 
 
-def _intern(strings, ids):
-    """The id of each string in ids, new strings numbered on."""
-    return [ids.setdefault(s, len(ids)) for s in strings]
+# What sentence_atoms hashes and mixes once per sentence.  The digest of
+# template t < 16 of arc h -> m is mix(left[h, t] + right[m, t]); btw[lo,
+# hi] is the btw digest of the span lo < hi; dist[m - h + n] is the
+# digest of the arc's direction+distance.
+Atoms = namedtuple('Atoms', 'left right btw dist')
 
 
-def arc_features(sentence, heads, mods):
-    """The feature strings of the arcs heads[i] -> mods[i], each built
-    once: (texts, rows), where texts[rows[i, k]] is
-    featurize_arc(sentence, heads[i], mods[i])[k].
-
-    The parts of every position are interned once per sentence.  Each
-    plain template then gets an integer code per arc, offset by its
-    template number, from the ids of its head and modifier parts (btw
-    from the arc's (lo, hi) span), so that equal codes render equal
-    strings; the code of a /ctx template is its plain code times 16 plus
-    the direction and distance key.  One np.unique call over the codes of
-    all 34 templates finds the distinct codes.  The string of each
-    distinct plain code is built once, from its first arc, and that of
-    each distinct /ctx code from its plain code's string.  Two codes can
-    still render the same string (two spans with the same POS between
-    them, a form with a space in it or one ending in '/R1'), so texts
-    may repeat."""
+def sentence_atoms(sentence):
+    """Atoms of a sentence, from one hash_features call over its
+    7n + 6 part and direction+distance strings."""
     n = len(sentence)
-    k = n + 1
     form = [ROOT_TOKEN] + [t.form for t in sentence]
     pos = [ROOT_TOKEN] + [t.pos for t in sentence]
     padded = [NONE_TOKEN] + pos[1:] + [NONE_TOKEN]  # the POS at 0..n+1
     prev = [NONE_TOKEN] + padded[:n]
     after = [NONE_TOKEN] + padded[2:]
-    parts = [[''] * k, form, pos,
-             [f + ' ' + p for f, p in zip(form, pos)],
-             [p + ' ' + a for p, a in zip(pos, after)],
-             [v + ' ' + p for v, p in zip(prev, pos)]]
-    spaced = [[s + ' ' for s in strings] for strings in parts]
-    # the /ctx suffix of an arc, by modifier - head + n
-    suffix_ids = {}
-    suffix = _intern([
-        '/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
-        for d in range(-n, n + 1)], suffix_ids)
-    suffixes = list(suffix_ids)
+    digests = perceptron.hash_features(
+        form + pos + [f + ' ' + p for f, p in zip(form, pos)]
+        + [p + ' ' + a for p, a in zip(pos, after)]
+        + [v + ' ' + p for v, p in zip(prev, pos)]
+        + ['/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
+           for d in range(-n, n + 1)])
+    parts = np.zeros((n + 1, len(_PARTS)), dtype=np.uint64)
+    parts[:, 1:] = digests[:5 * (n + 1)].reshape(5, n + 1).T
+    left = parts[:, _HEAD_PART] + _KEYS[:-1]
+    left[:, _TWO_SIDED] = perceptron.mix(left[:, _TWO_SIDED])
+    # btw[lo, lo + length], one length at a time; only lo < hi is read
+    btw = np.zeros((n + 1, n + 1), dtype=np.uint64)
+    diagonals = btw.reshape(-1)
+    span = perceptron.mix(np.repeat(_KEYS[-1:], n))
+    for length in range(1, n + 1):
+        diagonals[length::n + 2][:n + 1 - length] = span
+        span = perceptron.mix(span[:-1] + parts[length:n, 2])
+    return Atoms(left, parts[:, _MOD_PART], btw, digests[5 * (n + 1):])
 
+
+def _atom_digests(atoms, heads, mods):
+    """The (len(heads), 34) uint64 digests of the arcs heads[i] ->
+    mods[i], mixed from a sentence's atoms."""
     heads = np.asarray(heads, dtype=np.intp)
     mods = np.asarray(mods, dtype=np.intp)
-    ids = np.array([_intern(strings, {}) for strings in parts],
-                   dtype=np.int64)
-    codes = np.empty((2, _PLAIN_TEMPLATES, len(heads)), dtype=np.int64)
-    plain = codes[0]
-    plain[:-1] = ids[_HEAD_PART[:, None], heads] * k
-    plain[:-1] += ids[_MOD_PART[:, None], mods]
-    plain[-1] = np.minimum(heads, mods) * k + np.maximum(heads, mods)
-    plain += (np.arange(_PLAIN_TEMPLATES) * k * k)[:, None]
-    ctx_base = _PLAIN_TEMPLATES * k * k  # above every plain code
-    np.multiply(plain, _CTX_KEYS, out=codes[1])
-    codes[1] += np.array(suffix)[mods - heads + n] + ctx_base
-    distinct, first, inverse = np.unique(
-        codes, return_index=True, return_inverse=True)
-    bounds = np.searchsorted(
-        distinct, np.arange(_PLAIN_TEMPLATES + 1) * k * k).tolist()
-    arc = first[:bounds[-1]] % max(len(heads), 1)
-    first_heads, first_mods = heads[arc].tolist(), mods[arc].tolist()
+    plain = np.empty((len(heads), _PLAIN_TEMPLATES), dtype=np.uint64)
+    np.add(atoms.left[heads], atoms.right[mods], out=plain[:, :-1])
+    perceptron.mix(plain[:, :-1])
+    plain[:, -1] = atoms.btw[np.minimum(heads, mods), np.maximum(heads, mods)]
+    n = len(atoms.left) - 1
+    ctx = perceptron.mix(plain + atoms.dist[mods - heads + n][:, None])
+    return np.concatenate((plain, ctx), axis=1)
 
-    texts = []
-    for t, (prefix, head, mod) in enumerate(_TEMPLATES):
-        hs = (spaced if head and mod else parts)[_HEAD_PART[t]]
-        ms = parts[_MOD_PART[t]]
-        span = slice(bounds[t], bounds[t + 1])
-        texts += [prefix + hs[h] + ms[m]
-                  for h, m in zip(first_heads[span], first_mods[span])]
-    span = slice(bounds[-2], bounds[-1])
-    texts += ['btw:' + ' '.join(pos[min(h, m) + 1:max(h, m)])
-              for h, m in zip(first_heads[span], first_mods[span])]
-    plain_code, key = np.divmod(distinct[bounds[-1]:] - ctx_base, _CTX_KEYS)
-    row = np.searchsorted(distinct[:bounds[-1]], plain_code)
-    texts += [texts[i] + suffixes[j]
-              for i, j in zip(row.tolist(), key.tolist())]
-    return texts, inverse.reshape(FEATURES_PER_ARC, -1).T
+
+def arc_features(sentence, heads, mods):
+    """The (len(heads), 34) uint64 digests of the arcs heads[i] ->
+    mods[i]: row i stands for featurize_arc(sentence, heads[i],
+    mods[i])."""
+    return _atom_digests(sentence_atoms(sentence), heads, mods)
 
 
 def arc_index_table(model, sentence):
-    """(table, digests, rows) of every candidate arc of a sentence.
-
-    table holds the weight indices (model.indices), shape (n+1, n+1, 34);
-    entry [h, m] covers arc h -> m.  The diagonal and the m = 0 column
-    are left at zero and must not be read.  digests and rows are what
-    arc_features and hash_features gave: digests[rows[i]] are the 34
-    digests of the i-th arc in np.nonzero(h != m) order, so arc h -> m
-    is row h*(n-1) + m - (m > h).  arc_features builds each distinct
-    string code once; those strings go through one hash_features call
-    with no dedupe (about 2.5% of them repeat at n = 40, too few to pay
-    for a dict), and each code's digest is looked up once."""
+    """(table, atoms): the weight indices (model.indices) of every
+    candidate arc of a sentence, shape (n+1, n+1, 34), entry [h, m] for
+    arc h -> m, and the sentence's atoms.  The diagonal and the m = 0
+    column are left at zero and must not be read.  The digests are mixed
+    and looked up in blocks of at most _BLOCK_CELLS, and none is kept."""
     n = len(sentence)
+    atoms = sentence_atoms(sentence)
     table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
     heads, mods = np.nonzero(np.arange(n + 1)[:, None]
                              != np.arange(1, n + 1))
     mods += 1
-    texts, rows = arc_features(sentence, heads, mods)
-    digests = perceptron.hash_features(texts)
-    table[heads, mods] = model.indices(digests)[rows]
-    return table, digests, rows
+    step = _BLOCK_CELLS // FEATURES_PER_ARC
+    for a in range(0, len(heads), step):
+        h, m = heads[a:a + step], mods[a:a + step]
+        table[h, m] = model.indices(_atom_digests(atoms, h, m))
+    return table, atoms
 
 
 def tree_arc_digests(sentence, heads):
     """The (n, 34) uint64 digests of the arcs heads[m-1] -> m of one
-    tree: row m-1 is hash_features(featurize_arc(sentence, heads[m-1],
-    m)), from one arc_features and one hash_features call."""
-    texts, rows = arc_features(sentence, heads,
-                               np.arange(1, len(heads) + 1))
-    return perceptron.hash_features(texts)[rows]
+    tree, row m-1 for the arc into m."""
+    return arc_features(sentence, heads, np.arange(1, len(heads) + 1))
 
 
 def score_matrix(model, table):
@@ -285,11 +276,9 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
 def parse_heads(model, sentence):
     """Decode one sentence with a trained model, projectively or not as
     the model was trained: (heads, arc_digests), where arc_digests is the
-    (n, 34) uint64 digests of the chosen arcs heads[m-1] -> m, taken from
-    the candidate arcs' featurization for the labeler."""
-    table, digests, rows = arc_index_table(model, sentence)
+    (n, 34) uint64 digests of the chosen arcs heads[m-1] -> m, mixed
+    from the atoms of the candidate arcs' table, for the labeler."""
+    table, atoms = arc_index_table(model, sentence)
     heads, _ = _decode(model, score_matrix(model, table))
-    n = len(sentence)
-    mods = np.arange(1, n + 1)
-    chosen = np.asarray(heads, dtype=np.intp)
-    return heads, digests[rows[chosen * (n - 1) + mods - (mods > chosen)]]
+    return heads, _atom_digests(atoms, heads,
+                                np.arange(1, len(sentence) + 1))

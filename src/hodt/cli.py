@@ -48,6 +48,9 @@ from .unary_recovery import (NULL_CLASS, extract_instances, recover,
 
 ENCODINGS = ('direct', 'delta', 'hn')
 MODES = ('continuous', 'discontinuous')
+# manifest.bundle: 2 since the arc and label features are mixed from
+# per-sentence atoms
+BUNDLE = 2
 
 
 # --- i/o plumbing -----------------------------------------------------------
@@ -280,7 +283,7 @@ def cmd_train(args):
     if unary_model is not None:
         unary_model.save(os.path.join(args.model, 'unary.json'))
     manifest = {
-        'bundle': 1,
+        'bundle': BUNDLE,
         'encoding': args.encoding,
         'mode': args.mode,
         'epochs': args.epochs,
@@ -314,8 +317,12 @@ def _load_bundle(bundle_dir, want_unaries):
         raise ModelFormatError(f'{manifest_path}: {exc}') from None
     if not isinstance(manifest, dict):
         raise ModelFormatError(f'{manifest_path}: not a JSON object')
-    if manifest.get('bundle') != 1:
-        raise ModelFormatError(f'{manifest_path}: unsupported bundle format')
+    found = manifest.get('bundle')
+    if found != BUNDLE:
+        raise ModelFormatError(f'{manifest_path}: ' + (
+            'bundle format 1 holds string-hashed features, which this '
+            'version no longer builds; retrain the model with hodt train'
+            if found == 1 else f'unsupported bundle format {found!r}'))
     if manifest.get('encoding') not in ENCODINGS:
         raise ModelFormatError(f'{manifest_path}: unknown encoding '
                                f'{manifest.get("encoding")!r}')

@@ -10,17 +10,19 @@ pair).  The root word is the single modifier of the virtual root 0 and
 gets its label the same way, so a scheme's root-slot labels are learned
 like any others.
 
-The labeler never featurizes an arc itself: it takes the (n, 34) arc
-digests of a tree, from parse_heads at parse time and from
-baseline_parser.tree_arc_digests in training, conjoins each label onto
-them, and hashes only its pairwise strings.
+The labeler hashes no string.  It conjoins each label onto the (n, 34)
+arc digests of a tree (from parse_heads, or tree_arc_digests in
+training), and mixes its pairwise digests from their form and POS
+templates: a pairwise feature with prefix key k and parts a, b, c is
+mix(mix(mix(a + k) + b) + c), so two pairs share a digest when they
+share the string.
 
 Ties break toward the first label in the sorted alphabet.
 """
 
 import numpy as np
 
-from .baseline_parser import ROOT_TOKEN, tree_arc_digests
+from .baseline_parser import ROOT_TOKEN, TEMPLATES, tree_arc_digests
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
@@ -29,10 +31,22 @@ from .trees import DTree, validate
 
 PAIR_FEATURES = 4
 
+# featurize_pairwise's features as (prefix, head part, earlier
+# modifier's part, later modifier's part), each part by the parser's
+# template that holds its digest
+_PAIRWISE = (('ppp:', 'hp:', 'mp:', 'mp:'), ('wpp:', 'hf:', 'mp:', 'mp:'),
+             ('pwp:', 'hp:', 'mf:', 'mp:'), ('ppw:', 'hp:', 'mp:', 'mf:'))
+_PAIR_KEYS = perceptron.hash_features([prefix for prefix, *_ in _PAIRWISE])
+_PAIR_COLUMNS = np.array(
+    [[[prefix for prefix, _, _ in TEMPLATES].index(part) for part in parts]
+     for _, *parts in _PAIRWISE]).T
+
 
 def featurize_pairwise(sentence, h, m, m2):
     """Features for consecutive modifiers m < m2 of head h: the POS
-    triplet (head, earlier, later) and its three unilexical variants."""
+    triplet (head, earlier, later) and its three unilexical variants.
+    The reference definition: _pair_digests mixes the same features
+    from digests, and the tests hold it to this function."""
     if h == 0:
         hf = hp = ROOT_TOKEN
     else:
@@ -45,6 +59,16 @@ def featurize_pairwise(sentence, h, m, m2):
         'pwp:' + hp + ' ' + mf + ' ' + m2p,
         'ppw:' + hp + ' ' + mp + ' ' + m2f,
     ]
+
+
+def _pair_digests(arc_digests, earlier, later):
+    """The (len(earlier), 4) pairwise digests of consecutive modifiers
+    earlier[i] < later[i] of one head, from the tree's arc digests."""
+    head, mod, mod2 = _PAIR_COLUMNS
+    into = arc_digests[earlier - 1]
+    digests = perceptron.mix(into[:, head] + _PAIR_KEYS)
+    digests = perceptron.mix(digests + into[:, mod])
+    return perceptron.mix(digests + arc_digests[later - 1][:, mod2])
 
 
 def _chains(sentence, heads):
@@ -61,18 +85,12 @@ def _chain_tables(model, sentence, heads, n_labels, arc_digests):
     with the chain's weight indices (model.indices): unary (T, K, 34)
     and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.
     arc_digests is the (n, 34) digests of the tree's arcs, row m-1 for
-    the arc into m; the labels are conjoined onto them.  The pairwise
-    strings of all chains go through one hash_features call, with no
-    dedupe.  The tables of the chains are slices of two sentence
-    tables."""
+    the arc into m; the labels are conjoined onto them and onto the
+    pairwise digests mixed from them.  The tables of the chains are
+    slices of two sentence tables."""
     chains = _chains(sentence, heads)
     mods = np.array([m for _, chain in chains for m in chain],
                     dtype=np.intp)
-    pairs = [(h, chain[t - 1], chain[t])
-             for h, chain in chains for t in range(1, len(chain))]
-    hashes = perceptron.hash_features([
-        text for h, m, m2 in pairs
-        for text in featurize_pairwise(sentence, h, m, m2)])
     unary = model.indices(conjoin_grid(arc_digests[mods - 1],
                                        range(n_labels)))
     pair = np.zeros((len(mods), n_labels * n_labels, PAIR_FEATURES),
@@ -81,7 +99,7 @@ def _chain_tables(model, sentence, heads, n_labels, arc_digests):
     later = np.ones(len(mods), dtype=bool)
     later[starts[:-1]] = False
     pair[later] = model.indices(conjoin_grid(
-        hashes.reshape(len(pairs), PAIR_FEATURES),
+        _pair_digests(arc_digests, mods[np.roll(later, -1)], mods[later]),
         range(n_labels * n_labels)))
     return [(chain, unary[a:b], pair[a:b])
             for (_, chain), a, b in zip(chains, starts, starts[1:])]

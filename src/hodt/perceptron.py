@@ -1,24 +1,21 @@
 """Hashed linear models and averaged-perceptron training.
 
-Features are strings; they land in a fixed-size weight space through an
-8-byte blake2b digest (unsalted, so runs and machines agree), optionally
-conjoined with a small integer key (a class id, a direction bucket) by a
-splitmix64 round.  No vocabulary is stored: collisions are accepted and
-the training loop never materializes feature names.
+Features land in a fixed-size weight space through 64-bit digests.  A
+string's digest is its 8-byte blake2b (unsalted, so runs and machines
+agree); `mix`, the splitmix64 finalizer, combines digests and keys into
+new ones.  No vocabulary is stored: collisions are accepted and the
+training loop never materializes feature names.
 
-Many feature strings repeat within a sentence (the bias, every template
-of a fixed head or modifier, the POS-only and between-POS templates).
-The arc templates build few repeats in the first place:
-`baseline_parser.arc_features` renders one string per distinct template
-code, and only about 2.5% of those strings repeat (spans with the same
-POS between them), so they go straight to `hash_features`; the labeler
-conjoins its labels onto the parser's arc digests.  The unary restorer,
-which hashes a whole training corpus in one call, goes through
-`hash_distinct`, which digests each distinct string once.  The digest
-of a string does not depend on how many times it is met, so weights and
-outputs are the same either way.
-`hash_features` copies one blake2b state per string, appends the
-digests to one buffer and reads it as little-endian uint64.
+`hash_features` takes a list of strings, copies one blake2b state per
+string, appends the digests to one buffer and reads it as little-endian
+uint64.  The parser hashes only the 7n + 6 part strings of a sentence
+(its forms, POS tags and their neighbours) and mixes every arc
+template's digest from those (`baseline_parser.sentence_atoms`); the
+labeler builds its features from the arc digests and hashes no string.
+The unary restorer, which hashes a whole training corpus in one call,
+goes through `hash_distinct`, which digests each distinct string once.
+`conjoin_grid` conjoins small integer keys (a label, a class) onto
+digests by one more mix.
 
 A model never holds a float per masked index.  A fresh LinearModel is
 open: `indices` gives each masked index the next free slot the first
@@ -58,7 +55,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .errors import ModelFormatError, read_utf8
-from .rng import GAMMA, MASK64, Rng
+from .rng import GAMMA, Rng
 
 DIM_BITS = 22
 
@@ -76,25 +73,19 @@ _BLAKE2B_8 = blake2b(digest_size=8)
 
 
 def hash_features(texts):
-    """uint64 array of digests for a list of feature strings: the 8-byte
+    """uint64 array of digests for a list of feature strings (a list,
+    not any iterable: perfbench/tracer.py counts its length): the 8-byte
     blake2b digest of each string's UTF-8, read little-endian.
 
     Each digest updates a copy of _BLAKE2B_8, never the template itself.
-    The digests go into one growing buffer: b''.join of a list would
-    hold a transient array of 80 bytes per string, which at 15k strings
-    is large enough to move glibc's mmap threshold above an arc table,
-    and later tables would then stay on the heap."""
+    The digests go into one growing buffer rather than a b''.join of a
+    list, which would hold a transient array of 80 bytes per string."""
     digests = bytearray()
     for text in texts:
         state = _BLAKE2B_8.copy()
         state.update(text.encode('utf-8'))
         digests += state.digest()
     return np.frombuffer(digests, dtype='<u8').astype(np.uint64)
-
-
-def feature_hash(text):
-    """Full 64-bit digest of one feature string."""
-    return int(hash_features([text])[0])
 
 
 def hash_distinct(texts):
@@ -104,16 +95,16 @@ def hash_distinct(texts):
     digests[rows] is hash_features of the input.
 
     Used by the unary restorer, whose training corpus repeats most
-    strings.  On the arc strings, which are nearly distinct already, the
-    dict costs more than it saves."""
+    strings."""
     slot = {}
     rows = np.fromiter((slot.setdefault(text, len(slot)) for text in texts),
                        dtype=np.intp)
     return hash_features(list(slot)), rows
 
 
-def _mix_vec(x):
-    """The splitmix64 finalizer, in place on a freshly computed x."""
+def mix(x):
+    """The splitmix64 finalizer, in place on a freshly computed uint64
+    array x, which it returns."""
     x ^= x >> np.uint64(30)
     x *= _M1
     x ^= x >> np.uint64(27)
@@ -122,21 +113,15 @@ def _mix_vec(x):
     return x
 
 
-def conjoin(hashes, key):
-    """Mix a key into each digest; key 0 is distinct from no conjunction."""
-    with np.errstate(over='ignore'):  # wraparound mod 2**64 is the point
-        shifted = hashes + np.uint64((key + 1) & MASK64) * _GAMMA_U64
-        return _mix_vec(shifted)
-
-
 def conjoin_grid(hashes, keys):
-    """conjoin(hashes[..., :], key) for every key, with the keys on the
-    second-to-last axis: (len(keys), len(hashes)) for a digest vector,
-    (rows, len(keys), width) for a (rows, width) digest matrix.  keys of
+    """Each key mixed into each digest (key 0 is distinct from no
+    conjunction), with the keys on the second-to-last axis: (len(keys),
+    len(hashes)) for a digest vector, (rows, len(keys), width) for a
+    (rows, width) digest matrix.  keys of
     shape (rows, k) give each row its own keys."""
     with np.errstate(over='ignore'):
         mixed = (np.asarray(keys, dtype=np.uint64) + np.uint64(1)) * _GAMMA_U64
-        return _mix_vec(hashes[..., None, :] + mixed[..., None])
+        return mix(hashes[..., None, :] + mixed[..., None])
 
 
 def _resized(array, size):

@@ -81,7 +81,8 @@ def toy_rules():
 
 class Calls(list):
     """The strings of each perceptron.hash_features call, in order; arcs
-    holds the (heads, mods) of each baseline_parser.arc_features call."""
+    holds the (heads, mods) of each call that mixes arc digests from a
+    sentence's atoms (baseline_parser._atom_digests)."""
 
     def __init__(self):
         super().__init__()
@@ -102,18 +103,17 @@ def hash_calls(monkeypatch):
     monkeypatch.setattr(perceptron, 'hash_features',
                         lambda texts: calls.append(list(texts))
                         or real(texts))
-    featurize = baseline_parser.arc_features
+    mix_arcs = baseline_parser._atom_digests
 
-    def arc_features(sentence, heads, mods):
+    def atom_digests(atoms, heads, mods):
         calls.arcs.append((list(heads), list(mods)))
-        return featurize(sentence, heads, mods)
+        return mix_arcs(atoms, heads, mods)
 
     def no_dedupe(texts):
         raise AssertionError('hash_distinct called')
     monkeypatch.setattr(perceptron, 'hash_distinct', no_dedupe)
+    monkeypatch.setattr(baseline_parser, '_atom_digests', atom_digests)
     for module in (baseline_parser, dep_labeler):
-        monkeypatch.setattr(module, 'arc_features', arc_features,
-                            raising=False)
         monkeypatch.setattr(module, 'hash_distinct', no_dedupe,
                             raising=False)
     return calls

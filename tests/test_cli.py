@@ -3,6 +3,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -131,7 +133,7 @@ def test_train_writes_bundle(tmp_path, capsys, toy_file):
     assert names == ['labeler.json', 'manifest.json', 'parser.json',
                      'rules.txt', 'unary.json']
     manifest = json.loads((bundle / 'manifest.json').read_text())
-    assert manifest['bundle'] == 1
+    assert manifest['bundle'] == 2
     assert manifest['encoding'] == 'direct'
     assert manifest['mode'] == 'continuous'
     assert manifest['unaries'] is True
@@ -1065,9 +1067,9 @@ def test_parse_rejects_corrupted_bundle(tmp_path, toy_bundle, capsys,
 
 def test_parse_ignores_an_old_label_pruning_table(tmp_path, toy_bundle,
                                                   capsys):
-    # bundles written before label pruning was removed carry a
-    # meta.prune table in labeler.json; it is still bundle format 1 and
-    # must parse exactly as before
+    # bundles written before label pruning was removed carried a
+    # meta.prune table in labeler.json; a labeler that carries one must
+    # parse exactly as one without it
     bundle = tmp_path / 'bundle'
     shutil.copytree(toy_bundle, bundle)
     obj = json.loads((bundle / 'labeler.json').read_text())
@@ -1133,15 +1135,74 @@ def test_parse_featurizes_each_sentence_once(toy_bundle, hash_calls):
     manifest, parser, labeler, unary = cli._load_bundle(
         str(toy_bundle), want_unaries=True)
     hash_calls.clear()
-    for sentence in read_sentences('the/D dog/N sees/V a/D cat/N\n'
-                                   'bird/N sees/V\nsees/V\n'):
+    long = ' '.join(['the/D dog/N sees/V a/D cat/N'] * 8)
+    for sentence in read_sentences(long + '\nbird/N sees/V\nsees/V\n'):
+        n = len(sentence)
         cli._parse_one(sentence, parser, labeler, unary,
                        manifest['encoding'], True)
-        # one arc_features call, the parser's over all n^2 candidate
-        # arcs; the labeler reuses its digests
-        (arcs,) = hash_calls.arcs
-        assert len(arcs[0]) == len(sentence) ** 2
+        # the parser hashes the 7n + 6 part strings of the sentence
+        # first; the labeler hashes none, and the unary restorer hashes
+        # its node features: O(n) strings in all, where hashing each
+        # distinct arc string took about 15.7k at n = 40
+        assert len(hash_calls[0]) == 7 * n + 6
+        assert sum(len(texts) for texts in hash_calls) <= 40 * n
+        # the digests of all n^2 candidate arcs, mixed once, and those
+        # of the n chosen arcs for the labeler
+        candidates, chosen = hash_calls.arcs
+        assert len(candidates[0]) == n * n
+        assert chosen[1] == list(range(1, n + 1))
         hash_calls.clear()
+
+
+def test_parse_refuses_a_bundle_1_model(tmp_path, toy_bundle, capsys):
+    bundle = tmp_path / 'bundle'
+    shutil.copytree(toy_bundle, bundle)
+    manifest = json.loads((bundle / 'manifest.json').read_text())
+    manifest['bundle'] = 1
+    (bundle / 'manifest.json').write_text(json.dumps(manifest))
+    sents = tmp_path / 'in.txt'
+    sents.write_text('the/D dog/N sees/V a/D cat/N\n')
+    out = tmp_path / 'out'
+    code, stdout, err = _run(capsys, 'parse', '-m', str(bundle),
+                             '-i', str(sents), '-o', str(out))
+    assert (code, stdout) == (1, '')
+    assert err == (f'error: {bundle / "manifest.json"}: bundle format 1 '
+                   f'holds string-hashed features, which this version no '
+                   f'longer builds; retrain the model with hodt train\n')
+    assert not out.exists()
+
+
+# Runs hodt with the given arguments in a fresh process and prints its
+# peak resident set size in kB (VmHWM, as the benchmark reads it).
+_PEAK_OF_HODT = """
+import sys
+from hodt.cli import main
+code = main(sys.argv[1:])
+with open('/proc/self/status') as status:
+    print(next(line.split()[1] for line in status
+               if line.startswith('VmHWM:')))
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists('/proc/self/status'),
+                    reason='reads VmHWM from /proc')
+def test_parsing_a_300_token_sentence_stays_under_128_mib(tmp_path,
+                                                          toy_bundle):
+    # the candidate arcs' table is (n+1)^2 x 34 indices, 24.6 MB here,
+    # and scoring gathers as many weights; hashing one string per
+    # distinct arc feature took the peak to about 195 MB
+    sents = tmp_path / 'in.txt'
+    sents.write_text(' '.join(['the/D dog/N sees/V a/D cat/N'] * 60) + '\n')
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get('PYTHONPATH')))))
+    done = subprocess.run(
+        [sys.executable, '-c', _PEAK_OF_HODT, 'parse', '-m', str(toy_bundle),
+         '-i', str(sents), '-o', str(tmp_path / 'out')],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 128 * 1024
 
 
 def _fail_one_token_sentences(monkeypatch):

@@ -3,17 +3,18 @@ import itertools
 import numpy as np
 import pytest
 
-from hodt.baseline_parser import featurize_arc, tree_arc_digests
+from hodt.baseline_parser import arc_features, tree_arc_digests
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
-from hodt.dep_labeler import (_chain_tables, _chains, featurize_pairwise,
-                              label_tree, train_labeler)
+from hodt.dep_labeler import (_chain_tables, _chains, _pair_digests,
+                              featurize_pairwise, label_tree, train_labeler)
 from hodt.encoding import ROOT_LABEL, encode_direct
 from hodt.errors import ToolkitError
-from hodt.perceptron import LinearModel, conjoin_grid, feature_hash
+from hodt.perceptron import LinearModel, conjoin_grid
 from hodt.reduction import ctree_to_dtree
 from hodt.trees import strip_unaries
 
 from conftest import make_sentence
+from test_pinned_tables import BANKS
 
 
 def _corpus(n, seed=1):
@@ -121,22 +122,23 @@ def test_chain_decode_matches_brute_force():
     assert checked >= 10
 
 
-def _digests(features):
-    return np.array([feature_hash(f) for f in features], dtype=np.uint64)
-
-
 def _reference_chain_tables(model, sentence, h, chain, n_labels):
-    """One chain at a time, one arc or pair at a time, one feature_hash
-    per string: unary (T, K, 34), pairwise (T, K*K, 4) with row 0 zero."""
+    """One chain at a time, one arc or pair at a time: unary (T, K, 34)
+    from arc_features of the arc alone, pairwise (T, K*K, 4) from
+    _pair_digests of the pair alone, with row 0 zero."""
     T = len(chain)
     unary = np.empty((T, n_labels, 34), dtype=np.intp)
     pair = np.zeros((T, n_labels * n_labels, 4), dtype=np.intp)
     for t, m in enumerate(chain):
         unary[t] = model.indices(conjoin_grid(
-            _digests(featurize_arc(sentence, h, m)), range(n_labels)))
+            arc_features(sentence, [h], [m])[0], range(n_labels)))
         if t:
+            m0 = chain[t - 1]
+            digests = np.zeros((max(m0, m), 34), dtype=np.uint64)
+            digests[[m0 - 1, m - 1]] = arc_features(sentence, [h, h],
+                                                    [m0, m])
             pair[t] = model.indices(conjoin_grid(
-                _digests(featurize_pairwise(sentence, h, chain[t - 1], m)),
+                _pair_digests(digests, np.array([m0]), np.array([m]))[0],
                 range(n_labels * n_labels)))
     return unary, pair
 
@@ -166,16 +168,32 @@ def test_chain_tables_match_per_chain_hashing(kind):
                 assert np.array_equal(pair, ref_pair)
 
 
-def test_chain_tables_hash_only_the_pair_strings_in_one_call(hash_calls):
+def test_chain_tables_hash_no_string(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
-    chains = _chains(enc.sentence, enc.heads)
-    pairwise = [f for h, chain in chains for m, m2 in zip(chain, chain[1:])
-                for f in featurize_pairwise(enc.sentence, h, m, m2)]
     digests = tree_arc_digests(enc.sentence, enc.heads)
     hash_calls.clear()
     _chain_tables(LinearModel(), enc.sentence, enc.heads, 2, digests)
-    # the arc digests are given: one call, every pairwise string in
-    # chain order, repeats included, and no arc string
-    (hashed,) = hash_calls
-    assert hashed == pairwise
+    # the arc digests are given, and the pairwise ones are mixed from them
+    assert not hash_calls
     assert not hash_calls.arcs
+
+
+@pytest.mark.parametrize('bank', sorted(BANKS))
+def test_pair_digests_group_pairs_as_the_feature_strings(bank):
+    # over every head h and modifiers m < m2 of a sentence, two
+    # (pair, feature) cells share a digest exactly when
+    # featurize_pairwise gives them the same string
+    for tree in BANKS[bank]():
+        sentence = tree.sentence
+        n = len(sentence)
+        strings, digests = [], []
+        for h in range(n + 1):
+            into = arc_features(sentence, [h] * n, range(1, n + 1))
+            earlier, later = np.triu_indices(n + 1, 1)
+            keep = (earlier > 0) & (earlier != h) & (later != h)
+            earlier, later = earlier[keep], later[keep]
+            strings += [f for m, m2 in zip(earlier.tolist(), later.tolist())
+                        for f in featurize_pairwise(sentence, h, m, m2)]
+            digests += _pair_digests(into, earlier, later).ravel().tolist()
+        pairs = set(zip(strings, digests))
+        assert len(pairs) == len(set(strings)) == len(set(digests))

@@ -2,7 +2,7 @@ import numpy as np
 
 from hodt import perceptron
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
-from hodt.perceptron import LinearModel, conjoin_grid, feature_hash
+from hodt.perceptron import LinearModel, conjoin_grid, hash_features
 from hodt.trees import strip_unaries, validate
 from hodt.unary_recovery import (NULL_CLASS, _instance_indices,
                                  extract_instances, featurize_node, recover,
@@ -120,8 +120,7 @@ def test_instance_indices_match_per_instance_hashing():
     got = _instance_indices(model, data.instances, K)
     assert np.shape(got) == (len(data.instances), K, 19)
     for inst, rows in zip(data.instances, got):
-        digests = np.array([feature_hash(f) for f in inst.features],
-                           dtype=np.uint64)
+        digests = hash_features(list(inst.features))
         keys = 2 * np.arange(K) + int(inst.preterminal)
         assert np.array_equal(rows,
                               model.indices(conjoin_grid(digests, keys)))
