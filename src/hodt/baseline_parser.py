@@ -140,8 +140,8 @@ _TWO_SIDED = [t for t, (_, h, m) in enumerate(TEMPLATES) if h and m]
 _PLAIN_TEMPLATES = len(TEMPLATES) + 1
 _KEYS = perceptron.hash_features([p for p, _, _ in TEMPLATES] + ['btw:'])
 
-# digests mixed per arc_index_table block: the n^2 candidate arcs of a
-# sentence of up to 43 tokens are one block
+# table entries per block of arc_index_table and score_matrix: the n^2
+# candidate arcs of a sentence of up to 43 tokens are one block
 _BLOCK_CELLS = 1 << 16
 
 
@@ -228,7 +228,15 @@ def tree_arc_digests(sentence, heads):
 
 
 def score_matrix(model, table):
-    return model.weights[table].sum(axis=2)
+    """The (n+1, n+1) arc scores over an arc_index_table table, each cell
+    the sum of its arc's weights.  The weights are gathered in blocks of
+    head rows of at most _BLOCK_CELLS table entries, so no float array of
+    the table's shape is made."""
+    scores = np.empty(table.shape[:2], dtype=model.weights.dtype)
+    step = max(1, _BLOCK_CELLS // (table.shape[1] * FEATURES_PER_ARC))
+    for h in range(0, len(table), step):
+        scores[h:h + step] = model.weights[table[h:h + step]].sum(axis=2)
+    return scores
 
 
 def _gold_items(treebank):

@@ -258,8 +258,9 @@ def cmd_train(args):
     rules, rules_text = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or sniff_format(text, args.input)
-    # direct/delta train on unaryless skeletons (the restorer puts the
-    # chains back at parse time); hn keeps them inside the spine labels
+    # direct/delta train on unaryless skeletons; hn keeps the unary steps
+    # on its spines, which its labels are read off by step.  Either way
+    # no unary node is rebuilt: the restorer puts the chains back
     strip = args.encoding != 'hn'
     pairs = _map_units(_tree_reader(fmt), text, args.input, (
         (lambda i, tree: _lexicalize(tree, rules), False),

@@ -103,8 +103,10 @@ def _spine_body(labels):
 
 def encode_hn(tree):
     """Spine-chain encoding computed from the constituent tree itself:
-    each arc records its modifier's spine and the attachment step; unary
-    constituents therefore survive inside the labels."""
+    each arc records its modifier's spine and the attachment step.  The
+    spines keep unary constituents, whose steps the attachment steps
+    count, but dtree_to_ctree rebuilds only the steps that arcs attach
+    at, so unary constituents are the unary restorer's to put back."""
     dtree = ctree_to_dtree(tree)
     spines = {
         h: tuple(n.label for n in tree_spine(tree, h) if n.kind == PROPER)

@@ -29,7 +29,7 @@ def eisner_decode(scores):
     n = len(scores) - 1
     if n < 1:
         return [], 0.0
-    sc = [[float(x) for x in row] for row in scores]
+    sc = np.asarray(scores, dtype=float).tolist()
     size = n + 1
     cr = [[0.0] * size for _ in range(size)]      # complete, head at left
     cl = [[0.0] * size for _ in range(size)]      # complete, head at right
@@ -37,8 +37,7 @@ def eisner_decode(scores):
     il = [[NEG_INF] * size for _ in range(size)]  # incomplete, arc t -> s
     br = [[0] * size for _ in range(size)]
     bl = [[0] * size for _ in range(size)]
-    bir = [[0] * size for _ in range(size)]
-    bil = [[0] * size for _ in range(size)]
+    split = [[0] * size for _ in range(size)]  # split point of ir and il
     for length in range(1, n):
         for s in range(1, n - length + 1):
             t = s + length
@@ -51,8 +50,7 @@ def eisner_decode(scores):
                     arg = r
             il[s][t] = best + sc[t][s]
             ir[s][t] = best + sc[s][t]
-            bil[s][t] = arg
-            bir[s][t] = arg
+            split[s][t] = arg
             best = NEG_INF
             arg = s
             for r in range(s, t):
@@ -93,14 +91,12 @@ def eisner_decode(scores):
             r = br[s][t]
             stack.append((3, s, r))
             stack.append((1, r, t))
-        elif kind == 2:
-            heads[s] = t
-            r = bil[s][t]
-            stack.append((1, s, r))
-            stack.append((0, r + 1, t))
         else:
-            heads[t] = s
-            r = bir[s][t]
+            if kind == 2:
+                heads[s] = t
+            else:
+                heads[t] = s
+            r = split[s][t]
             stack.append((1, s, r))
             stack.append((0, r + 1, t))
     return heads[1:], best

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .errors import TreeStructureError
 from .trees import (
-    CTree, DTree, head_outward, is_continuous, is_nested, is_projective,
-    postorder_proper, preterminal, proper, strip_unaries)
+    CTree, DTree, dep_postorder, head_outward, is_continuous, is_nested,
+    is_projective, postorder_proper, preterminal, proper, strip_unaries)
 
 
 def ctree_to_dtree(tree):
@@ -45,17 +45,6 @@ def ctree_to_dtree(tree):
     return DTree(tree.sentence, tuple(heads), tuple(labels))
 
 
-def _dep_postorder(root, dependents):
-    out = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(dependents.get(v, ()))
-    out.reverse()
-    return out
-
-
 def dtree_to_ctree(dtree):
     """Rebuild the constituent tree encoded by a head-ordered d-tree.
 
@@ -67,7 +56,7 @@ def dtree_to_ctree(dtree):
     dependents = dtree.dependents()
     root = dtree.root()
     psi = {}
-    for h in _dep_postorder(root, dependents):
+    for h in dep_postorder(root, dependents):
         node = preterminal(sentence.pos(h), h)
         classes = {}
         for m in dependents.get(h, ()):

@@ -103,21 +103,7 @@ def split_lines(source, path=None):
 
 # --- bracketed --------------------------------------------------------------
 
-def _tokenize_brackets(line):
-    i = 0
-    while i < len(line):
-        c = line[i]
-        if c in '()':
-            yield c
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(line) and not line[j].isspace() and line[j] not in '()':
-                j += 1
-            yield line[i:j]
-            i = j
+_BRACKET_TOKEN = re.compile(r'[()]|[^\s()]+')
 
 
 def parse_bracketed(unit, path=None):
@@ -128,14 +114,12 @@ def parse_bracketed(unit, path=None):
     stack = []
     result = None
     leaves = 0
-    expect_label = False
-    for tok in _tokenize_brackets(line):
+    for tok in _BRACKET_TOKEN.findall(line):
         if tok == '(':
             if len(stack) == MAX_DEPTH:
                 raise TreebankFormatError(
                     f'nesting deeper than {MAX_DEPTH}', path, lineno)
             stack.append([None, []])
-            expect_label = True
         elif tok == ')':
             if not stack:
                 raise TreebankFormatError('unbalanced )', path, lineno)
@@ -169,15 +153,12 @@ def parse_bracketed(unit, path=None):
                 result = node
             else:
                 raise TreebankFormatError('several trees on one line', path, lineno)
-            expect_label = False
+        elif not stack:
+            raise TreebankFormatError(f'stray token {tok!r}', path, lineno)
+        elif stack[-1] == [None, []]:
+            stack[-1][0] = tok      # the first token after ( is its label
         else:
-            if expect_label and stack[-1][0] is None and not stack[-1][1]:
-                stack[-1][0] = tok
-            elif stack:
-                stack[-1][1].append(tok)
-            else:
-                raise TreebankFormatError(f'stray token {tok!r}', path, lineno)
-            expect_label = False
+            stack[-1][1].append(tok)
     if stack:
         raise TreebankFormatError('unbalanced (', path, lineno)
     if result is None:

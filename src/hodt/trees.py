@@ -162,31 +162,40 @@ def is_continuous(tree):
     return True
 
 
-def _descendant_sets(tree):
-    children = tree.dependents()
-    desc = {}
-
-    def collect(v):
-        acc = {v}
-        for c in children.get(v, ()):
-            acc |= collect(c)
-        desc[v] = acc
-        return acc
-
-    collect(tree.root())
-    return desc
+def dep_postorder(root, dependents):
+    """The words of a dependency tree from its root word and its
+    dependents() map, each after all words below it."""
+    out = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(dependents.get(v, ()))
+    out.reverse()
+    return out
 
 
 def is_projective(tree):
-    """Projectivity of the arc structure: for every arc, all positions
-    strictly between head and modifier descend from the head.  Order
-    indices are ignored; see is_nested for them."""
-    desc = _descendant_sets(tree)
-    for h, m, _ in tree.arcs():
-        lo, hi = (h, m) if h < m else (m, h)
-        for between in range(lo + 1, hi):
-            if between not in desc[h]:
-                return False
+    """Projectivity of the arc structure: every word's yield (the word and
+    all words below it) is an interval of positions.  This is equivalent
+    to the arc-based definition, that every position strictly between a
+    head and its modifier descends from the head (Kuhlmann & Nivre,
+    COLING-ACL 2006).  Order indices are ignored; see is_nested for them."""
+    dependents = tree.dependents()
+    span = {}
+    for v in dep_postorder(tree.root(), dependents):
+        lo = hi = v
+        size = 1
+        for m in dependents.get(v, ()):
+            m_lo, m_hi = span[m]
+            if m_lo < lo:
+                lo = m_lo
+            if m_hi > hi:
+                hi = m_hi
+            size += m_hi - m_lo + 1
+        if hi - lo + 1 != size:
+            return False
+        span[v] = lo, hi
     return True
 
 

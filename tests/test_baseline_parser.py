@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from hodt import baseline_parser
 from hodt.baseline_parser import (FEATURES_PER_ARC, NONE_TOKEN, ROOT_TOKEN,
                                   TEMPLATES, arc_features, arc_index_table,
-                                  featurize_arc, parse_heads,
+                                  featurize_arc, parse_heads, score_matrix,
                                   train_unlabeled, tree_arc_digests)
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
@@ -236,6 +238,23 @@ def test_arc_index_table_blocks_give_the_same_table(hash_calls,
     arc_index_table(model, gen_ctree(GenConfig(seed=4), 43).sentence)
     (arcs,) = hash_calls.arcs
     assert len(arcs[0]) == 43 * 43
+
+
+def test_score_matrix_sums_each_cell_in_blocks_of_head_rows():
+    model = LinearModel(dim_bits=20)
+    sentence = gen_ctree(GenConfig(seed=4), 120).sentence
+    table, _ = arc_index_table(model, sentence)
+    model.weights[:] = np.random.default_rng(0).normal(
+        size=model.weights.size)
+    # 121 head rows of 121 * 34 entries are nine blocks of at most 15 rows
+    tracemalloc.start()
+    try:
+        scores = score_matrix(model, table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(scores, model.weights[table].sum(axis=2))
+    assert peak < table.nbytes / 4
 
 
 # few atoms, so that parts repeat; with spaces and '/', so that parts

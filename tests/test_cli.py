@@ -18,8 +18,8 @@ from hodt.perceptron import LinearModel
 from hodt.treebank_io import (
     MAX_DEPTH, TREE_FORMATS, read_bracketed, read_conll, read_json_corpus,
     read_sentences, write_bracketed, write_export, write_json_corpus)
-from hodt.trees import (CTree, Sentence, Token, is_continuous, preterminal,
-                        proper, spine)
+from hodt.trees import (CTree, RawNode, Sentence, Token, is_continuous,
+                        preterminal, proper, spine)
 from tests.conftest import deep_tree
 
 
@@ -312,10 +312,9 @@ def test_train_parse_roundtrip_quality(tmp_path, capsys, toy_file):
     assert json.loads(out)['f1'] > 0.9
 
 
-def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
-    # spine-label bundle: reconstruction compacts unary-only spine slots
-    # and the restorer puts the chains back
-    bundle = _train(tmp_path, capsys, toy_file, '--encoding', 'hn')
+def _parse_own_tokens(tmp_path, capsys, toy_file, bundle, *extra):
+    """Parse the tokens of toy_file with bundle; returns (pred path,
+    stderr)."""
     code, out, _ = _run(capsys, 'convert', '-i', toy_file,
                         '--head-rules', 'toy')
     assert code == 0
@@ -323,8 +322,16 @@ def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
     dep.write_text(out)
     pred = tmp_path / 'pred.brackets'
     code, _, err = _run(capsys, 'parse', '-m', str(bundle), '-i', str(dep),
-                        '--format', 'bracketed', '-o', str(pred))
+                        '--format', 'bracketed', '-o', str(pred), *extra)
     assert code == 0, err
+    return pred, err
+
+
+def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
+    # spine-label bundle: reconstruction compacts unary-only spine slots
+    # and the restorer puts the chains back
+    bundle = _train(tmp_path, capsys, toy_file, '--encoding', 'hn')
+    pred, err = _parse_own_tokens(tmp_path, capsys, toy_file, bundle)
     # the summary counts only tokens that a repair changed
     repaired, tokens = map(int, re.search(
         r'(\d+) sentences repaired \((\d+) tokens\)', err).groups())
@@ -332,6 +339,34 @@ def test_train_parse_roundtrip_hn(tmp_path, capsys, toy_file):
     code, out, _ = _run(capsys, 'eval', toy_file, str(pred))
     assert code == 0
     assert json.loads(out)['f1'] > 0.9
+
+
+def _unary_labels(path):
+    """Labels of the unary proper nodes in a bracketed file (a Token
+    leaf is a preterminal)."""
+    with open(path, encoding='utf-8') as f:
+        stack = read_bracketed(f.read())
+    labels = []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, RawNode):
+            if len(node.children) == 1:
+                labels.append(node.label)
+            stack.extend(node.children)
+    return labels
+
+
+def test_hn_spines_restore_no_unary_node(tmp_path, capsys, toy_file):
+    # hn labels carry unary levels on their spines, but only the steps
+    # that arcs attach at are rebuilt: without the restorer no parse has
+    # a unary node, though the gold trees do
+    bundle = _train(tmp_path, capsys, toy_file, '--encoding', 'hn')
+    assert _unary_labels(toy_file)
+    pred, _ = _parse_own_tokens(tmp_path, capsys, toy_file, bundle)
+    assert _unary_labels(pred)
+    pred, _ = _parse_own_tokens(tmp_path, capsys, toy_file, bundle,
+                                '--no-unaries')
+    assert _unary_labels(pred) == []
 
 
 # --- --jobs -----------------------------------------------------------------
@@ -1190,8 +1225,8 @@ sys.exit(code)
 def test_parsing_a_300_token_sentence_stays_under_128_mib(tmp_path,
                                                           toy_bundle):
     # the candidate arcs' table is (n+1)^2 x 34 indices, 24.6 MB here,
-    # and scoring gathers as many weights; hashing one string per
-    # distinct arc feature took the peak to about 195 MB
+    # and scoring gathers their weights in blocks of head rows; hashing
+    # one string per distinct arc feature took the peak to about 195 MB
     sents = tmp_path / 'in.txt'
     sents.write_text(' '.join(['the/D dog/N sees/V a/D cat/N'] * 60) + '\n')
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -94,6 +94,17 @@ def test_decoders_match_brute_force(decoder, projective):
         assert achieved == pytest.approx(total, abs=1e-9)
 
 
+def test_eisner_reads_lists_and_float32_as_float64():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = 1 + trial % 12
+        sc32 = rng.normal(size=(n + 1, n + 1)).astype(np.float32)
+        sc = sc32.astype(float)
+        want = eisner_decode(sc)
+        assert eisner_decode(sc.tolist()) == want
+        assert eisner_decode(sc32) == want
+
+
 def _forced_root(sc, r):
     """sc with word r the only possible root: the other root arcs and
     every arc into r blocked."""

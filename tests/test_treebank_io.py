@@ -1,6 +1,10 @@
+import re
+import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hodt.corpus_gen import GenConfig, gen_ctree
 from hodt.encoding import ROOT_LABEL, encode_direct
@@ -104,6 +108,62 @@ def test_read_bracketed_errors():
         read_bracketed('(S (NP (DT the) word))')   # word outside preterminal
     with pytest.raises(TreebankFormatError):
         read_bracketed('word')
+
+
+def _tokenize_brackets(line):
+    i = 0
+    while i < len(line):
+        c = line[i]
+        if c in '()':
+            yield c
+            i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(line) and not line[j].isspace() and line[j] not in '()':
+                j += 1
+            yield line[i:j]
+            i = j
+
+
+def _read_line(line):
+    try:
+        return treebank_io.parse_bracketed((1, line))
+    except TreebankFormatError as err:
+        return str(err)
+
+
+SPACES = st.text(st.sampled_from([' ', '\t', '\x1c', '\u00a0', '\u2028']),
+                 max_size=2)
+# brackets over ( ) a b: well-formed lines now and then, every reader
+# error otherwise
+BRACKETS = st.recursive(
+    st.sampled_from(['a', 'b', '(', ')']),
+    lambda inner: st.tuples(
+        st.sampled_from(['', 'a', 'b']),
+        st.lists(st.tuples(SPACES, inner), max_size=3)).map(
+            lambda t: '(' + t[0] + ''.join(s + p for s, p in t[1]) + ')'),
+    max_leaves=12)
+
+
+@given(BRACKETS, SPACES)
+@example('(a\u2028(b\x1ca)\u00a0(b\tb))', ' ')
+@example('( (a b))', '')
+def test_bracket_tokens_read_as_the_character_loop(line, tail):
+    line += tail
+    want = _read_line(line)
+    loop = SimpleNamespace(findall=lambda text: list(_tokenize_brackets(text)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treebank_io, '_BRACKET_TOKEN', loop)
+        assert _read_line(line) == want
+
+
+def test_regex_whitespace_is_isspace():
+    # the bracket token pattern splits at \s, the reader it replaced at
+    # str.isspace
+    text = ''.join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r'\s', text) == [c for c in text if c.isspace()]
 
 
 def test_write_bracketed_english(english_tree):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.reduction import ctree_to_dtree
@@ -27,6 +28,52 @@ def test_projectivity(english_tree, german_tree):
     sent = make_sentence(('a', 'A'), ('b', 'B'), ('c', 'C'))
     chain = DTree(sent, (2, 3, 0), (None, None, None))
     assert is_projective(chain)
+
+
+def _descendant_sets(tree):
+    children = tree.dependents()
+    desc = {}
+
+    def collect(v):
+        acc = {v}
+        for c in children.get(v, ()):
+            acc |= collect(c)
+        desc[v] = acc
+        return acc
+
+    collect(tree.root())
+    return desc
+
+
+def _projective_by_arcs(tree):
+    """The arc-based definition: every position strictly between a head
+    and its modifier descends from the head."""
+    desc = _descendant_sets(tree)
+    for h, m, _ in tree.arcs():
+        lo, hi = (h, m) if h < m else (m, h)
+        for between in range(lo + 1, hi):
+            if between not in desc[h]:
+                return False
+    return True
+
+
+@st.composite
+def head_vectors(draw):
+    """Any tree over 1-14 words: each word after the first in a random
+    order takes its head among the words before it."""
+    n = draw(st.integers(1, 14))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for k, m in enumerate(order[1:], 1):
+        heads[m - 1] = order[draw(st.integers(0, k - 1))]
+    return heads
+
+
+@given(head_vectors())
+def test_interval_projectivity_matches_the_arc_definition(heads):
+    sent = make_sentence(*(('w', 'T'),) * len(heads))
+    tree = DTree(sent, tuple(heads), (None,) * len(heads))
+    assert is_projective(tree) == _projective_by_arcs(tree)
 
 
 def test_nesting(german_tree):
