@@ -26,7 +26,6 @@ import hashlib
 import json
 import os
 import sys
-from itertools import starmap
 
 from .baseline_parser import parse_heads, train_unlabeled
 from .corpus_gen import GenConfig, TOY_HEAD_RULES, gen_ctree, gen_toy_treebank
@@ -37,8 +36,8 @@ from .errors import (HeadRuleError, ModelFormatError, ToolkitError,
 from .evaluation import EvalConfig, attachment_scores, evalb
 from .headrules import LEFTMOST, RIGHTMOST, lexicalize, load_rules
 from .perceptron import LinearModel
-from .reduction import (RoundtripReport, ctree_to_dtree, dtree_to_ctree,
-                        recover_order, roundtrip_check)
+from .reduction import (ctree_to_dtree, dtree_to_ctree, recover_order,
+                        roundtrip_check)
 from .treebank_io import (TREE_FORMATS, join_conll, join_trees,
                           parse_conll, parse_sentence, render_conll,
                           sniff_format, split_conll, split_sentences)
@@ -462,37 +461,36 @@ def cmd_eval(args):
 
 # --- auditing ---------------------------------------------------------------
 
+_CHECK_COUNTS = ('roundtrip_failures', 'equivalence_failures', 'continuous',
+                 'projective', 'nested', 'binary', 'strictly_ordered')
+
+
+def _check_counts(tree):
+    """One tree's contribution, 0 or 1, to each of _CHECK_COUNTS."""
+    report = roundtrip_check(tree)
+    return (not report.roundtrip_equal, not report.equivalence_ok,
+            report.continuous, report.projective, report.nested,
+            report.binary_input, report.strictly_ordered)
+
+
 def cmd_check(args):
     rules, _ = _resolve_rules(args.head_rules)
     text = _read_input(args.input)
     fmt = args.format or sniff_format(text, args.input)
-    flags = _map_units(_tree_reader(fmt), text, args.input, (
+    counts = _map_units(_tree_reader(fmt), text, args.input, (
         (lambda i, tree: _lexicalize(tree, rules), False),
-        # the report's six flags, in field order
-        (lambda i, tree: tuple(vars(roundtrip_check(tree)).values()),
-         False),
+        (lambda i, tree: _check_counts(tree), False),
     ), args.jobs)
-    summary = {'trees': len(flags), **dict.fromkeys((
-        'roundtrip_failures', 'equivalence_failures', 'continuous',
-        'projective', 'nested', 'binary', 'strictly_ordered'), 0)}
-    bad = []
-    for i, report in enumerate(starmap(RoundtripReport, flags), 1):
-        summary['roundtrip_failures'] += not report.roundtrip_equal
-        summary['equivalence_failures'] += not report.equivalence_ok
-        summary['continuous'] += report.continuous
-        summary['projective'] += report.projective
-        summary['nested'] += report.nested
-        summary['binary'] += report.binary_input
-        summary['strictly_ordered'] += report.strictly_ordered
-        if not (report.roundtrip_equal and report.equivalence_ok):
-            bad.append(i)
+    totals = [sum(col) for col in zip(*counts)] or [0] * len(_CHECK_COUNTS)
+    summary = {'trees': len(counts), **dict(zip(_CHECK_COUNTS, totals))}
+    bad = [i for i, c in enumerate(counts, 1) if c[0] or c[1]]
     _write_output(args.output, json.dumps(summary, sort_keys=True) + '\n')
     if bad:
         shown = ', '.join(str(i) for i in bad[:10])
         print(f'# violations in sentences: {shown}'
               + (' ...' if len(bad) > 10 else ''), file=sys.stderr)
         return 2
-    print(f'# {len(flags)} trees checked, no violations', file=sys.stderr)
+    print(f'# {len(counts)} trees checked, no violations', file=sys.stderr)
     return 0
 
 

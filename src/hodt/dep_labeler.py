@@ -71,7 +71,7 @@ def _pair_digests(arc_digests, earlier, later):
     return perceptron.mix(digests + arc_digests[later - 1][:, mod2])
 
 
-def _chains(sentence, heads):
+def _chains(heads):
     """(head, [modifiers ascending]) for every head with modifiers,
     virtual root included, in ascending head order."""
     by_head = {}
@@ -80,7 +80,7 @@ def _chains(sentence, heads):
     return sorted(by_head.items())
 
 
-def _chain_tables(model, sentence, heads, n_labels, arc_digests):
+def _chain_tables(model, heads, n_labels, arc_digests):
     """(chain, unary, pair) for every chain of a tree, in _chains order,
     with the chain's weight indices (model.indices): unary (T, K, 34)
     and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.
@@ -88,7 +88,7 @@ def _chain_tables(model, sentence, heads, n_labels, arc_digests):
     the arc into m; the labels are conjoined onto them and onto the
     pairwise digests mixed from them.  The tables of the chains are
     slices of two sentence tables."""
-    chains = _chains(sentence, heads)
+    chains = _chains(heads)
     mods = np.array([m for _, chain in chains for m in chain],
                     dtype=np.intp)
     unary = model.indices(conjoin_grid(arc_digests[mods - 1],
@@ -146,7 +146,7 @@ def train_labeler(corpus, epochs, seed=1):
     examples = [
         [(unary, pair, [label_id[enc.labels[m - 1]] for m in chain])
          for chain, unary, pair in _chain_tables(
-             model, enc.sentence, enc.heads, len(alphabet),
+             model, enc.heads, len(alphabet),
              tree_arc_digests(enc.sentence, enc.heads))]
         for enc in corpus]
     return perceptron.train(model, examples, epochs, seed, _chain_mistakes)
@@ -161,8 +161,7 @@ def label_tree(sentence, heads, model, arc_digests):
         raise ToolkitError('labeler model has an empty alphabet')
     K = len(alphabet)
     out = [None] * len(sentence)
-    for chain, unary, pair in _chain_tables(model, sentence, heads, K,
-                                            arc_digests):
+    for chain, unary, pair in _chain_tables(model, heads, K, arc_digests):
         path = _decode_chain(model.weights, unary, pair, K)
         for m, k in zip(chain, path):
             out[m - 1] = alphabet[k]

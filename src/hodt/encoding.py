@@ -8,7 +8,8 @@ Three schemes share the textual shape ``<body>#<number>``:
   of the head, walking outward (the innermost modifier keeps its absolute
   index).  Requires a projective and nested input; differences are >= 0
   exactly because of nesting, and index alphabets shrink on treebanks with
-  deep spines.
+  deep spines.  Decoding reads the labels as direct ones, then sums the
+  differences outward.
 * hn:      body is the modifier's own spine (proper-node labels top-first,
   '|'-joined, '∅' when empty) and the number is the attachment step on the
   head's spine.  The root word's spine travels in the root slot as
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .errors import TreeStructureError
 from .reduction import ctree_to_dtree
 from .trees import (
-    PROPER, DTree, head_outward, is_nested, is_projective, spine as tree_spine)
+    PROPER, DTree, head_outward, is_nested, is_projective, iter_nodes)
 
 ROOT_LABEL = '_root_'
 EMPTY_SPINE = '∅'
@@ -108,9 +109,12 @@ def encode_hn(tree):
     count, but dtree_to_ctree rebuilds only the steps that arcs attach
     at, so unary constituents are the unary restorer's to put back."""
     dtree = ctree_to_dtree(tree)
-    spines = {
-        h: tuple(n.label for n in tree_spine(tree, h) if n.kind == PROPER)
-        for h in range(1, len(tree.sentence) + 1)}
+    # a head's proper nodes lie on one path, so preorder lists them
+    # topmost first
+    spines = [[] for _ in range(len(tree.sentence) + 1)]
+    for node in iter_nodes(tree.root):
+        if node.kind == PROPER:
+            spines[node.head].append(node.label)
     labels = [ROOT_LABEL] * len(tree.sentence)
     for _, m, (_, j) in dtree.arcs():
         labels[m - 1] = f'{_spine_body(spines[m])}#{j}'
@@ -151,77 +155,60 @@ def decode(enc, scheme):
 def _decode_direct(enc):
     pairs = [None] * len(enc.heads)
     warnings = 0
-    for h, m, label in enc.arcs():
+    for _, m, label in enc.arcs():
         body, idx, ok = _parse_pair(label)
-        if not ok:
-            warnings += 1
-            pairs[m - 1] = (body, idx)
-        else:
-            pairs[m - 1] = (unescape_label(body), idx)
+        warnings += not ok
+        pairs[m - 1] = (unescape_label(body) if ok else body, idx)
     return DecodeResult(tuple(pairs), warnings)
 
 
 def _decode_delta(enc):
-    pairs = [None] * len(enc.heads)
-    warnings = 0
-    parsed = {}
-    for _, m, label in enc.arcs():
-        body, d, ok = _parse_pair(label)
-        if not ok:
-            warnings += 1
-        elif d < 0:
-            d = 0
-            warnings += 1
-        parsed[m] = (unescape_label(body) if ok else body, d)
+    """The direct reading, then a running sum outward on each side of
+    each head; a negative difference counts as 0 and as a warning."""
+    direct = _decode_direct(enc)
+    pairs = list(direct.pairs)
+    warnings = direct.warnings
     for h, positions in enc.dependents().items():
         for side in head_outward(h, positions):
-            previous = None
+            idx = 0
             for m in side:
-                body, d = parsed[m]
-                idx = d if previous is None else previous + d
-                previous = idx
-                pairs[m - 1] = (body, idx)
+                label, d = pairs[m - 1]
+                if d < 0:
+                    d = 0
+                    warnings += 1
+                idx += d
+                pairs[m - 1] = (label, idx)
     return DecodeResult(tuple(pairs), warnings)
 
 
+def _spine_labels(body):
+    """The labels of an hn spine body, topmost first."""
+    if body == EMPTY_SPINE:
+        return ()
+    return tuple(unescape_label(p) for p in _split_spine(body))
+
+
 def _decode_hn(enc):
-    n = len(enc.heads)
     warnings = 0
     spines = {}
-    attach = {}
-    for h, m, label in enc.arcs():
-        body, idx, ok = _parse_pair(label)
-        if not ok:
-            warnings += 1
-            spines[m] = (body,)
-        elif body == EMPTY_SPINE:
-            spines[m] = ()
-        else:
-            spines[m] = tuple(unescape_label(p) for p in _split_spine(body))
-        attach[m] = (idx, label)
+    steps = {}
+    for _, m, label in enc.arcs():
+        body, steps[m], ok = _parse_pair(label)
+        warnings += not ok
+        spines[m] = _spine_labels(body) if ok else (body,)
     root = enc.root()
-    root_body, root_idx, ok = _parse_pair(enc.labels[root - 1])
-    if ok and root_idx == 0 and root_body != ROOT_LABEL:
-        spines[root] = (() if root_body == EMPTY_SPINE else
-                        tuple(unescape_label(p) for p in _split_spine(root_body)))
-    else:
-        # predicted input: the root spine never reaches us
-        spines[root] = ()
-    pairs = [None] * n
-    for h, m, _ in enc.arcs():
-        idx, raw = attach[m]
-        head_spine = spines.get(h, ())
-        if 1 <= idx <= len(head_spine):
-            label = head_spine[len(head_spine) - idx]
+    body, step, ok = _parse_pair(enc.labels[root - 1])
+    # on predicted input the root spine never reaches us
+    spines[root] = (_spine_labels(body)
+                    if ok and step == 0 and body != ROOT_LABEL else ())
+    pairs = [None] * len(enc.heads)
+    for h, m, label in enc.arcs():
+        spine, j = spines[h], steps[m]
+        if 1 <= j <= len(spine):
+            pairs[m - 1] = (spine[-j], j)
         else:
             warnings += 1
-            if head_spine:
-                label = head_spine[0]
-            elif spines[m]:
-                label = spines[m][0]
-            else:
-                label = raw
-        pairs[m - 1] = (label, idx)
+            pairs[m - 1] = ((spine or spines[m] or (label,))[0], j)
     return DecodeResult(tuple(pairs), warnings)
 
 

@@ -4,7 +4,9 @@ Conversion drops unary nodes, so the pipeline re-inserts them afterwards
 with one independent multi-class decision per node: either NULL or a
 chain class such as "S->ADJP", read topmost-first (S dominating ADJP
 dominating the node).  Candidates at a node are NULL plus the classes
-observed in training for that node's symbol.
+observed in training for that node's symbol.  Both directions key a
+chain by the yield of the node below it: unary_chains reads the chains
+off a tree, add_chains puts them back on its stripped form.
 
 Classifier: the shared hashed averaged perceptron; every node feature is
 conjoined at scoring time with (class, node-is-preterminal) so chains
@@ -19,7 +21,8 @@ import numpy as np
 from .errors import ToolkitError
 from . import perceptron
 from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
-from .trees import CTree, PRETERMINAL, PROPER, proper, strip_unaries
+from .trees import (
+    CTree, PRETERMINAL, PROPER, iter_nodes, proper, strip_unaries)
 
 NULL_CLASS = 'NULL'
 CHAIN_SEP = '->'
@@ -46,35 +49,33 @@ class UnaryData:
 
 
 def _with_parents(root):
-    """(node, parent) for every node, in the order of trees.iter_nodes;
-    the root's parent is None."""
-    stack = [(root, None)]
+    """(node, parent, slot) for every node in trees.iter_nodes order, slot
+    indexing parent.children; parent and slot are None at the root."""
+    stack = [(root, None, None)]
     while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        stack.extend((c, node) for c in reversed(node.children))
+        node, parent, slot = stack.pop()
+        yield node, parent, slot
+        stack.extend((node.children[k], node, k)
+                     for k in reversed(range(len(node.children))))
 
 
 def _child_labels(node):
     return ' '.join(c.label for c in node.children)
 
 
-def featurize_node(tree, node, parent):
-    """FEATURES_PER_NODE strings describing a node under its parent (None
-    at the root); boundary slots fall back to the sentinel NONE so the
-    count is constant."""
+def featurize_node(tree, node, parent, slot):
+    """FEATURES_PER_NODE strings describing a node at index `slot` among
+    its parent's children (parent and slot None at the root); boundary
+    slots fall back to the sentinel NONE so the count is constant."""
     sent = tree.sentence
-    if parent is None:
-        par_label = _NONE
-        above = _NONE
-        left_sib = right_sib = None
-    else:
+    par_label = above = _NONE
+    left_sib = right_sib = None
+    if parent is not None:
         par_label = parent.label
         above = parent.label + CHAIN_SEP + _child_labels(parent)
-        slot = next(i for i, c in enumerate(parent.children) if c is node)
-        left_sib = parent.children[slot - 1] if slot else None
-        right_sib = (parent.children[slot + 1]
-                     if slot + 1 < len(parent.children) else None)
+        sibs = parent.children
+        left_sib = sibs[slot - 1] if slot else None
+        right_sib = sibs[slot + 1] if slot + 1 < len(sibs) else None
     if node.kind == PRETERMINAL:
         below = node.label + CHAIN_SEP + sent.form(node.head)
     else:
@@ -109,23 +110,33 @@ def featurize_node(tree, node, parent):
     return feats
 
 
-def _survivor_chains(tree):
-    """yield-set -> unary labels sitting immediately above the node that
-    survives stripping, topmost first."""
+def unary_chains(tree):
+    """yield -> chain class of the unary nodes covering exactly that
+    yield, topmost first: the chains strip_unaries removes, keyed by the
+    yield of the node it keeps below them."""
     chains = {}
-
-    def walk(node, pending):
+    for node in iter_nodes(tree.root):
         if node.kind == PROPER and len(node.children) == 1:
-            walk(node.children[0], pending + [node.label])
-            return
-        if pending:
-            chains[node.positions] = pending
-        if node.kind == PROPER:
-            for c in node.children:
-                walk(c, [])
+            chains.setdefault(node.positions, []).append(node.label)
+    return {y: CHAIN_SEP.join(labels) for y, labels in chains.items()}
 
-    walk(tree.root, [])
-    return chains
+
+def add_chains(tree, chains):
+    """Put each chain class of `chains` (yield -> class) on top of the one
+    node of an unaryless tree with that yield (its proper nodes have two
+    children or more): add_chains(strip_unaries(t), unary_chains(t)) == t."""
+
+    def add(node):
+        if node.kind == PROPER:
+            node = proper(node.label, node.head,
+                          [add(c) for c in node.children])
+        cls = chains.get(node.positions)
+        if cls:
+            for label in reversed(cls.split(CHAIN_SEP)):
+                node = proper(label, node.head, (node,))
+        return node
+
+    return CTree(add(tree.root), tree.sentence)
 
 
 def extract_instances(treebank):
@@ -134,14 +145,13 @@ def extract_instances(treebank):
     instances = []
     observed = {}
     for tree in treebank:
-        chains = _survivor_chains(tree)
+        chains = unary_chains(tree)
         stripped = strip_unaries(tree)
-        for node, parent in _with_parents(stripped.root):
-            chain = chains.get(node.positions)
-            gold = CHAIN_SEP.join(chain) if chain else NULL_CLASS
+        for node, parent, slot in _with_parents(stripped.root):
+            gold = chains.get(node.positions, NULL_CLASS)
             instances.append(Instance(
-                tuple(featurize_node(stripped, node, parent)), node.label,
-                node.kind == PRETERMINAL, gold))
+                tuple(featurize_node(stripped, node, parent, slot)),
+                node.label, node.kind == PRETERMINAL, gold))
             if gold != NULL_CLASS:
                 observed.setdefault(node.label, set()).add(gold)
     classes = (NULL_CLASS,) + tuple(
@@ -207,31 +217,20 @@ def recover(tree, model):
     """Insert predicted unary chains above the nodes of an unaryless
     tree.  Features are read off the input tree, so decisions at distinct
     nodes do not interact: every node that has a class besides NULL to
-    choose is decided first, in one batch, and the tree is rebuilt
+    choose is decided first, in one batch, and the chains are added
     after."""
     classes = model.meta['classes']
     nodes = []
-    for node, parent in _with_parents(tree.root):
+    instances = []
+    for node, parent, slot in _with_parents(tree.root):
         cand = _candidates(model, node.label)
         if cand != [0]:
-            nodes.append((node, parent, cand))
-    instances = [Instance(tuple(featurize_node(tree, node, parent)),
-                          node.label, node.kind == PRETERMINAL, NULL_CLASS)
-                 for node, parent, _ in nodes]
+            nodes.append((node.positions, cand))
+            instances.append(Instance(
+                tuple(featurize_node(tree, node, parent, slot)), node.label,
+                node.kind == PRETERMINAL, NULL_CLASS))
     indices = _instance_indices(model, instances, len(classes))
-    chosen = {(id(node), id(parent)): classes[_best(model.weights, idx, cand)]
-              for (node, parent, cand), idx in zip(nodes, indices)}
-
-    def rebuild(node, parent):
-        if node.kind == PRETERMINAL:
-            base = node
-        else:
-            base = proper(node.label, node.head,
-                          [rebuild(c, node) for c in node.children])
-        cls = chosen.get((id(node), id(parent)), NULL_CLASS)
-        if cls != NULL_CLASS:
-            for label in reversed(cls.split(CHAIN_SEP)):
-                base = proper(label, node.head, (base,))
-        return base
-
-    return CTree(rebuild(tree.root, None), tree.sentence)
+    chosen = {positions: classes[_best(model.weights, idx, cand)]
+              for (positions, cand), idx in zip(nodes, indices)}
+    return add_chains(tree, {positions: cls for positions, cls
+                             in chosen.items() if cls != NULL_CLASS})

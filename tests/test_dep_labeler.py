@@ -97,7 +97,7 @@ def test_chain_decode_matches_brute_force():
                          tree_arc_digests(enc.sentence, enc.heads))
         chosen = {i + 1: lab for i, lab in enumerate(out.labels)}
         for chain, unary, pair in _chain_tables(
-                model, enc.sentence, list(enc.heads), K,
+                model, list(enc.heads), K,
                 tree_arc_digests(enc.sentence, enc.heads)):
             if not 1 <= len(chain) <= 3:
                 continue
@@ -157,9 +157,9 @@ def test_chain_tables_match_per_chain_hashing(kind):
     for tree in TREES[kind]():
         enc = encode_direct(ctree_to_dtree(strip_unaries(tree)))
         for K in (1, 3):
-            got = _chain_tables(model, enc.sentence, enc.heads, K,
+            got = _chain_tables(model, enc.heads, K,
                                 tree_arc_digests(enc.sentence, enc.heads))
-            chains = _chains(enc.sentence, enc.heads)
+            chains = _chains(enc.heads)
             assert [c for c, _, _ in got] == [c for _, c in chains]
             for (h, chain), (_, unary, pair) in zip(chains, got):
                 ref_unary, ref_pair = _reference_chain_tables(
@@ -172,7 +172,7 @@ def test_chain_tables_hash_no_string(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
     digests = tree_arc_digests(enc.sentence, enc.heads)
     hash_calls.clear()
-    _chain_tables(LinearModel(), enc.sentence, enc.heads, 2, digests)
+    _chain_tables(LinearModel(), enc.heads, 2, digests)
     # the arc digests are given, and the pairwise ones are mixed from them
     assert not hash_calls
     assert not hash_calls.arcs

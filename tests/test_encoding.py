@@ -1,14 +1,16 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
-from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, _split_spine,
-                           _split_tail, decode, encode_delta, encode_direct,
-                           encode_hn, escape_label, label_alphabet,
-                           unescape_label)
+from hodt.corpus_gen import (GenConfig, enumerate_ctrees, gen_ctree,
+                             gen_toy_treebank)
+from hodt.encoding import (EMPTY_SPINE, ROOT_LABEL, DecodeResult,
+                           _parse_pair, _split_spine, _split_tail, decode,
+                           encode_delta, encode_direct, encode_hn,
+                           escape_label, label_alphabet, unescape_label)
 from hodt.errors import TreeStructureError
 from hodt.reduction import ctree_to_dtree, dtree_to_ctree, recover_order
-from hodt.trees import DTree, is_nested, is_projective, strip_unaries
+from hodt.trees import (PROPER, DTree, head_outward, is_nested,
+                        is_projective, spine, strip_unaries)
 
 from conftest import make_sentence
 
@@ -184,6 +186,135 @@ def test_hn_roundtrip_random():
         hodt, stats = recover_order(skeleton)
         assert stats.total() == 0
         assert dtree_to_ctree(hodt) == strip_unaries(tree)
+
+
+def test_hn_spines_are_the_tree_spines():
+    # encode_hn reads all spines in one walk; each must be the proper
+    # labels of trees.spine, topmost first
+    trees = gen_toy_treebank(GenConfig(seed=5), 40) + [
+        gen_ctree(GenConfig(seed=5, unary_probability=0.3,
+                            discontinuity_probability=0.5), 2 + i % 12,
+                  index=i)
+        for i in range(60)]
+    for tree in trees:
+        for m, label in enumerate(encode_hn(tree).labels, 1):
+            labels = [n.label for n in spine(tree, m) if n.kind == PROPER]
+            body, _ = _split_tail(label)
+            assert body == ('|'.join(map(escape_label, labels))
+                            or EMPTY_SPINE)
+
+
+# the decoders as first written, one loop each, kept as the reference
+# that decode must agree with on any input
+
+def _reference_direct(enc):
+    pairs = [None] * len(enc.heads)
+    warnings = 0
+    for h, m, label in enc.arcs():
+        body, idx, ok = _parse_pair(label)
+        if not ok:
+            warnings += 1
+            pairs[m - 1] = (body, idx)
+        else:
+            pairs[m - 1] = (unescape_label(body), idx)
+    return DecodeResult(tuple(pairs), warnings)
+
+
+def _reference_delta(enc):
+    pairs = [None] * len(enc.heads)
+    warnings = 0
+    parsed = {}
+    for _, m, label in enc.arcs():
+        body, d, ok = _parse_pair(label)
+        if not ok:
+            warnings += 1
+        elif d < 0:
+            d = 0
+            warnings += 1
+        parsed[m] = (unescape_label(body) if ok else body, d)
+    for h, positions in enc.dependents().items():
+        for side in head_outward(h, positions):
+            previous = None
+            for m in side:
+                body, d = parsed[m]
+                idx = d if previous is None else previous + d
+                previous = idx
+                pairs[m - 1] = (body, idx)
+    return DecodeResult(tuple(pairs), warnings)
+
+
+def _reference_hn(enc):
+    n = len(enc.heads)
+    warnings = 0
+    spines = {}
+    attach = {}
+    for h, m, label in enc.arcs():
+        body, idx, ok = _parse_pair(label)
+        if not ok:
+            warnings += 1
+            spines[m] = (body,)
+        elif body == EMPTY_SPINE:
+            spines[m] = ()
+        else:
+            spines[m] = tuple(unescape_label(p) for p in _split_spine(body))
+        attach[m] = (idx, label)
+    root = enc.root()
+    root_body, root_idx, ok = _parse_pair(enc.labels[root - 1])
+    if ok and root_idx == 0 and root_body != ROOT_LABEL:
+        spines[root] = (() if root_body == EMPTY_SPINE else
+                        tuple(unescape_label(p)
+                              for p in _split_spine(root_body)))
+    else:
+        spines[root] = ()
+    pairs = [None] * n
+    for h, m, _ in enc.arcs():
+        idx, raw = attach[m]
+        head_spine = spines.get(h, ())
+        if 1 <= idx <= len(head_spine):
+            label = head_spine[len(head_spine) - idx]
+        else:
+            warnings += 1
+            if head_spine:
+                label = head_spine[0]
+            elif spines[m]:
+                label = spines[m][0]
+            else:
+                label = raw
+        pairs[m - 1] = (label, idx)
+    return DecodeResult(tuple(pairs), warnings)
+
+
+REFERENCE_DECODERS = {'direct': _reference_direct, 'delta': _reference_delta,
+                      'hn': _reference_hn}
+
+
+@st.composite
+def _encoded_trees(draw):
+    """A random head vector (one root, no cycle) under labels drawn from
+    LABELS and a few spine bodies, most of them with a '#k' tail, the
+    root slot included."""
+    n = draw(st.integers(1, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = [0] * n
+    for k, m in enumerate(order[1:], 1):
+        heads[m - 1] = order[draw(st.integers(0, k - 1))]
+    bodies = st.one_of(LABELS, st.sampled_from(
+        (EMPTY_SPINE, ROOT_LABEL, 'NP', 'S|VP', 'S|VP|VP')))
+    tailed = st.builds('{}#{}'.format, bodies, st.integers(-3, 6))
+    labels = draw(st.lists(st.one_of(tailed, tailed, bodies),
+                           min_size=n, max_size=n))
+    return DTree(make_sentence(*[('w', 'P')] * n), tuple(heads),
+                 tuple(labels))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_encoded_trees())
+# the root label itself never reads as a spine, even with a '#0' tail
+@example(DTree(make_sentence(('a', 'P'), ('b', 'P')), (0, 1),
+               (f'{ROOT_LABEL}#0', 'X#1')))
+def test_decode_agrees_with_the_reference_decoders(enc):
+    for scheme, reference in REFERENCE_DECODERS.items():
+        assert decode(enc, scheme) == reference(enc)
 
 
 def test_label_alphabet_counts(english_tree):

@@ -70,7 +70,7 @@ def _label_tables(bank):
     model = LinearModel()
     for enc in corpus:
         for _, unary, pair in _chain_tables(
-                model, enc.sentence, enc.heads, n_labels,
+                model, enc.heads, n_labels,
                 tree_arc_digests(enc.sentence, enc.heads)):
             yield from _masked(model, (unary, pair))
 

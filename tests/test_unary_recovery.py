@@ -1,16 +1,39 @@
 import numpy as np
+import pytest
 
 from hodt import perceptron
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.perceptron import LinearModel, conjoin_grid, hash_features
 from hodt.trees import strip_unaries, validate
-from hodt.unary_recovery import (NULL_CLASS, _instance_indices,
+from hodt.unary_recovery import (NULL_CLASS, _instance_indices, add_chains,
                                  extract_instances, featurize_node, recover,
-                                 train_unary)
+                                 train_unary, unary_chains)
 
 
 def _toy(n, seed=1):
     return gen_toy_treebank(GenConfig(seed=seed), n)
+
+
+LAW_BANKS = {
+    'toy': lambda: _toy(60, seed=5),
+    'unary': lambda: [gen_ctree(GenConfig(seed=5, unary_probability=0.2),
+                                2 + i % 12, index=i) for i in range(60)],
+    'disc': lambda: [gen_ctree(GenConfig(
+        seed=5, unary_probability=0.2, discontinuity_probability=0.5),
+        2 + i % 12, index=i) for i in range(60)],
+}
+
+
+@pytest.mark.parametrize('bank', sorted(LAW_BANKS))
+def test_add_chains_inverts_strip_unaries(bank):
+    total = 0
+    for t in LAW_BANKS[bank]():
+        chains = unary_chains(t)
+        stripped = strip_unaries(t)
+        assert add_chains(stripped, chains) == t
+        assert unary_chains(stripped) == {}
+        total += len(chains)
+    assert total > 20   # the bank has chains to put back
 
 
 def test_instance_extraction_classes():
@@ -36,10 +59,10 @@ def test_allowed_map_restricts_candidates():
 
 def test_feature_vector_shape(english_tree):
     node = english_tree.root
-    feats = featurize_node(english_tree, node, None)
+    feats = featurize_node(english_tree, node, None, None)
     assert len(feats) == 19
     child = english_tree.root.children[0]   # the NP
-    feats_np = featurize_node(english_tree, child, node)
+    feats_np = featurize_node(english_tree, child, node, 0)
     assert len(feats_np) == 19
     assert feats != feats_np
 
@@ -47,7 +70,7 @@ def test_feature_vector_shape(english_tree):
 def test_production_above_feature(english_tree):
     # the NP under S sees the plain parent production
     np_node = english_tree.root.children[0]
-    feats = featurize_node(english_tree, np_node, english_tree.root)
+    feats = featurize_node(english_tree, np_node, english_tree.root, 0)
     assert any('S->NP VP' in f for f in feats)
 
 
