@@ -280,7 +280,8 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
                  if g != p]
         if wrong:
             gold_heads, pred_heads, mods = zip(*wrong)
-            yield table[gold_heads, mods], table[pred_heads, mods]
+            return table[gold_heads, mods], table[pred_heads, mods]
+        return None
 
     return perceptron.train(model, examples, epochs, seed, mistakes)
 

@@ -2,7 +2,11 @@
 
 The modifiers of each head form a single chain, sorted by sentence
 position regardless of side, and labels are decoded per head with exact
-Viterbi; heads are independent of each other.  Scores are a sum of
+Viterbi; heads are independent of each other.  One table holds the
+chains of a tree (_tree_tables), and _decode_tree gathers its weights
+once and runs one Viterbi per chain: label_tree labels a parsed tree
+that way, and training decodes each gold tree that way, then makes one
+update for all its wrong labels and label pairs.  Scores are a sum of
 arc-label features (the parser's 34 arc templates conjoined with the
 label) and pairwise features over consecutive chain elements (a POS
 triplet and its three unilexical variants, conjoined with the label
@@ -71,65 +75,69 @@ def _pair_digests(arc_digests, earlier, later):
     return perceptron.mix(digests + arc_digests[later - 1][:, mod2])
 
 
-def _chains(heads):
-    """(head, [modifiers ascending]) for every head with modifiers,
-    virtual root included, in ascending head order."""
-    by_head = {}
-    for m, h in enumerate(heads, 1):
-        by_head.setdefault(h, []).append(m)
-    return sorted(by_head.items())
-
-
-def _chain_tables(model, heads, n_labels, arc_digests):
-    """(chain, unary, pair) for every chain of a tree, in _chains order,
-    with the chain's weight indices (model.indices): unary (T, K, 34)
-    and pairwise (T, K*K, 4), whose row 0 is unused and stays zero.
-    arc_digests is the (n, 34) digests of the tree's arcs, row m-1 for
-    the arc into m; the labels are conjoined onto them and onto the
-    pairwise digests mixed from them.  The tables of the chains are
-    slices of two sentence tables."""
-    chains = _chains(heads)
-    mods = np.array([m for _, chain in chains for m in chain],
-                    dtype=np.intp)
+def _tree_tables(model, heads, n_labels, arc_digests):
+    """(mods, starts, unary, pair) for the label chains of one tree: mods
+    its modifiers by head (the virtual root's first), then by position,
+    with chain k at mods[starts[k]:starts[k + 1]]; unary (M, K, 34) and
+    pairwise (M, K*K, 4) weight indices (model.indices), whose row at a
+    chain start is unused and stays zero.  arc_digests is the (n, 34)
+    digests of the tree's arcs, row m-1 for the arc into m; the labels are
+    conjoined onto them and onto the pairwise digests mixed from them."""
+    heads = np.asarray(heads, dtype=np.intp)
+    mods = np.argsort(heads, kind='stable') + 1
+    later = np.zeros(len(mods), dtype=bool)
+    later[1:] = heads[mods[1:] - 1] == heads[mods[:-1] - 1]
     unary = model.indices(conjoin_grid(arc_digests[mods - 1],
                                        range(n_labels)))
     pair = np.zeros((len(mods), n_labels * n_labels, PAIR_FEATURES),
                     dtype=np.intp)
-    starts = np.cumsum([0] + [len(chain) for _, chain in chains])
-    later = np.ones(len(mods), dtype=bool)
-    later[starts[:-1]] = False
     pair[later] = model.indices(conjoin_grid(
         _pair_digests(arc_digests, mods[:-1][later[1:]], mods[later]),
         range(n_labels * n_labels)))
-    return [(chain, unary[a:b], pair[a:b])
-            for (_, chain), a, b in zip(chains, starts, starts[1:])]
+    starts = np.append(np.flatnonzero(~later), len(mods))
+    return mods, starts, unary, pair
 
 
-def _decode_chain(weights, unary, pair, n_labels):
-    T = unary.shape[0]
+def _decode_tree(weights, tables):
+    """The best label id of each of a tree's mods: one gather of its
+    weights, then one Viterbi per chain."""
+    _, starts, unary, pair = tables
+    K = unary.shape[1]
     emis = weights[unary].sum(axis=2)
-    trans = weights[pair].sum(axis=2).reshape(T, n_labels, n_labels)
-    path, _ = viterbi_chain(emis, trans)
-    return path
+    trans = weights[pair].sum(axis=2).reshape(len(emis), K, K)
+    path = []
+    for a, b in zip(starts[:-1], starts[1:]):
+        path += viterbi_chain(emis[a:b], trans[a:b])[0]
+    return np.array(path, dtype=np.intp)
 
 
-def _chain_mistakes(model, tree_chains):
-    """Decode each chain of one tree in turn; yield the (gold, predicted)
-    index rows of every wrong label and every wrong label pair."""
-    for unary, pair, gold in tree_chains:
-        K = unary.shape[1]
-        pred = _decode_chain(model.weights, unary, pair, K)
-        for t, (g, p) in enumerate(zip(gold, pred)):
-            if g != p:
-                yield unary[t, g], unary[t, p]
-            if t and (gold[t - 1], g) != (pred[t - 1], p):
-                yield (pair[t, gold[t - 1] * K + g],
-                       pair[t, pred[t - 1] * K + p])
+def _tree_mistakes(model, example):
+    """The (gold, predicted) indices of every wrong label and every wrong
+    label pair of one tree, decoded whole, or None.  A pair is wrong only
+    where one of its labels is."""
+    tables, gold = example
+    _, starts, unary, pair = tables
+    pred = _decode_tree(model.weights, tables)
+    wrong = np.flatnonzero(gold != pred)
+    if not len(wrong):
+        return None
+    K = unary.shape[1]
+    # a label pair ends at each chain element but the first
+    later = np.ones(len(gold), dtype=bool)
+    later[starts[:-1]] = False
+    gold_pairs = np.roll(gold, 1) * K + gold
+    pred_pairs = np.roll(pred, 1) * K + pred
+    pairs = np.flatnonzero(later & (gold_pairs != pred_pairs))
+    return tuple(np.concatenate((unary[wrong, labels[wrong]].ravel(),
+                                 pair[pairs, keys[pairs]].ravel()))
+                 for labels, keys in ((gold, gold_pairs),
+                                      (pred, pred_pairs)))
 
 
 def train_labeler(corpus, epochs, seed=1):
-    """Averaged perceptron over per-head chains with the gold tree
-    structure fixed; one example is the set of chains of one tree."""
+    """Averaged structured perceptron over the label chains of whole
+    trees, with the gold tree structure fixed: one example, and one
+    update, per tree."""
     corpus = list(corpus)
     if not corpus:
         raise ToolkitError('empty corpus')
@@ -143,13 +151,13 @@ def train_labeler(corpus, epochs, seed=1):
     label_id = {lab: k for k, lab in enumerate(alphabet)}
     model = LinearModel(DIM_BITS, meta={
         'task': 'labels', 'labels': alphabet, 'hash': 'blake2b-64'})
-    examples = [
-        [(unary, pair, [label_id[enc.labels[m - 1]] for m in chain])
-         for chain, unary, pair in _chain_tables(
-             model, enc.heads, len(alphabet),
-             tree_arc_digests(enc.sentence, enc.heads))]
-        for enc in corpus]
-    return perceptron.train(model, examples, epochs, seed, _chain_mistakes)
+    examples = []
+    for enc in corpus:
+        tables = _tree_tables(model, enc.heads, len(alphabet),
+                              tree_arc_digests(enc.sentence, enc.heads))
+        gold = np.array([label_id[label] for label in enc.labels])
+        examples.append((tables, gold[tables[0] - 1]))
+    return perceptron.train(model, examples, epochs, seed, _tree_mistakes)
 
 
 def label_tree(sentence, heads, model, arc_digests):
@@ -159,10 +167,7 @@ def label_tree(sentence, heads, model, arc_digests):
     alphabet = model.meta.get('labels', [])
     if not alphabet:
         raise ToolkitError('labeler model has an empty alphabet')
-    K = len(alphabet)
-    out = [None] * len(sentence)
-    for chain, unary, pair in _chain_tables(model, heads, K, arc_digests):
-        path = _decode_chain(model.weights, unary, pair, K)
-        for m, k in zip(chain, path):
-            out[m - 1] = alphabet[k]
-    return DTree(sentence, tuple(heads), tuple(out))
+    tables = _tree_tables(model, heads, len(alphabet), arc_digests)
+    path = _decode_tree(model.weights, tables)[np.argsort(tables[0])]
+    return DTree(sentence, tuple(heads),
+                 tuple(alphabet[k] for k in path.tolist()))

@@ -8,7 +8,7 @@ legacy skip list, every sentence scores.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .trees import PROPER, iter_nodes
 
@@ -17,7 +17,6 @@ from .trees import PROPER, iter_nodes
 class EvalConfig:
     punctuation_pos: frozenset = frozenset()
     ignore_root_labels: frozenset = frozenset()
-    length_cutoffs: tuple = ()
 
 
 @dataclass
@@ -30,18 +29,9 @@ class ScoreReport:
     gold_brackets: int
     pred_brackets: int
     sentences: int
-    cutoffs: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            'precision': self.precision, 'recall': self.recall,
-            'f1': self.f1, 'exact': self.exact,
-            'matched': self.matched, 'gold_brackets': self.gold_brackets,
-            'pred_brackets': self.pred_brackets, 'sentences': self.sentences}
-        if self.cutoffs:
-            out['cutoffs'] = {
-                str(c): r.to_dict() for c, r in sorted(self.cutoffs.items())}
-        return out
+        return asdict(self)
 
 
 def brackets(tree, cfg):
@@ -100,17 +90,11 @@ def _score(pairs, cfg):
 
 
 def evalb(gold, pred, cfg=EvalConfig()):
-    """Micro-averaged LP/LR/F1 plus exact match; cutoff sub-reports
-    restrict to sentences of at most that many tokens."""
+    """Micro-averaged LP/LR/F1 plus exact match."""
     gold = list(gold)
     pred = list(pred)
     _check_aligned(gold, pred)
-    report = _score(zip(gold, pred), cfg)
-    for cutoff in cfg.length_cutoffs:
-        report.cutoffs[cutoff] = _score(
-            ((g, p) for g, p in zip(gold, pred)
-             if len(g.sentence) <= cutoff), cfg)
-    return report
+    return _score(zip(gold, pred), cfg)
 
 
 def attachment_scores(gold, pred, punctuation_pos=frozenset()):

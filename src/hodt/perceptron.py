@@ -12,9 +12,8 @@ uint64.  The parser hashes only the 7n + 6 part strings of a sentence
 (its forms, POS tags and their neighbours) and mixes every arc
 template's digest from those (`baseline_parser.sentence_atoms`); the
 labeler builds its features from the arc digests and hashes no string.
-The unary restorer, which hashes a whole training corpus in one call,
-goes through `hash_distinct`, which digests each distinct string once.
-`conjoin_grid` conjoins small integer keys (a label, a class) onto
+The unary restorer hashes the feature strings of one tree's nodes in one
+call.  `conjoin_grid` conjoins small integer keys (a label, a class) onto
 digests by one more mix.
 
 A model never holds a float per masked index.  A fresh LinearModel is
@@ -86,20 +85,6 @@ def hash_features(texts):
         state.update(text.encode('utf-8'))
         digests += state.digest()
     return np.frombuffer(digests, dtype='<u8').astype(np.uint64)
-
-
-def hash_distinct(texts):
-    """(digests, rows) for an iterable of feature strings: the
-    hash_features of each distinct string, in order of first appearance,
-    and for each input string the row of its digest, so that
-    digests[rows] is hash_features of the input.
-
-    Used by the unary restorer, whose training corpus repeats most
-    strings."""
-    slot = {}
-    rows = np.fromiter((slot.setdefault(text, len(slot)) for text in texts),
-                       dtype=np.intp)
-    return hash_features(list(slot)), rows
 
 
 def mix(x):
@@ -336,12 +321,11 @@ def train(model, examples, epochs, seed, mistakes):
     """The averaged-perceptron epoch loop shared by every learner.
 
     Each epoch visits `examples` in an order reshuffled from `seed`.
-    `mistakes(model, example)` decodes one example with the current
-    weights and yields (gold indices, predicted indices) for its wrong
-    parts, one part or several in a yield (index arrays of any shape);
-    the loop rewards the first and penalizes the second before asking
-    for the next yield, so the parts a generator yields later see the
-    update."""
+    `mistakes(model, example)` decodes one whole example with the weights
+    at its start and returns (gold indices, predicted indices) of all its
+    wrong parts (index arrays of any shape), or None; the loop rewards
+    the first and penalizes the second, one update per example (Collins,
+    EMNLP 2002)."""
     trainer = AveragedTrainer(model)
     rng = Rng(seed)
     order = list(range(len(examples)))
@@ -349,7 +333,8 @@ def train(model, examples, epochs, seed, mistakes):
         rng.shuffle(order)
         for i in order:
             trainer.begin_example()
-            for gold, pred in mistakes(model, examples[i]):
-                trainer.update_indices(gold, 1.0)
-                trainer.update_indices(pred, -1.0)
+            wrong = mistakes(model, examples[i])
+            if wrong is not None:
+                trainer.update_indices(wrong[0], 1.0)
+                trainer.update_indices(wrong[1], -1.0)
     return trainer.average()

@@ -10,17 +10,20 @@ off a tree, add_chains puts them back on its stripped form.
 
 Classifier: the shared hashed averaged perceptron; every node feature is
 conjoined at scoring time with (class, node-is-preterminal) so chains
-above POS nodes and above constituents get separate weight.
+above POS nodes and above constituents get separate weight.  One path,
+_node_rows, takes a tree to the weight indices of its nodes that have a
+choice, hashing the tree's feature strings in one call, and _decide
+scores them all with the same weights: recover decides a parsed tree that
+way, and training decides each gold tree that way before its one update.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ToolkitError
 from . import perceptron
-from .perceptron import DIM_BITS, LinearModel, conjoin_grid, hash_distinct
+from .perceptron import DIM_BITS, LinearModel, conjoin_grid
 from .trees import (
     CTree, PRETERMINAL, PROPER, iter_nodes, proper, strip_unaries)
 
@@ -28,21 +31,13 @@ NULL_CLASS = 'NULL'
 CHAIN_SEP = '->'
 _NONE = 'NONE'
 FEATURES_PER_NODE = 19
-MIX_BLOCK = 64  # instances whose keys are mixed at once
-
-
-@dataclass(frozen=True)
-class Instance:
-    features: tuple
-    symbol: str
-    preterminal: bool
-    gold: str
 
 
 @dataclass(frozen=True)
 class UnaryData:
-    """extract_instances output: instances, the class inventory (NULL
-    first, then sorted chains), and the symbol -> observed classes map."""
+    """extract_instances output: instances, one (unaryless tree, its gold
+    chains) pair per tree; the class inventory (NULL first, then sorted
+    chains); and the symbol -> observed classes map."""
     instances: tuple
     classes: tuple
     allowed: dict
@@ -140,67 +135,73 @@ def add_chains(tree, chains):
 
 
 def extract_instances(treebank):
-    """One instance per node of each stripped tree; gold class = the
-    chain that sat above it in the original, or NULL."""
+    """The training data of the restorer: each tree's unaryless form and
+    gold chains (unary_chains), and the classes observed above each
+    symbol."""
     instances = []
     observed = {}
     for tree in treebank:
         chains = unary_chains(tree)
         stripped = strip_unaries(tree)
-        for node, parent, slot in _with_parents(stripped.root):
+        instances.append((stripped, chains))
+        for node in iter_nodes(stripped.root):
             gold = chains.get(node.positions, NULL_CLASS)
-            instances.append(Instance(
-                tuple(featurize_node(stripped, node, parent, slot)),
-                node.label, node.kind == PRETERMINAL, gold))
             if gold != NULL_CLASS:
                 observed.setdefault(node.label, set()).add(gold)
     classes = (NULL_CLASS,) + tuple(
-        sorted({i.gold for i in instances} - {NULL_CLASS}))
+        sorted(set().union(*observed.values())))
     return UnaryData(tuple(instances), classes, observed)
 
 
-def _instance_indices(model, instances, n_classes):
-    """One (n_classes, 19) array of weight indices per instance,
-    under the instance's own preterminal flag: row c scores class c under
-    key 2c + preterminal.  The strings of all instances go through one
-    hash_distinct call; the keys are mixed in MIX_BLOCK instances at a
-    time, so the transient digest grids stay small however many
-    instances there are."""
-    digests, order = hash_distinct(itertools.chain.from_iterable(
-        inst.features for inst in instances))
-    hashes = digests[order].reshape(len(instances), FEATURES_PER_NODE)
-    flags = np.array([inst.preterminal for inst in instances], dtype=int)
-    keys = 2 * np.arange(n_classes) + flags[:, None]
-    rows = []
-    for start in range(0, len(instances), MIX_BLOCK):
-        block = slice(start, start + MIX_BLOCK)
-        rows.extend(model.indices(conjoin_grid(hashes[block], keys[block])))
-    return rows
+def _node_rows(model, tree):
+    """(nodes, rows, allowed) for the nodes of an unaryless tree that have
+    a class besides NULL to choose, in _with_parents order: rows[i, c] are
+    the weight indices of class c at nodes[i], its features conjoined with
+    key 2c + preterminal, and allowed[i, c] flags the candidates, NULL and
+    the classes observed above the node's symbol.  The feature strings of
+    the tree go through one hash_features call."""
+    observed = model.meta['allowed']
+    n_classes = len(model.meta['classes'])
+    nodes, features = [], []
+    for node, parent, slot in _with_parents(tree.root):
+        if any(observed.get(node.label, ())):
+            nodes.append(node)
+            features += featurize_node(tree, node, parent, slot)
+    hashes = perceptron.hash_features(features).reshape(
+        len(nodes), FEATURES_PER_NODE)
+    flags = np.array([node.kind == PRETERMINAL for node in nodes], dtype=int)
+    rows = model.indices(conjoin_grid(
+        hashes, 2 * np.arange(n_classes) + flags[:, None]))
+    allowed = np.zeros((len(nodes), n_classes), dtype=bool)
+    allowed[:, 0] = True
+    for i, node in enumerate(nodes):
+        allowed[i, observed[node.label]] = True
+    return nodes, rows, allowed
 
 
-def _candidates(model, symbol):
-    """Ids of NULL and the classes observed for `symbol`, ascending."""
-    return sorted({0, *model.meta['allowed'].get(symbol, ())})
+def _decide(weights, rows, allowed):
+    """The highest-scoring candidate class of each node, the first on
+    ties."""
+    scores = weights[rows].sum(axis=2)
+    return np.where(allowed, scores, -np.inf).argmax(axis=1)
 
 
-def _best(weights, idx, cand):
-    """The highest-scoring candidate class, first on ties."""
-    return cand[int(weights[idx[cand]].sum(axis=1).argmax())]
-
-
-def _instance_mistakes(model, example):
-    # an instance whose only candidate is NULL has NULL as its gold class
-    # and is never wrong: it stays an example, but is not decoded
-    idx, cand, gold = example
-    if len(cand) > 1:
-        pred = _best(model.weights, idx, cand)
-        if pred != gold:
-            yield idx[gold], idx[pred]
+def _tree_mistakes(model, example):
+    """The (gold, predicted) rows of every wrongly decided node of one
+    tree, all decided with the same weights, or None."""
+    rows, allowed, gold = example
+    pred = _decide(model.weights, rows, allowed)
+    wrong = np.flatnonzero(gold != pred)
+    if not len(wrong):
+        return None
+    return rows[wrong, gold[wrong]], rows[wrong, pred[wrong]]
 
 
 def train_unary(data, epochs, seed=1):
-    """Averaged multi-class perceptron, candidates restricted per
-    instance to NULL plus the classes observed for its symbol."""
+    """Averaged structured perceptron over whole trees: every node with a
+    choice is decided with the weights at the start of its tree, then the
+    tree makes one update.  Each node's candidates are NULL plus the
+    classes observed above its symbol."""
     if not data.instances:
         raise ToolkitError('no unary instances')
     class_id = {cls: k for k, cls in enumerate(data.classes)}
@@ -209,11 +210,13 @@ def train_unary(data, epochs, seed=1):
         'classes': list(data.classes),
         'allowed': {sym: sorted(class_id[c] for c in classes)
                     for sym, classes in sorted(data.allowed.items())}})
-    indices = _instance_indices(model, data.instances, len(data.classes))
-    examples = [(idx, _candidates(model, inst.symbol), class_id[inst.gold])
-                for idx, inst in zip(indices, data.instances)]
-    return perceptron.train(model, examples, epochs, seed,
-                            _instance_mistakes)
+    examples = []
+    for tree, chains in data.instances:
+        nodes, rows, allowed = _node_rows(model, tree)
+        gold = np.array([class_id[chains.get(node.positions, NULL_CLASS)]
+                         for node in nodes], dtype=np.intp)
+        examples.append((rows, allowed, gold))
+    return perceptron.train(model, examples, epochs, seed, _tree_mistakes)
 
 
 def recover(tree, model):
@@ -223,17 +226,7 @@ def recover(tree, model):
     choose is decided first, in one batch, and the chains are added
     after."""
     classes = model.meta['classes']
-    nodes = []
-    instances = []
-    for node, parent, slot in _with_parents(tree.root):
-        cand = _candidates(model, node.label)
-        if cand != [0]:
-            nodes.append((node.positions, cand))
-            instances.append(Instance(
-                tuple(featurize_node(tree, node, parent, slot)), node.label,
-                node.kind == PRETERMINAL, NULL_CLASS))
-    indices = _instance_indices(model, instances, len(classes))
-    chosen = {positions: classes[_best(model.weights, idx, cand)]
-              for (positions, cand), idx in zip(nodes, indices)}
-    return add_chains(tree, {positions: cls for positions, cls
-                             in chosen.items() if cls != NULL_CLASS})
+    nodes, rows, allowed = _node_rows(model, tree)
+    chosen = _decide(model.weights, rows, allowed).tolist()
+    return add_chains(tree, {node.positions: classes[k]
+                             for node, k in zip(nodes, chosen) if k})

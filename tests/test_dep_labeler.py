@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from hodt import dep_labeler, perceptron
 from hodt.baseline_parser import arc_features, tree_arc_digests
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
-from hodt.dep_labeler import (_chain_tables, _chains, _pair_digests,
+from hodt.dep_labeler import (_pair_digests, _tree_tables,
                               featurize_pairwise, label_tree, train_labeler)
 from hodt.encoding import ROOT_LABEL, encode_direct
 from hodt.errors import ToolkitError
@@ -96,9 +97,9 @@ def test_chain_decode_matches_brute_force():
         out = label_tree(enc.sentence, list(enc.heads), model,
                          tree_arc_digests(enc.sentence, enc.heads))
         chosen = {i + 1: lab for i, lab in enumerate(out.labels)}
-        for chain, unary, pair in _chain_tables(
+        for chain, unary, pair in _chain_slices(_tree_tables(
                 model, list(enc.heads), K,
-                tree_arc_digests(enc.sentence, enc.heads)):
+                tree_arc_digests(enc.sentence, enc.heads))):
             if not 1 <= len(chain) <= 3:
                 continue
             emis = model.weights[unary].sum(axis=2)
@@ -120,6 +121,22 @@ def test_chain_decode_matches_brute_force():
             assert got == pytest.approx(best, abs=1e-9)
             checked += 1
     assert checked >= 10
+
+
+def _chains(heads):
+    """(head, [modifiers ascending]) for every head with modifiers,
+    virtual root included, in ascending head order."""
+    by_head = {}
+    for m, h in enumerate(heads, 1):
+        by_head.setdefault(h, []).append(m)
+    return sorted(by_head.items())
+
+
+def _chain_slices(tables):
+    """(chain, unary, pair) for each chain of a _tree_tables table."""
+    mods, starts, unary, pair = tables
+    return [(mods[a:b].tolist(), unary[a:b], pair[a:b])
+            for a, b in zip(starts, starts[1:])]
 
 
 def _reference_chain_tables(model, sentence, h, chain, n_labels):
@@ -152,13 +169,14 @@ TREES = {
 
 
 @pytest.mark.parametrize('kind', sorted(TREES))
-def test_chain_tables_match_per_chain_hashing(kind):
+def test_tree_tables_match_per_chain_hashing(kind):
     model = LinearModel(dim_bits=20)
     for tree in TREES[kind]():
         enc = encode_direct(ctree_to_dtree(strip_unaries(tree)))
         for K in (1, 3):
-            got = _chain_tables(model, enc.heads, K,
-                                tree_arc_digests(enc.sentence, enc.heads))
+            got = _chain_slices(_tree_tables(
+                model, enc.heads, K,
+                tree_arc_digests(enc.sentence, enc.heads)))
             chains = _chains(enc.heads)
             assert [c for c, _, _ in got] == [c for _, c in chains]
             for (h, chain), (_, unary, pair) in zip(chains, got):
@@ -168,14 +186,69 @@ def test_chain_tables_match_per_chain_hashing(kind):
                 assert np.array_equal(pair, ref_pair)
 
 
-def test_chain_tables_hash_no_string(hash_calls):
+def test_tree_tables_hash_no_string(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
     digests = tree_arc_digests(enc.sentence, enc.heads)
     hash_calls.clear()
-    _chain_tables(LinearModel(), enc.heads, 2, digests)
+    _tree_tables(LinearModel(), enc.heads, 2, digests)
     # the arc digests are given, and the pairwise ones are mixed from them
     assert not hash_calls
     assert not hash_calls.arcs
+
+
+def test_training_decodes_each_tree_once_per_epoch(monkeypatch):
+    corpus = _corpus(30, seed=3)
+    want = train_labeler(corpus, epochs=3, seed=1).to_json()
+    decoded = []
+    real = dep_labeler._decode_tree
+
+    def decode(weights, tables):
+        decoded.append(len(tables[0]))
+        return real(weights, tables)
+
+    monkeypatch.setattr(dep_labeler, '_decode_tree', decode)
+    assert train_labeler(corpus, epochs=3, seed=1).to_json() == want
+    assert len(decoded) == 3 * len(corpus)
+    # every decode covers a whole tree
+    assert sorted(decoded) == sorted(3 * [len(enc.sentence)
+                                          for enc in corpus])
+
+
+def test_training_predicts_what_label_tree_predicts(monkeypatch):
+    # each tree's prediction in training is label_tree's under the same
+    # weights, and the tree is a mistake exactly when that labels it wrong
+    corpus = _corpus(30, seed=3)
+    decoded = []
+    real_decode = dep_labeler._decode_tree
+    monkeypatch.setattr(dep_labeler, '_decode_tree',
+                        lambda weights, tables: decoded.append(
+                            (tables[0], real_decode(weights, tables)))
+                        or decoded[-1][1])
+    real_train = perceptron.train
+    seen = {True: 0, False: 0}
+
+    def train(model, examples, epochs, seed, mistakes):
+        index = {id(example): i for i, example in enumerate(examples)}
+        alphabet = model.meta['labels']
+
+        def check(model, example):
+            enc = corpus[index[id(example)]]
+            decoded.clear()
+            wrong = mistakes(model, example)
+            ((mods, pred),) = decoded
+            got = label_tree(enc.sentence, enc.heads, model,
+                             tree_arc_digests(enc.sentence, enc.heads))
+            assert [alphabet[k] for k in pred[np.argsort(mods)]] == list(
+                got.labels)
+            assert (wrong is None) == (got.labels == enc.labels)
+            seen[wrong is None] += 1
+            return wrong
+
+        return real_train(model, examples, epochs, seed, check)
+
+    monkeypatch.setattr(perceptron, 'train', train)
+    train_labeler(corpus, epochs=3, seed=1)
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize('bank', sorted(BANKS))

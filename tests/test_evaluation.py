@@ -85,19 +85,6 @@ def test_evalb_half_exact(english_tree_unaryless):
     assert rep.sentences == 2
 
 
-def test_evalb_length_cutoffs(english_tree_unaryless):
-    sent = make_sentence(('a', 'X'), ('b', 'X'))
-    small = CTree(proper('P', 1, (preterminal('X', 1),
-                                  preterminal('X', 2))), sent)
-    cfg = EvalConfig(length_cutoffs=(3,))
-    rep = evalb([small, english_tree_unaryless],
-                [small, english_tree_unaryless], cfg)
-    assert rep.sentences == 2
-    assert rep.cutoffs[3].sentences == 1
-    assert rep.cutoffs[3].f1 == 1.0
-    assert '3' in rep.to_dict()['cutoffs']
-
-
 def test_evalb_misalignment(english_tree_unaryless):
     with pytest.raises(ValueError):
         evalb([english_tree_unaryless], [])

@@ -15,7 +15,7 @@ from hodt.encoding import encode_direct
 from hodt.errors import ModelFormatError
 from hodt import perceptron
 from hodt.perceptron import (AveragedTrainer, LinearModel, conjoin_grid,
-                             hash_distinct, hash_features)
+                             hash_features)
 from hodt.reduction import ctree_to_dtree
 from hodt.rng import Rng
 from hodt.trees import strip_unaries
@@ -55,28 +55,6 @@ def test_hash_features_is_the_blake2b_digest():
     # a long call must leave the shared empty state untouched
     hash_features(['f%d' % i for i in range(5000)])
     assert int(hash_features(['b'])[0]) == 8453121595177857668
-
-
-def test_hash_distinct_matches_hash_features():
-    feats = ['a', 'bc', 'a', 'def', 'bc', 'a']
-    digests, rows = hash_distinct(iter(feats))
-    assert digests.dtype == np.uint64
-    assert np.array_equal(digests, hash_features(['a', 'bc', 'def']))
-    assert rows.tolist() == [0, 1, 0, 2, 1, 0]
-    assert np.array_equal(digests[rows], hash_features(feats))
-    digests, rows = hash_distinct(iter(()))
-    assert digests.dtype == np.uint64
-    assert digests.shape == rows.shape == (0,)
-
-
-def test_hash_distinct_hashes_each_distinct_string_once(monkeypatch):
-    calls = []
-    real = perceptron.hash_features
-    monkeypatch.setattr(perceptron, 'hash_features',
-                        lambda texts: calls.append(list(texts))
-                        or real(texts))
-    hash_distinct(['x', 'y', 'x', 'x', 'z', 'y'])
-    assert calls == [['x', 'y', 'z']]
 
 
 def test_conjoin_grid_broadcasts_over_rows():
@@ -277,9 +255,9 @@ PINNED = {
     'arcs_nonprojective':
         '7d052263e9b54490fce0f86640dd9d3235f98c19904f07d91eae2a2410a77cc5',
     'labels':
-        '047af8dee93b2dc027e7cc69d3d70aa0572e627dc8c32c1af21fecf0318b2661',
+        'e86f99ba91c35fb5279a38ee5af4b8ae76926f425553b93fc524bd492d895ee4',
     'unary':
-        'b99d1f9fdc9ee38f593ac1dd47a9e8c95eeee054490514d4dbfbc728a216464c',
+        '67142bf2b911ef8326cb658d17040290e8d5e10dfac1d794fcd7def53828aa27',
 }
 
 

@@ -17,8 +17,10 @@ from hodt.headrules import RIGHTMOST, lexicalize
 from hodt.treebank_io import (
     read_bracketed, read_export, write_bracketed, write_export,
     write_json_corpus)
-from hodt.trees import CTree, Sentence, Token
-from hodt.unary_recovery import extract_instances
+from hodt.trees import PRETERMINAL, CTree, Sentence, Token, strip_unaries
+from hodt.unary_recovery import (NULL_CLASS, _with_parents,
+                                 extract_instances, featurize_node,
+                                 unary_chains)
 
 
 def _with_lemmas(tree, k):
@@ -104,10 +106,19 @@ UNARY_BANKS = {
 
 @pytest.mark.parametrize('bank', sorted(UNARY_BANKS))
 def test_unary_features_are_pinned(bank):
+    # each node of each stripped tree: its features, symbol, preterminal
+    # flag and gold class
+    nodes = []
+    for tree in UNARY_BANKS[bank]():
+        chains = unary_chains(tree)
+        stripped = strip_unaries(tree)
+        nodes += [[featurize_node(stripped, node, parent, slot), node.label,
+                   node.kind == PRETERMINAL,
+                   chains.get(node.positions, NULL_CLASS)]
+                  for node, parent, slot in _with_parents(stripped.root)]
     data = extract_instances(UNARY_BANKS[bank]())
     text = json.dumps({
-        'instances': [[list(i.features), i.symbol, i.preterminal, i.gold]
-                      for i in data.instances],
+        'instances': nodes,
         'classes': list(data.classes),
         'allowed': {s: sorted(c) for s, c in sorted(data.allowed.items())}})
     assert _sha(text) == PINNED['unary_' + bank]

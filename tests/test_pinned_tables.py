@@ -3,14 +3,17 @@ parse` output.
 
 Each digest is the SHA-256 of the masked weight indices that a learner
 builds from fixed generated banks (the parser's arc tables, the
-labeler's chain tables, the unary restorer's instance rows), or of the
+labeler's chain tables, the unary restorer's node rows), or of the
 output and summary line of `hodt parse` on bundles trained from fixed
 seeds.  They must not change while the feature templates and the
 digests stay the same.  The unary pins date from before the learners
 moved onto one hashing pass per sentence.  The arcs and labels pins and
 the parse pins were retaken when the parser and the labeler moved onto
 digests mixed from per-sentence atoms (bundle format 2); toy_hn parsed
-the same before and after."""
+the same before and after.  The parse pins were retaken again when the
+labeler and the unary restorer moved onto one update per tree: their
+weights changed, while every parser weight, and the parse of a bundle
+trained before, stayed the same."""
 
 import hashlib
 
@@ -20,12 +23,13 @@ import pytest
 from hodt.baseline_parser import arc_index_table, tree_arc_digests
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
-from hodt.dep_labeler import _chain_tables
+from hodt.dep_labeler import _tree_tables
 from hodt.encoding import encode_direct
-from hodt.perceptron import LinearModel
+from hodt.perceptron import LinearModel, conjoin_grid, hash_features
 from hodt.reduction import ctree_to_dtree
-from hodt.trees import strip_unaries
-from hodt.unary_recovery import _instance_indices, extract_instances
+from hodt.trees import PRETERMINAL, strip_unaries
+from hodt.unary_recovery import (_with_parents, extract_instances,
+                                 featurize_node)
 
 BANKS = {
     'toy': lambda: gen_toy_treebank(GenConfig(seed=11), 40),
@@ -69,17 +73,24 @@ def _label_tables(bank):
     n_labels = len({label for enc in corpus for label in enc.labels})
     model = LinearModel()
     for enc in corpus:
-        for _, unary, pair in _chain_tables(
-                model, enc.heads, n_labels,
-                tree_arc_digests(enc.sentence, enc.heads)):
-            yield from _masked(model, (unary, pair))
+        _, starts, unary, pair = _tree_tables(
+            model, enc.heads, n_labels,
+            tree_arc_digests(enc.sentence, enc.heads))
+        for a, b in zip(starts, starts[1:]):
+            yield from _masked(model, (unary[a:b], pair[a:b]))
 
 
 def _unary_rows(bank):
-    data = extract_instances(BANKS[bank]())
+    """The (classes, 19) weight indices of every node of each stripped
+    tree, row c under key 2c + preterminal, one node at a time."""
+    n_classes = len(extract_instances(BANKS[bank]()).classes)
     model = LinearModel()
-    yield from _masked(model, _instance_indices(model, data.instances,
-                                                len(data.classes)))
+    for tree in map(strip_unaries, BANKS[bank]()):
+        for node, parent, slot in _with_parents(tree.root):
+            digests = hash_features(featurize_node(tree, node, parent, slot))
+            keys = 2 * np.arange(n_classes) + (node.kind == PRETERMINAL)
+            yield from _masked(model, [model.indices(
+                conjoin_grid(digests, keys))])
 
 
 TABLES = {'arcs': _arc_tables, 'labels': _label_tables,
@@ -129,13 +140,13 @@ BUNDLES = {
 
 PINNED_PARSES = {
     'cont40':
-        '53ab8d780fe39a31a30be59fcbb004ee6f6b51c1a353f8064a58bb1695fc6016',
+        '9dfe70c732c9cd62697a9dd9cd41b8000cafa0ebda34ef3fd5c89d3991a199c5',
     'disc12':
-        '355b2211a8c5316fa67fdf7fe819a2053e93ea284183c1f5e9bb42f0c32d7e6f',
+        'b9a2fcefa8b1a88141eedae2628354db792b6353cf77512e23b2810c2444d6d3',
     'toy_direct':
-        'e5daccdcf3e810154f3ec5c1cfbc20f180f2947a81275c305ba457b49a41e360',
+        '7ebaafaa01495721689fde1643ad2994418f2800bf21d3989639a590ddd5130c',
     'toy_hn':
-        '838b000e1d1a09b84009f52ef2cc731e27f71912c84b891485f27c20f7e6f272',
+        '59a833440723d1f3324921c6f37a518e2d4568e9a778fd8f786e48e3401b9956',
 }
 
 

@@ -4,10 +4,11 @@ import pytest
 from hodt import perceptron, unary_recovery
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.perceptron import LinearModel, conjoin_grid, hash_features
-from hodt.trees import strip_unaries, validate
-from hodt.unary_recovery import (NULL_CLASS, _instance_indices, add_chains,
-                                 extract_instances, featurize_node, recover,
-                                 train_unary, unary_chains)
+from hodt.trees import PRETERMINAL, strip_unaries, validate
+from hodt.unary_recovery import (NULL_CLASS, _node_rows, _with_parents,
+                                 add_chains, extract_instances,
+                                 featurize_node, recover, train_unary,
+                                 unary_chains)
 
 
 def _toy(n, seed=1):
@@ -44,8 +45,12 @@ def test_instance_extraction_classes():
     # the toy grammar wraps N in NP and V in VP, AV in ADVP
     assert 'NP' in data.classes
     assert any(c.startswith('VP') or c == 'VP' for c in data.classes)
-    # every instance's gold class is in the inventory
-    assert all(inst.gold in data.classes for inst in data.instances)
+    # one instance per tree: its unaryless form and its gold chains,
+    # whose classes are in the inventory
+    assert list(data.instances) == [
+        (strip_unaries(t), unary_chains(t)) for t in trees]
+    assert {c for _, chains in data.instances for c in chains.values()} \
+        == set(data.classes[1:])
 
 
 def test_allowed_map_restricts_candidates():
@@ -134,20 +139,34 @@ def test_determinism():
     assert a.to_json() == b.to_json()
 
 
-def test_instance_indices_match_per_instance_hashing():
+def test_node_rows_match_per_node_hashing():
+    # the nodes with a class besides NULL to choose, each row against
+    # hashing and conjoining its own features alone
     trees = _toy(20) + [gen_ctree(GenConfig(
         seed=2, discontinuity_probability=1.0, unary_probability=0.3), 12)]
     data = extract_instances(trees)
-    model = LinearModel(dim_bits=20)
     K = len(data.classes)
-    got = _instance_indices(model, data.instances, K)
-    assert np.shape(got) == (len(data.instances), K, 19)
-    for inst, rows in zip(data.instances, got):
-        digests = hash_features(list(inst.features))
-        keys = 2 * np.arange(K) + int(inst.preterminal)
-        assert np.array_equal(rows,
-                              model.indices(conjoin_grid(digests, keys)))
-    assert _instance_indices(model, (), K) == []
+    model = train_unary(data, epochs=0)
+    open_model = LinearModel(dim_bits=20, meta=model.meta)
+    allowed = model.meta['allowed']
+    checked = skipped = 0
+    for tree, _ in data.instances:
+        nodes, rows, cand = _node_rows(open_model, tree)
+        want = [(node, parent, slot)
+                for node, parent, slot in _with_parents(tree.root)
+                if node.label in allowed]
+        skipped += sum(1 for _ in _with_parents(tree.root)) - len(want)
+        assert [id(n) for n in nodes] == [id(n) for n, _, _ in want]
+        assert rows.shape == (len(nodes), K, 19)
+        for (node, parent, slot), got, ok in zip(want, rows, cand):
+            digests = hash_features(featurize_node(tree, node, parent,
+                                                   slot))
+            keys = 2 * np.arange(K) + (node.kind == PRETERMINAL)
+            assert np.array_equal(got, open_model.indices(
+                conjoin_grid(digests, keys)))
+            assert np.flatnonzero(ok).tolist() == [0, *allowed[node.label]]
+            checked += 1
+    assert checked > 50 and skipped > 50
 
 
 def test_recover_hashes_each_tree_once(monkeypatch):
@@ -158,29 +177,92 @@ def test_recover_hashes_each_tree_once(monkeypatch):
     monkeypatch.setattr(perceptron, 'hash_features',
                         lambda texts: calls.append(list(texts))
                         or real(texts))
+    choices = []
     for t in trees[:5]:
-        recover(strip_unaries(t), model)
-    assert len(calls) == 5
-    assert all(len(c) == len(set(c)) for c in calls)
+        stripped = strip_unaries(t)
+        choices.append(sum(node.label in model.meta['allowed']
+                           for node, _, _ in _with_parents(stripped.root)))
+        recover(stripped, model)
+    assert [len(c) for c in calls] == [19 * n for n in choices]
+    assert all(choices)
 
 
-def test_training_decodes_only_instances_with_a_choice(monkeypatch):
-    # an instance whose only candidate is NULL is never decoded, yet it
-    # still counts as an example: the weights do not change
+def test_training_decodes_each_tree_once_with_only_its_choices(
+        monkeypatch):
+    # one decode per tree and epoch, of the nodes with a choice only (a
+    # node whose only candidate is NULL is never decoded); the weights are
+    # those of an unobserved run
     data = extract_instances(_toy(60))
     want = train_unary(data, epochs=3, seed=1).to_json()
     decoded = []
-    real = unary_recovery._best
+    real = unary_recovery._decide
 
-    def best(weights, idx, cand):
-        decoded.append(cand)
-        return real(weights, idx, cand)
+    def decide(weights, rows, allowed):
+        decoded.append(allowed)
+        return real(weights, rows, allowed)
 
-    monkeypatch.setattr(unary_recovery, '_best', best)
+    monkeypatch.setattr(unary_recovery, '_decide', decide)
     model = train_unary(data, epochs=3, seed=1)
-    null_only = sum(inst.symbol not in data.allowed
-                    for inst in data.instances)
-    assert 0 < null_only < len(data.instances)
-    assert len(decoded) == 3 * (len(data.instances) - null_only)
-    assert all(len(cand) > 1 for cand in decoded)
     assert model.to_json() == want
+    choices = [sum(node.label in data.allowed
+                   for node, _, _ in _with_parents(tree.root))
+               for tree, _ in data.instances]
+    nodes = [sum(1 for _ in _with_parents(tree.root))
+             for tree, _ in data.instances]
+    assert 0 < sum(choices) < sum(nodes)
+    assert len(decoded) == 3 * len(data.instances)
+    assert sorted(len(a) for a in decoded) == sorted(3 * choices)
+    assert all(a.sum(axis=1).min(initial=2) > 1 for a in decoded)
+
+
+def test_training_predicts_what_recover_predicts(monkeypatch):
+    # each tree's decisions in training are recover's under the same
+    # weights, and the tree is a mistake exactly when recover gets it
+    # wrong
+    trees = _toy(60, seed=7)
+    data = extract_instances(trees)
+    decided = []
+    real_decide = unary_recovery._decide
+    monkeypatch.setattr(unary_recovery, '_decide',
+                        lambda weights, rows, allowed: decided.append(
+                            real_decide(weights, rows, allowed))
+                        or decided[-1])
+    real_train = perceptron.train
+    seen = {True: 0, False: 0}
+
+    def train(model, examples, epochs, seed, mistakes):
+        index = {id(example): i for i, example in enumerate(examples)}
+        classes = model.meta['classes']
+
+        def check(model, example):
+            i = index[id(example)]
+            stripped, _ = data.instances[i]
+            decided.clear()
+            wrong = mistakes(model, example)
+            (pred,) = decided
+            nodes = [node for node, _, _ in _with_parents(stripped.root)
+                     if node.label in data.allowed]
+            got = recover(stripped, model)
+            assert got == add_chains(stripped, {
+                node.positions: classes[k]
+                for node, k in zip(nodes, pred.tolist()) if k})
+            assert (wrong is None) == (got == trees[i])
+            seen[wrong is None] += 1
+            return wrong
+
+        return real_train(model, examples, epochs, seed, check)
+
+    monkeypatch.setattr(perceptron, 'train', train)
+    train_unary(data, epochs=3, seed=1)
+    assert seen[True] and seen[False]
+
+
+def test_restores_every_held_out_tree_of_the_tie_bank():
+    # on this bank a restorer that updated after each node left 36 of the
+    # first 200 transitive V nodes at a zero margin between VP and NULL,
+    # and its averaged weights put a spurious VP over 103 of these trees
+    data = extract_instances(gen_toy_treebank(GenConfig(seed=3), 960))
+    model = train_unary(data, epochs=5, seed=1)
+    held = gen_toy_treebank(GenConfig(seed=1000006), 720)
+    wrong = sum(recover(strip_unaries(t), model) != t for t in held)
+    assert wrong == 0
