@@ -47,9 +47,15 @@ from .unary_recovery import (NULL_CLASS, extract_instances, recover,
 
 ENCODINGS = ('direct', 'delta', 'hn')
 MODES = ('continuous', 'discontinuous')
-# manifest.bundle: 2 since the arc and label features are mixed from
-# per-sentence atoms
-BUNDLE = 2
+# manifest.bundle: 3 since each model file stores its weights as base64
+# little-endian arrays; the formats before it are refused by name
+BUNDLE = 3
+_REFUSED_BUNDLES = {
+    1: 'bundle format 1 holds string-hashed features, which this version '
+       'no longer builds',
+    2: 'bundle format 2 stores its weights as [index, value] lists, which '
+       'this version no longer reads',
+}
 
 
 # --- i/o plumbing -----------------------------------------------------------
@@ -319,10 +325,10 @@ def _load_bundle(bundle_dir, want_unaries):
         raise ModelFormatError(f'{manifest_path}: not a JSON object')
     found = manifest.get('bundle')
     if found != BUNDLE:
+        refused = _REFUSED_BUNDLES.get(found) if type(found) is int else None
         raise ModelFormatError(f'{manifest_path}: ' + (
-            'bundle format 1 holds string-hashed features, which this '
-            'version no longer builds; retrain the model with hodt train'
-            if found == 1 else f'unsupported bundle format {found!r}'))
+            f'{refused}; retrain the model with hodt train' if refused
+            else f'unsupported bundle format {found!r}'))
     if manifest.get('encoding') not in ENCODINGS:
         raise ModelFormatError(f'{manifest_path}: unknown encoding '
                                f'{manifest.get("encoding")!r}')

@@ -44,11 +44,19 @@ the weights of the blocks before it.  The slot of an index is that count
 plus the flags at or below it, times its own flag: one gather and a few
 elementwise passes per digest, and 1 MiB per model at 22 bits, whatever
 the number of weights.
+
+A model file is one line of JSON: `kind`, `dim_bits` and `meta` as
+plain values, and the compact form as two base64 strings, `keys` (the
+masked indices as little-endian int64) and `values` (their weights as
+little-endian float64).  Loading decodes both and checks them with
+whole-array numpy passes: equal counts, indices ascending and in range,
+values finite.
 """
 
+import base64
 import json
+import math
 import mmap
-import sys
 from hashlib import blake2b
 
 import numpy as np
@@ -114,6 +122,42 @@ def _resized(array, size):
     out = np.zeros(size, dtype=array.dtype)
     out[:array.size] = array
     return out
+
+
+def _encoded(array, dtype):
+    """The base64 of array's bytes as dtype."""
+    data = array.astype(dtype, copy=False).tobytes()
+    return base64.b64encode(data).decode('ascii')
+
+
+def _decoded(obj, field, dtype):
+    """The read-only array of dtype that obj[field], a base64 string
+    of whole 8-byte items, holds."""
+    text = obj.get(field)
+    if not isinstance(text, str):
+        raise ModelFormatError(f'{field} must be a base64 string')
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ModelFormatError(f'{field} is not base64: {exc}') from None
+    if len(data) % 8:
+        raise ModelFormatError(
+            f'{field} holds {len(data)} bytes, not whole 8-byte items')
+    return np.frombuffer(data, dtype=dtype)
+
+
+def _fault(keys, values, i, mask):
+    """The message for the entry at i of a model's keys and values, the
+    first that is at fault."""
+    key, value = int(keys[i]), float(values[i])
+    if not math.isfinite(value):
+        return (f'weights must be [index, finite number] pairs, '
+                f'got {[key, value]!r}')
+    if not 0 <= key <= mask:
+        return f'weight index {key} out of range'
+    before = int(keys[i - 1])
+    return (f'weight index {key} repeated' if key == before else
+            f'weight index {key} after {before}: indices must ascend')
 
 
 class LinearModel:
@@ -219,8 +263,8 @@ class LinearModel:
             'kind': 'linear',
             'dim_bits': self.dim_bits,
             'meta': self.meta,
-            'weights': [list(pair)
-                        for pair in zip(keys.tolist(), values.tolist())],
+            'keys': _encoded(keys, '<i8'),
+            'values': _encoded(values, '<f8'),
         }, sort_keys=True)
 
     @classmethod
@@ -237,33 +281,21 @@ class LinearModel:
                 f'dim_bits must be an integer in 1..30, got {dim_bits!r}')
         if not isinstance(obj.get('meta'), dict):
             raise ModelFormatError('meta must be an object')
-        weights = obj.get('weights')
-        if not isinstance(weights, list):
-            raise ModelFormatError('weights must be a list')
+        keys = _decoded(obj, 'keys', '<i8')
+        values = _decoded(obj, 'values', '<f8')
+        if keys.size != values.size:
+            raise ModelFormatError(
+                f'{keys.size} keys but {values.size} values')
         mask = (1 << dim_bits) - 1
-        keys, values = [], []
-        for pair in weights:
-            if (type(pair) is not list or len(pair) != 2
-                    or type(pair[0]) is not int
-                    or type(pair[1]) not in (int, float)
-                    # false for NaN, infinities and ints beyond a float
-                    or not abs(pair[1]) <= sys.float_info.max):
-                raise ModelFormatError(
-                    f'weights must be [index, finite number] pairs, '
-                    f'got {pair!r}')
-            i, value = pair
-            if not 0 <= i <= mask:
-                raise ModelFormatError(f'weight index {i} out of range')
-            if keys and i <= keys[-1]:
-                raise ModelFormatError(
-                    f'weight index {i} repeated' if i == keys[-1] else
-                    f'weight index {i} after {keys[-1]}: '
-                    f'indices must ascend')
-            keys.append(i)
-            values.append(float(value))
-        keys = np.array(keys, dtype=np.intp)
-        values = np.array(values)
-        nonzero = values != 0  # a listed 0.0 is no weight, as in to_json
+        # the first entry that is not finite, out of range or not above
+        # the one before it
+        bad = ~np.isfinite(values)
+        bad |= (keys < 0) | (keys > mask)
+        bad[1:] |= keys[1:] <= keys[:-1]
+        wrong = np.flatnonzero(bad)
+        if wrong.size:
+            raise ModelFormatError(_fault(keys, values, wrong[0], mask))
+        nonzero = values != 0  # a stored 0.0 is no weight, as in to_json
         model = cls.__new__(cls)
         model.dim_bits, model.mask, model.meta = dim_bits, mask, obj['meta']
         model._set_compact(keys[nonzero], values[nonzero])

@@ -79,17 +79,29 @@ _MISREAD = {
 
 
 def _lines_of(source):
-    """The lines of source, without their line ends.  A string is split
-    about 4 KiB at a time, each piece cut at a line feed, so its lines
-    are never all held at once."""
-    if isinstance(source, str):
-        text, start = source, 0
-        while (end := text.find('\n', start + 4096)) >= 0:
-            yield from _lines_of(text[start:end].split('\n'))
-            start = end + 1
-        source = text[start:].split('\n')
-    for line in source:
+    """The lines of source, without their line ends."""
+    pieces = _pieces(source) if isinstance(source, str) else (source,)
+    for line in chain.from_iterable(pieces):
         yield line.rstrip('\r\n')
+
+
+def _pieces(text):
+    """The lines of text in lists of under 4 KiB, each cut at a line
+    feed, so they are never all held at once; a line across a 4 KiB
+    mark alone, so that it is copied once."""
+    start = 0
+    while True:
+        end = text.find('\n', start + 4096)
+        if end < 0:
+            end = len(text)
+        cut = text.rfind('\n', start, start + 4096)
+        if cut >= 0:
+            yield text[start:cut].split('\n')
+            start = cut + 1
+        yield (text[start:end],)
+        if end == len(text):
+            return
+        start = end + 1
 
 
 def split_lines(source, path=None):
@@ -723,22 +735,34 @@ TREE_FORMATS = {
 }
 
 
+# the first character of the first non-blank line: \s and str.isspace
+# agree on what is blank
+_NON_BLANK = re.compile(r'\S')
+
+
 def sniff_format(source, path=None):
     """The format its first non-blank line gives source: a TREE_FORMATS
-    name, 'conll' (CoNLL-X rows) or 'tagged' (form/POS lines); only the
-    pieces of _lines_of up to that line are split."""
-    for line in _lines_of(source):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith(('#FORMAT', '#BOS')):
-            return 'export'
-        if stripped.startswith('{'):
-            return 'json'
-        if stripped.startswith('('):
-            return 'bracketed'
-        cols = stripped.split('\t')
-        if len(cols) >= 10 and cols[0].isdigit():
-            return 'conll'
-        return 'tagged'
-    raise TreebankFormatError('empty input', path)
+    name, 'conll' (CoNLL-X rows) or 'tagged' (form/POS lines).  The line
+    is read by offsets into source: only the first column of a line of
+    ten or more columns is copied, to be read as digits."""
+    found = _NON_BLANK.search(source)
+    if found is None:
+        raise TreebankFormatError('empty input', path)
+    start = found.start()
+    if source.startswith(('#FORMAT', '#BOS'), start):
+        return 'export'
+    if source.startswith('{', start):
+        return 'json'
+    if source.startswith('(', start):
+        return 'bracketed'
+    # the line's columns: its tabs before its last non-blank character
+    end = source.find('\n', start)
+    if end < 0:
+        end = len(source)
+    while source[end - 1].isspace():
+        end -= 1
+    tab = source.find('\t', start, end)
+    if (tab >= 0 and source.count('\t', tab, end) >= 9
+            and source[start:tab].isdigit()):
+        return 'conll'
+    return 'tagged'

@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hodt import cli
@@ -133,7 +135,7 @@ def test_train_writes_bundle(tmp_path, capsys, toy_file):
     assert names == ['labeler.json', 'manifest.json', 'parser.json',
                      'rules.txt', 'unary.json']
     manifest = json.loads((bundle / 'manifest.json').read_text())
-    assert manifest['bundle'] == 2
+    assert manifest['bundle'] == 3
     assert manifest['encoding'] == 'direct'
     assert manifest['mode'] == 'continuous'
     assert manifest['unaries'] is True
@@ -1041,14 +1043,22 @@ def toy_bundle(tmp_path_factory):
 
 DROP = object()
 
-# file, key path (empty: the whole file), new value; from_json's own
-# cases are in test_perceptron
+
+def _second_key_repeats_the_first(text):
+    keys = np.frombuffer(base64.b64decode(text), dtype='<i8').copy()
+    keys[1] = keys[0]
+    return base64.b64encode(keys.tobytes()).decode('ascii')
+
+
+# file, key path (empty: the whole file), new value or a function of the
+# old one; from_json's own cases are in test_perceptron
 CORRUPTIONS = {
     'manifest_list': ('manifest.json', [], []),
     'dim_bits_too_large': ('parser.json', ['dim_bits'], 40),
-    'weight_pair_short': ('parser.json', ['weights'], [[1]]),
-    'weight_index_repeated': ('parser.json', ['weights'],
-                              [[5, 1.0], [5, 2.0]]),
+    'weight_value_truncated': ('parser.json', ['values'],
+                               lambda text: text[:-4]),
+    'weight_index_repeated': ('parser.json', ['keys'],
+                              _second_key_repeats_the_first),
     'projective_missing': ('parser.json', ['meta', 'projective'], DROP),
     'projective_string': ('parser.json', ['meta', 'projective'], 'yes'),
     'meta_missing': ('unary.json', ['meta'], DROP),
@@ -1087,6 +1097,8 @@ def test_parse_rejects_corrupted_bundle(tmp_path, toy_bundle, capsys,
         obj = value
     elif value is DROP:
         del target[keys[-1]]
+    elif callable(value):
+        target[keys[-1]] = value(target[keys[-1]])
     else:
         target[keys[-1]] = value
     (bundle / name).write_text(json.dumps(obj))
@@ -1189,22 +1201,60 @@ def test_parse_featurizes_each_sentence_once(toy_bundle, hash_calls):
         hash_calls.clear()
 
 
-def test_parse_refuses_a_bundle_1_model(tmp_path, toy_bundle, capsys):
+def _parse_with_bundle_format(tmp_path, toy_bundle, capsys, version):
+    """(exit code, stdout, stderr) of a parse with the toy bundle whose
+    manifest names bundle format version; asserts that it wrote no
+    output file."""
     bundle = tmp_path / 'bundle'
     shutil.copytree(toy_bundle, bundle)
     manifest = json.loads((bundle / 'manifest.json').read_text())
-    manifest['bundle'] = 1
+    manifest['bundle'] = version
     (bundle / 'manifest.json').write_text(json.dumps(manifest))
     sents = tmp_path / 'in.txt'
     sents.write_text('the/D dog/N sees/V a/D cat/N\n')
     out = tmp_path / 'out'
-    code, stdout, err = _run(capsys, 'parse', '-m', str(bundle),
-                             '-i', str(sents), '-o', str(out))
-    assert (code, stdout) == (1, '')
-    assert err == (f'error: {bundle / "manifest.json"}: bundle format 1 '
-                   f'holds string-hashed features, which this version no '
-                   f'longer builds; retrain the model with hodt train\n')
+    run = _run(capsys, 'parse', '-m', str(bundle), '-i', str(sents),
+               '-o', str(out))
     assert not out.exists()
+    return run
+
+
+def test_parse_refuses_a_bundle_1_model(tmp_path, toy_bundle, capsys):
+    code, stdout, err = _parse_with_bundle_format(tmp_path, toy_bundle,
+                                                  capsys, 1)
+    assert (code, stdout) == (1, '')
+    assert err == (f'error: {tmp_path / "bundle" / "manifest.json"}: bundle '
+                   f'format 1 holds string-hashed features, which this '
+                   f'version no longer builds; retrain the model with hodt '
+                   f'train\n')
+
+
+def test_parse_refuses_a_bundle_2_model(tmp_path, toy_bundle, capsys):
+    code, stdout, err = _parse_with_bundle_format(tmp_path, toy_bundle,
+                                                  capsys, 2)
+    assert (code, stdout) == (1, '')
+    assert err == (f'error: {tmp_path / "bundle" / "manifest.json"}: bundle '
+                   f'format 2 stores its weights as [index, value] lists, '
+                   f'which this version no longer reads; retrain the model '
+                   f'with hodt train\n')
+
+
+@pytest.mark.parametrize('version', [4, True, '3', [3]])
+def test_parse_refuses_an_unknown_bundle_format(tmp_path, toy_bundle, capsys,
+                                                version):
+    code, stdout, err = _parse_with_bundle_format(tmp_path, toy_bundle,
+                                                  capsys, version)
+    assert (code, stdout) == (1, '')
+    assert err == (f'error: {tmp_path / "bundle" / "manifest.json"}: '
+                   f'unsupported bundle format {version!r}\n')
+
+
+def test_trained_bundle_files_are_utf8_text(toy_bundle):
+    # the benchmark's replay compares every bundle file as UTF-8 text
+    names = os.listdir(toy_bundle)
+    assert 'unary.json' in names
+    for name in names:
+        (toy_bundle / name).read_bytes().decode('utf-8', errors='strict')
 
 
 # Runs hodt with the given arguments in a fresh process and prints its

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -170,57 +171,162 @@ def test_rng_shuffle_in_place_and_seeded():
     assert sorted(first) == items
 
 
+def _b64(values, dtype):
+    return base64.b64encode(
+        np.asarray(values, dtype=dtype).tobytes()).decode('ascii')
+
+
+def _model_text(dim_bits, meta, keys, values):
+    """A model file's text, written here without LinearModel."""
+    return json.dumps({'kind': 'linear', 'dim_bits': dim_bits, 'meta': meta,
+                       'keys': _b64(keys, '<i8'),
+                       'values': _b64(values, '<f8')}, sort_keys=True)
+
+
+def _entries(keys, values, /, **fields):
+    """A 12-bit model object with these keys and values, and fields
+    set over it."""
+    return {'kind': 'linear', 'dim_bits': 12, 'meta': {},
+            'keys': _b64(keys, '<i8'), 'values': _b64(values, '<f8'),
+            **fields}
+
+
+_ONE_KEY = _b64([1], '<i8')
+
+
 @pytest.mark.parametrize('obj', [
-    {'kind': 'linear', 'meta': {}, 'weights': []},
-    {'kind': 'linear', 'dim_bits': 40, 'meta': {}, 'weights': []},
-    {'kind': 'linear', 'dim_bits': 0, 'meta': {}, 'weights': []},
-    {'kind': 'linear', 'dim_bits': 12.0, 'meta': {}, 'weights': []},
-    {'kind': 'linear', 'dim_bits': True, 'meta': {}, 'weights': []},
-    {'kind': 'linear', 'dim_bits': 12, 'weights': []},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': 'arcs', 'weights': []},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': 'ab'},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [1, 2]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 2, 3]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1.0, 2]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [['1', 2]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, '2']]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, None]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
-     'weights': [[1, float('inf')]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 10**400]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[4096, 1.0]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[-1, 1.0]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
-     'weights': [[5, 1.0], [5, 2.0]]},
-    {'kind': 'linear', 'dim_bits': 12, 'meta': {},
-     'weights': [[6, 1.0], [5, 2.0]]},
+    # the fields around the weights
+    {'kind': 'linear', 'meta': {}, 'keys': '', 'values': ''},
+    _entries([], [], dim_bits=40),
+    _entries([], [], dim_bits=0),
+    _entries([], [], dim_bits=12.0),
+    _entries([], [], dim_bits=True),
+    {'kind': 'linear', 'dim_bits': 12, 'keys': '', 'values': ''},
+    _entries([], [], meta='arcs'),
+    # a field missing, or not a string
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'values': ''},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'keys': ''},
+    {'kind': 'linear', 'dim_bits': 12, 'meta': {}, 'weights': [[1, 2.0]]},
+    _entries([], [], keys=[[1, 2.0]]),
+    _entries([], [], keys=1),
+    _entries([1], [2.0], values=2.0),
+    _entries([1], [2.0], values=None),
+    _entries([1], [2.0], values=[2.0]),
+    # not base64
+    _entries([1], [2.0], keys='not base64!'),
+    _entries([1], [2.0], keys=_ONE_KEY.rstrip('=')),
+    _entries([1], [2.0], keys=_ONE_KEY[:4] + '\n' + _ONE_KEY[4:]),
+    _entries([1], [2.0], keys='\u00e9' + _ONE_KEY[1:]),
+    # a truncated value, and bytes that are not whole items
+    _entries([1], [2.0], values=_b64([2.0], '<f8')[:-4]),
+    _entries([1], [2.0], keys=_b64([1] * 12, 'u1')),
+    _entries([1], [2.0], values=_b64([1] * 7, 'u1')),
+    # counts that differ
+    _entries([1], []),
+    _entries([1], [2.0, 3.0]),
+    _entries([1, 2], [2.0]),
+    # values that are not finite
+    _entries([1], [float('inf')]),
+    _entries([1], [-float('inf')]),
+    _entries([1], [float('nan')]),
+    _entries([1, 2], [1.0, float('nan')]),
+    # indices out of range: past the mask, negative, a float's bits
+    _entries([4096], [1.0]),
+    _entries([-1], [1.0]),
+    _entries([1, 1 << 62], [1.0, 1.0]),
+    _entries([1], [1.0], keys=_b64([1.0], '<f8')),
+    # indices repeated or descending
+    _entries([5, 5], [1.0, 2.0]),
+    _entries([6, 5], [1.0, 2.0]),
+    _entries([1, 7, 6, 9], [1.0, 1.0, 1.0, 1.0]),
 ])
 def test_model_from_json_rejects_bad_entries(obj):
     with pytest.raises(ModelFormatError):
         LinearModel.from_json(json.dumps(obj))
 
 
-@pytest.mark.parametrize('pairs, message', [
-    ([[5, 1.0], [5, 2.0]], 'weight index 5 repeated'),
-    ([[2, 1.0], [6, 1.0], [5, 2.0]],
+@pytest.mark.parametrize('obj, message', [
+    (_entries([5, 5], [1.0, 2.0]), 'weight index 5 repeated'),
+    (_entries([2, 6, 5], [1.0, 1.0, 2.0]),
      'weight index 5 after 6: indices must ascend'),
+    (_entries([1, 4096], [1.0, 1.0]), 'weight index 4096 out of range'),
+    (_entries([-3], [1.0]), 'weight index -3 out of range'),
+    (_entries([1, 2], [1.0, float('inf')]),
+     r'weights must be \[index, finite number\] pairs, got \[2, inf\]'),
+    # the first entry at fault is named, whatever its fault
+    (_entries([3, 2, 4096], [1.0, 1.0, float('nan')]),
+     'weight index 2 after 3: indices must ascend'),
+    (_entries([1, 4096, 4096], [1.0, float('nan'), 1.0]),
+     r'weights must be \[index, finite number\] pairs, got \[4096, nan\]'),
+    (_entries([1, 2], [1.0]), '2 keys but 1 values'),
+    (_entries([], [], keys='AQ==AAAA'), 'keys is not base64: .+'),
+    (_entries([], [], values='AAAA'),
+     'values holds 3 bytes, not whole 8-byte items'),
+    (_entries([], [], keys=None), 'keys must be a base64 string'),
 ])
-def test_model_from_json_names_a_misplaced_index(pairs, message):
-    text = json.dumps({'kind': 'linear', 'dim_bits': 12, 'meta': {},
-                       'weights': pairs})
+def test_model_from_json_names_the_first_fault(obj, message):
     with pytest.raises(ModelFormatError, match=f'^{message}$'):
-        LinearModel.from_json(text)
+        LinearModel.from_json(json.dumps(obj))
 
 
 def test_model_load_names_the_file(tmp_path):
     bad = tmp_path / 'parser.json'
-    bad.write_text('{"kind": "linear", "dim_bits": 40, "meta": {}, '
-                   '"weights": []}', encoding='utf-8')
+    bad.write_text(_model_text(40, {}, [], []), encoding='utf-8')
     with pytest.raises(ModelFormatError) as err:
         LinearModel.load(str(bad))
     assert str(err.value).startswith(f'{bad}: dim_bits')
+    bad.write_text(_model_text(12, {}, [5, 5], [1.0, 2.0]), encoding='utf-8')
+    with pytest.raises(ModelFormatError) as err:
+        LinearModel.load(str(bad))
+    assert str(err.value) == f'{bad}: weight index 5 repeated'
+
+
+def test_a_stored_zero_is_no_weight():
+    model = LinearModel.from_json(
+        _model_text(12, {}, [1, 2, 3], [0.5, 0.0, -0.0]))
+    assert model.keys.tolist() == [1]
+    assert model.nonzero()[1].tolist() == [0.5]
+    assert model.to_json() == _model_text(12, {}, [1], [0.5])
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, -0.1, 1e308, -1e308, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e-310, 1.0]))
+
+
+@st.composite
+def _compact_weights(draw):
+    """(dim_bits, sorted unique masked keys, nonzero finite values)."""
+    dim_bits = draw(st.integers(1, 30))
+    mask = (1 << dim_bits) - 1
+    keys = draw(st.lists(st.one_of(st.integers(0, mask),
+                                   st.sampled_from([0, mask])),
+                         unique=True, max_size=60))
+    values = draw(st.lists(_FLOATS.filter(bool), min_size=len(keys),
+                           max_size=len(keys)))
+    return dim_bits, sorted(keys), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(_compact_weights())
+@example((12, [0, 7, 4095], [5e-324, 1e308, 0.1]))
+@example((30, [(1 << 30) - 1], [-1e308]))
+@example((1, [], []))
+def test_saved_weights_load_bit_for_bit(tmp_path_factory, case):
+    dim_bits, keys, values = case
+    meta = {'task': 'arcs', 'note': 'é'}
+    model = LinearModel.from_json(_model_text(dim_bits, meta, keys, values))
+    path = tmp_path_factory.mktemp('model') / 'm.json'
+    model.save(str(path))
+    loaded = LinearModel.load(str(path))
+    assert loaded.meta == meta and loaded.dim_bits == dim_bits
+    assert loaded.keys.tolist() == keys
+    assert (loaded.weights.view(np.uint64).tolist()
+            == [0] + np.array(values).view(np.uint64).tolist())
+    again = path.with_name('again.json')
+    loaded.save(str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def _weights_digest(model):
@@ -266,6 +372,11 @@ def test_trained_weights_are_pinned(learner):
     model = _train_pinned(learner)
     assert np.count_nonzero(model.weights)
     assert _weights_digest(model) == PINNED[learner]
+    # the model file holds the same bytes, base64-encoded
+    obj = json.loads(model.to_json())
+    payload = hashlib.sha256(base64.b64decode(obj['keys']))
+    payload.update(base64.b64decode(obj['values']))
+    assert payload.hexdigest() == PINNED[learner]
 
 
 def _arrays(*objects):
@@ -438,11 +549,7 @@ def _reference_json(dim_bits, meta, epochs, examples):
     if tick:
         w = w - u / tick
     keys = np.flatnonzero(w)
-    return json.dumps({
-        'kind': 'linear', 'dim_bits': dim_bits, 'meta': meta,
-        'weights': [list(pair)
-                    for pair in zip(keys.tolist(), w[keys].tolist())],
-    }, sort_keys=True)
+    return _model_text(dim_bits, meta, keys, w[keys])
 
 
 @st.composite

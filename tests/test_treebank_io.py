@@ -97,6 +97,94 @@ def test_sniff_format_reads_only_the_first_lines():
     assert peak < 64 * 1024
 
 
+# one 3 MB line of each sniffed kind
+_LONG_LINES = {
+    'bracketed': lambda: '(S ' + '(N dog) ' * 375_000 + ')',
+    'json': lambda: '{"tokens": ["' + 'a' * 3_000_000 + '"]}',
+    'tagged': lambda: 'dog/N ' * 500_000,
+    'conll': lambda: '1' + '\t_' * 9 + 'x' * 3_000_000,
+}
+
+
+@pytest.mark.parametrize('fmt', sorted(_LONG_LINES))
+def test_sniff_format_copies_no_part_of_a_long_line(fmt):
+    # the line after blank ones: the sniff reads its prefix and its tabs
+    # where they lie, and copies none of it
+    text = ' \n\t\r\n' + _LONG_LINES[fmt]() + '\n'
+    assert len(text) > 3_000_000
+    tracemalloc.start()
+    try:
+        assert treebank_io.sniff_format(text) == fmt
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize('after', ['', '\n', '\n(S (N cat))' * 1000],
+                         ids=['last', 'ended', 'inside'])
+def test_splitting_copies_a_long_line_once(after):
+    line = '(S ' + '(N dog) ' * 375_000 + ')'
+    text = '\n' * 3 + '(S (N cat))\n' * 1000 + line + after
+    tracemalloc.start()
+    try:
+        longest = max(len(unit) for _, unit in treebank_io.split_lines(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert longest == len(line)
+    assert peak < len(line) + 256 * 1024
+
+
+@pytest.mark.parametrize('ends', ['\n', '\r\n', ''])
+def test_lines_of_cuts_at_every_line_feed(ends):
+    # lines on both sides of each 4 KiB mark, one far longer than 4 KiB
+    lengths = [0, 1, 4094, 4095, 4096, 4097, 10_000, 3, 8191, 0, 2]
+    text = ''.join('x' * n + ends for n in lengths)
+    want = text.split('\n')
+    if ends == '\r\n':
+        want = [line.rstrip('\r') for line in want]
+    assert list(treebank_io._lines_of(text)) == want
+
+
+def _sniff_by_lines(text):
+    """sniff_format as it was written over split lines: the reference
+    for the offsets it reads now."""
+    for line in text.split('\n'):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith(('#FORMAT', '#BOS')):
+            return 'export'
+        if stripped.startswith('{'):
+            return 'json'
+        if stripped.startswith('('):
+            return 'bracketed'
+        cols = stripped.split('\t')
+        if len(cols) >= 10 and cols[0].isdigit():
+            return 'conll'
+        return 'tagged'
+    return None
+
+
+@given(st.lists(st.one_of(
+    st.sampled_from(['\t', '\n', '\r', ' ', '\x0b', '\u2028', '\x85',
+                     '1', '12', '\u00b2', '٣', 'a', '#BOS', '#FORMAT',
+                     '#', '{', '(', '_']),
+    st.text(max_size=3)), max_size=40).map(''.join))
+@example('\t1\t2\t3\t4\t5\t6\t7\t8\t9\t10\t\n')
+@example('1\t2\t3\t4\t5\t6\t7\t8\t9\t\t \r\n')
+@example('\u00b2\t_\t_\t_\t_\t_\t_\t_\t_\t_')
+@example(' \x0b\n \n  #BOS 1')
+def test_sniff_format_names_what_the_line_split_named(text):
+    want = _sniff_by_lines(text)
+    if want is None:
+        with pytest.raises(TreebankFormatError, match='empty input'):
+            treebank_io.sniff_format(text)
+    else:
+        assert treebank_io.sniff_format(text) == want
+
+
 def test_read_bracketed_errors():
     with pytest.raises(TreebankFormatError) as err:
         read_bracketed('(S (NP')
