@@ -30,27 +30,32 @@ every arc yields exactly 34 features.
 
 featurize_arc builds the 34 strings of one arc.  It is the reference
 definition of the templates, and the tests hold the digests to it; the
-parser never builds an arc string.  sentence_atoms hashes, in one
-hash_features call, the five part strings of each position 0..n (form,
-POS, form+POS, POS+next POS, previous POS+POS) and the 2n+1
-direction+distance strings ('/R1', '/L6-10', ...).  Each template has a
-key, the digest of its prefix ('hf:', 'btw:', ...), and its digest is a
-splitmix mix (perceptron.mix) over part digests and key: the bias is
-mix(key), a head-only template mix(head part + key), a modifier-only
+parser never builds an arc string.  block_atoms hashes, in one
+hash_features call per block of sentences, the five part strings of
+each position 0..n of each sentence (form, POS, form+POS, POS+next POS,
+previous POS+POS) and its 2n+1 direction+distance strings ('/R1',
+'/L6-10', ...), with no string shared between sentences.  Each template
+has a key, the digest of its prefix ('hf:', 'btw:', ...), and its digest
+is a splitmix mix (perceptron.mix) over part digests and key: the bias
+is mix(key), a head-only template mix(head part + key), a modifier-only
 one mix(modifier part + key), a two-sided one mix(mix(head part + key)
 + modifier part).  btw chains the mix over the POS digests strictly
-between h and m, one span length at a time, starting from mix(key).  A
-/ctx copy is its plain digest mixed with the arc's direction+distance
-digest.  So two (arc, template) cells get the same digest when
-featurize_arc gives them the same string, and, but for 64-bit
-collisions and a part with a space in it (which can join into the same
-string two ways), only then.
+between h and m, one span length at a time for every sentence of the
+block at once, starting from mix(key).  A /ctx copy is its plain digest
+mixed with the arc's direction+distance digest.  So two (arc, template)
+cells get the same digest when featurize_arc gives them the same
+string, and, but for 64-bit collisions and a part with a space in it
+(which can join into the same string two ways), only then.
 
-arc_index_table is the only place a parsed sentence is hashed: it
-mixes the digests of all n^2 candidate arcs in blocks of at most
-_BLOCK_CELLS, and keeps only their weight indices.  parse_heads mixes
-the n chosen arcs' digests again from the same atoms for the labeler,
-which in training gets them from tree_arc_digests.
+Every sentence is hashed as one of a block (block_atoms), and its
+candidate arcs are mixed and looked up as one of a block
+(block_index_tables), in passes of at most _BLOCK_CELLS table entries
+that keep only weight indices.  Training builds the tables of as many
+consecutive sentences at once as fit in _BLOCK_CELLS; arc_index_table,
+which parses, is the block of one sentence.  parse_heads mixes the n
+chosen arcs' digests again from the same atoms for the labeler
+(tree_arc_digests), which in training mixes each gold tree's arcs from
+the atoms of its own blocks.
 """
 
 from collections import namedtuple
@@ -140,58 +145,79 @@ _TWO_SIDED = [t for t, (_, h, m) in enumerate(TEMPLATES) if h and m]
 _PLAIN_TEMPLATES = len(TEMPLATES) + 1
 _KEYS = perceptron.hash_features([p for p, _, _ in TEMPLATES] + ['btw:'])
 
-# table entries per block of arc_index_table and score_matrix: the n^2
-# candidate arcs of a sentence of up to 43 tokens are one block
+# table entries per block: the sentences, trees or nodes whose tables a
+# learner builds at once, and each pass of block_index_tables and
+# score_matrix; the n^2 candidate arcs of a sentence of up to 43 tokens
+# are one pass
 _BLOCK_CELLS = 1 << 16
 
 
-# What sentence_atoms hashes and mixes once per sentence.  The digest of
-# template t < 16 of arc h -> m is mix(left[h, t] + right[m, t]); btw[lo,
-# hi] is the btw digest of the span lo < hi; dist[m - h + n] is the
-# digest of the arc's direction+distance.
-Atoms = namedtuple('Atoms', 'left right btw dist')
+# What block_atoms hashes and mixes once per block of sentences.  Position
+# p of sentence s is row start[s] + p of left, right and btw, and an arc
+# h -> m is read at the rows of its sentence.  The digest of template t <
+# 16 of arc h -> m is mix(left[h, t] + right[m, t]); btw[lo, length] is
+# the btw digest of the span from lo to lo + length; dist[origin[m] + m -
+# h] is the digest of the arc's direction+distance.
+Atoms = namedtuple('Atoms', 'start left right btw dist origin')
 
 
-def sentence_atoms(sentence):
-    """Atoms of a sentence, from one hash_features call over its
-    7n + 6 part and direction+distance strings."""
-    n = len(sentence)
-    form = [ROOT_TOKEN] + [t.form for t in sentence]
-    pos = [ROOT_TOKEN] + [t.pos for t in sentence]
-    padded = [NONE_TOKEN] + pos[1:] + [NONE_TOKEN]  # the POS at 0..n+1
-    prev = [NONE_TOKEN] + padded[:n]
-    after = [NONE_TOKEN] + padded[2:]
-    digests = perceptron.hash_features(
-        form + pos + [f + ' ' + p for f, p in zip(form, pos)]
-        + [p + ' ' + a for p, a in zip(pos, after)]
-        + [v + ' ' + p for v, p in zip(prev, pos)]
-        + ['/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
-           for d in range(-n, n + 1)])
-    parts = np.zeros((n + 1, len(_PARTS)), dtype=np.uint64)
-    parts[:, 1:] = digests[:5 * (n + 1)].reshape(5, n + 1).T
+def block_atoms(sentences):
+    """Atoms of a block of sentences, from one hash_features call over
+    the 7n + 6 part and direction+distance strings of each sentence: the
+    five parts of each position, sentence after sentence, then the 2n + 1
+    distances of each sentence."""
+    texts, distances, sizes = [], [], []
+    for sentence in sentences:
+        n = len(sentence)
+        form = [ROOT_TOKEN] + [t.form for t in sentence]
+        pos = [ROOT_TOKEN] + [t.pos for t in sentence]
+        padded = [NONE_TOKEN] + pos[1:] + [NONE_TOKEN]  # the POS at 0..n+1
+        prev = [NONE_TOKEN] + padded[:n]
+        after = [NONE_TOKEN] + padded[2:]
+        for f, p, v, a in zip(form, pos, prev, after):
+            texts += (f, p, f + ' ' + p, p + ' ' + a, v + ' ' + p)
+        distances += ['/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
+                      for d in range(-n, n + 1)]
+        sizes.append(n + 1)
+    digests = perceptron.hash_features(texts + distances)
+    sizes = np.array(sizes, dtype=np.intp)
+    start = np.zeros(len(sizes) + 1, dtype=np.intp)
+    sizes.cumsum(out=start[1:])
+    rows = start[-1]
+    parts = np.zeros((rows, len(_PARTS)), dtype=np.uint64)
+    parts[:, 1:] = digests[:5 * rows].reshape(rows, 5)
     left = parts[:, _HEAD_PART] + _KEYS[:-1]
     left[:, _TWO_SIDED] = perceptron.mix(left[:, _TWO_SIDED])
-    # btw[lo, lo + length], one length at a time; only lo < hi is read
-    btw = np.zeros((n + 1, n + 1), dtype=np.uint64)
-    diagonals = btw.reshape(-1)
-    span = perceptron.mix(np.repeat(_KEYS[-1:], n))
-    for length in range(1, n + 1):
-        diagonals[length::n + 2][:n + 1 - length] = span
-        span = perceptron.mix(span[:-1] + parts[length:n, 2])
-    return Atoms(left, parts[:, _MOD_PART], btw, digests[5 * (n + 1):])
+    # btw[:, length] for every row at once, one length at a time: the
+    # span from lo to lo + length + 1 adds the POS at lo + length to the
+    # span from lo to lo + length.  Spans that run past their sentence
+    # are never read
+    width = int(sizes.max(initial=1))
+    btw = np.zeros((rows, width), dtype=np.uint64)
+    pos = np.concatenate((parts[:, 2], np.zeros(width, dtype=np.uint64)))
+    span = _KEYS[-1:].repeat(rows)
+    for length in range(1, width):
+        btw[:, length] = perceptron.mix(span)
+        span += pos[length:length + rows]
+    # the distances of sentence s begin at 2 * start[s] - s, and distance
+    # 0 is n = size - 1 after that
+    origin = 2 * start[:-1] - np.arange(len(sizes)) + sizes - 1
+    return Atoms(start, left, parts[:, _MOD_PART], btw, digests[5 * rows:],
+                 origin.repeat(sizes))
 
 
 def _atom_digests(atoms, heads, mods):
     """The (len(heads), 34) uint64 digests of the arcs heads[i] ->
-    mods[i], mixed from a sentence's atoms."""
+    mods[i], each two rows of one sentence of a block's atoms, mixed from
+    those atoms."""
     heads = np.asarray(heads, dtype=np.intp)
     mods = np.asarray(mods, dtype=np.intp)
     plain = np.empty((len(heads), _PLAIN_TEMPLATES), dtype=np.uint64)
     np.add(atoms.left[heads], atoms.right[mods], out=plain[:, :-1])
     perceptron.mix(plain[:, :-1])
-    plain[:, -1] = atoms.btw[np.minimum(heads, mods), np.maximum(heads, mods)]
-    n = len(atoms.left) - 1
-    ctx = perceptron.mix(plain + atoms.dist[mods - heads + n][:, None])
+    plain[:, -1] = atoms.btw[np.minimum(heads, mods), np.abs(mods - heads)]
+    dist = atoms.dist[atoms.origin[mods] + mods - heads]
+    ctx = perceptron.mix(plain + dist[:, None])
     return np.concatenate((plain, ctx), axis=1)
 
 
@@ -199,32 +225,57 @@ def arc_features(sentence, heads, mods):
     """The (len(heads), 34) uint64 digests of the arcs heads[i] ->
     mods[i]: row i stands for featurize_arc(sentence, heads[i],
     mods[i])."""
-    return _atom_digests(sentence_atoms(sentence), heads, mods)
+    return _atom_digests(block_atoms([sentence]), heads, mods)
+
+
+def block_index_tables(model, sentences):
+    """(tables, atoms): the arc_index_table table of each sentence of a
+    block, and the block's atoms.  The candidate arcs of the whole block
+    are mixed and looked up in passes of at most _BLOCK_CELLS table
+    entries, and no digest is kept."""
+    atoms = block_atoms(sentences)
+    start = atoms.start
+    sizes = start[1:] - start[:-1]
+    cells = sizes * sizes
+    at = np.zeros(len(start), dtype=np.intp)
+    cells.cumsum(out=at[1:])
+    # the head and modifier row of each cell of each (n+1, n+1) table
+    heads, mods = np.divmod(np.arange(at[-1]) - at[:-1].repeat(cells),
+                            sizes.repeat(cells))
+    arcs = ((heads != mods) & (mods > 0)).nonzero()[0]
+    first = start[:-1].repeat(cells)[arcs]
+    heads = heads[arcs] + first
+    mods = mods[arcs] + first
+    tables = np.zeros((at[-1], FEATURES_PER_ARC), dtype=np.intp)
+    step = _BLOCK_CELLS // FEATURES_PER_ARC
+    for a in range(0, len(arcs), step):
+        tables[arcs[a:a + step]] = model.indices(_atom_digests(
+            atoms, heads[a:a + step], mods[a:a + step]))
+    return [table.reshape(size, size, FEATURES_PER_ARC)
+            for table, size in zip(perceptron.pieces(tables, at.tolist()),
+                                   sizes.tolist())], atoms
 
 
 def arc_index_table(model, sentence):
     """(table, atoms): the weight indices (model.indices) of every
     candidate arc of a sentence, shape (n+1, n+1, 34), entry [h, m] for
-    arc h -> m, and the sentence's atoms.  The diagonal and the m = 0
-    column are left at zero and must not be read.  The digests are mixed
-    and looked up in blocks of at most _BLOCK_CELLS, and none is kept."""
-    n = len(sentence)
-    atoms = sentence_atoms(sentence)
-    table = np.zeros((n + 1, n + 1, FEATURES_PER_ARC), dtype=np.intp)
-    heads, mods = np.nonzero(np.arange(n + 1)[:, None]
-                             != np.arange(1, n + 1))
-    mods += 1
-    step = _BLOCK_CELLS // FEATURES_PER_ARC
-    for a in range(0, len(heads), step):
-        h, m = heads[a:a + step], mods[a:a + step]
-        table[h, m] = model.indices(_atom_digests(atoms, h, m))
+    arc h -> m, and the sentence's atoms, a block of one.  The diagonal
+    and the m = 0 column are left at zero and must not be read."""
+    (table,), atoms = block_index_tables(model, [sentence])
     return table, atoms
 
 
-def tree_arc_digests(sentence, heads):
-    """The (n, 34) uint64 digests of the arcs heads[m-1] -> m of one
-    tree, row m-1 for the arc into m."""
-    return arc_features(sentence, heads, np.arange(1, len(heads) + 1))
+def tree_arc_digests(atoms, heads):
+    """The (sum of n, 34) uint64 digests of the arcs heads[s][m-1] -> m
+    of each sentence s of a block, mixed from the block's atoms: sentence
+    after sentence, row m-1 of a sentence for the arc into m."""
+    start = atoms.start
+    lengths = start[1:] - start[:-1] - 1
+    heads = np.concatenate([np.asarray(h, dtype=np.intp) for h in heads])
+    heads += start[:-1].repeat(lengths)
+    # the j-th modifier of the block is row j + s + 1, s its sentence
+    mods = np.arange(len(heads)) + np.arange(1, len(start)).repeat(lengths)
+    return _atom_digests(atoms, heads, mods)
 
 
 def score_matrix(model, table):
@@ -268,8 +319,13 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
     model = LinearModel(DIM_BITS, meta={
         'task': 'arcs', 'projective': bool(projective),
         'hash': 'blake2b-64', 'features_per_arc': FEATURES_PER_ARC})
-    examples = [(arc_index_table(model, sentence)[0], gold)
-                for sentence, gold in items]
+    examples = []
+    for block in perceptron.blocks(
+            [len(sentence) ** 2 * FEATURES_PER_ARC for sentence, _ in items],
+            _BLOCK_CELLS):
+        tables, _ = block_index_tables(
+            model, [sentence for sentence, _ in items[block]])
+        examples += zip(tables, [gold for _, gold in items[block]])
 
     def mistakes(model, example):
         # every wrong arc of the sentence in one update: the weights and
@@ -293,5 +349,4 @@ def parse_heads(model, sentence):
     from the atoms of the candidate arcs' table, for the labeler."""
     table, atoms = arc_index_table(model, sentence)
     heads, _ = _decode(model, score_matrix(model, table))
-    return heads, _atom_digests(atoms, heads,
-                                np.arange(1, len(sentence) + 1))
+    return heads, tree_arc_digests(atoms, [heads])

@@ -3,10 +3,13 @@
 The modifiers of each head form a single chain, sorted by sentence
 position regardless of side, and labels are decoded per head with exact
 Viterbi; heads are independent of each other.  One table holds the
-chains of a tree (_tree_tables), and _decode_tree gathers its weights
-once and runs one Viterbi per chain: label_tree labels a parsed tree
-that way, and training decodes each gold tree that way, then makes one
-update for all its wrong labels and label pairs.  Scores are a sum of
+chains of a tree, and _tree_tables builds the tables of a block of trees
+at once: training those of as many consecutive trees as fit in
+_BLOCK_CELLS table entries, label_tree the block of the one tree it
+labels.  _decode_tree gathers a tree's weights once and runs one
+Viterbi per chain: label_tree labels a parsed tree that way, and
+training decodes each gold tree that way, then makes one update for all
+its wrong labels and label pairs.  Scores are a sum of
 arc-label features (the parser's 34 arc templates conjoined with the
 label) and pairwise features over consecutive chain elements (a POS
 triplet and its three unilexical variants, conjoined with the label
@@ -14,9 +17,9 @@ pair).  The root word is the single modifier of the virtual root 0 and
 gets its label the same way, so a scheme's root-slot labels are learned
 like any others.
 
-The labeler hashes no string.  It conjoins each label onto the (n, 34)
-arc digests of a tree (from parse_heads, or tree_arc_digests in
-training), and mixes its pairwise digests from their form and POS
+The labeler hashes no string of its own.  It conjoins each label onto
+the (n, 34) arc digests of a tree (from parse_heads, or in training
+tree_arc_digests over the block_atoms of each block of trees), and mixes its pairwise digests from their form and POS
 templates: a pairwise feature with prefix key k and parts a, b, c is
 mix(mix(mix(a + k) + b) + c), so two pairs share a digest when they
 share the string.
@@ -26,7 +29,8 @@ Ties break toward the first label in the sorted alphabet.
 
 import numpy as np
 
-from .baseline_parser import ROOT_TOKEN, TEMPLATES, tree_arc_digests
+from .baseline_parser import (FEATURES_PER_ARC, ROOT_TOKEN, TEMPLATES,
+                              _BLOCK_CELLS, block_atoms, tree_arc_digests)
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
@@ -76,17 +80,26 @@ def _pair_digests(arc_digests, earlier, later):
 
 
 def _tree_tables(model, heads, n_labels, arc_digests):
-    """(mods, starts, unary, pair) for the label chains of one tree: mods
+    """The label-chain tables of a block of trees, heads holding the
+    head vector of each: one (mods, starts, unary, pair) per tree, mods
     its modifiers by head (the virtual root's first), then by position,
-    with chain k at mods[starts[k]:starts[k + 1]]; unary (M, K, 34) and
-    pairwise (M, K*K, 4) weight indices (model.indices), whose row at a
-    chain start is unused and stays zero.  arc_digests is the (n, 34)
-    digests of the tree's arcs, row m-1 for the arc into m; the labels are
-    conjoined onto them and onto the pairwise digests mixed from them."""
-    heads = np.asarray(heads, dtype=np.intp)
-    mods = np.argsort(heads, kind='stable') + 1
+    with chain k at mods[starts[k]:starts[k + 1]]; unary (n, K, 34) and
+    pairwise (n, K*K, 4) weight indices (model.indices), whose row at a
+    chain start is unused and stays zero.  arc_digests is the (sum of n,
+    34) digests of the trees' arcs, tree after tree, row m-1 of a tree
+    for the arc into m (tree_arc_digests); the labels are conjoined onto
+    them and onto the pairwise digests mixed from them, for the whole
+    block in one pass each."""
+    sizes = [len(h) for h in heads]
+    first = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=first[1:])
+    tree = np.repeat(np.arange(len(sizes)), sizes)
+    # each (tree, head) pair numbered apart, and after the trees before
+    head = np.concatenate([np.asarray(h, dtype=np.intp) for h in heads])
+    head += first[tree] + tree
+    mods = np.argsort(head, kind='stable') + 1  # rows of arc_digests, + 1
     later = np.zeros(len(mods), dtype=bool)
-    later[1:] = heads[mods[1:] - 1] == heads[mods[:-1] - 1]
+    later[1:] = head[mods[1:] - 1] == head[mods[:-1] - 1]
     unary = model.indices(conjoin_grid(arc_digests[mods - 1],
                                        range(n_labels)))
     pair = np.zeros((len(mods), n_labels * n_labels, PAIR_FEATURES),
@@ -94,8 +107,16 @@ def _tree_tables(model, heads, n_labels, arc_digests):
     pair[later] = model.indices(conjoin_grid(
         _pair_digests(arc_digests, mods[:-1][later[1:]], mods[later]),
         range(n_labels * n_labels)))
+    # the chain starts of the block, each tree's end being the next
+    # tree's first start
     starts = np.append(np.flatnonzero(~later), len(mods))
-    return mods, starts, unary, pair
+    cut = np.searchsorted(starts, first).tolist()
+    first = first.tolist()
+    return [(mods[a:b] - a, starts[c:d + 1] - a, *tables)
+            for a, b, c, d, *tables in zip(
+                first, first[1:], cut, cut[1:],
+                perceptron.pieces(unary, first),
+                perceptron.pieces(pair, first))]
 
 
 def _decode_tree(weights, tables):
@@ -151,12 +172,21 @@ def train_labeler(corpus, epochs, seed=1):
     label_id = {lab: k for k, lab in enumerate(alphabet)}
     model = LinearModel(DIM_BITS, meta={
         'task': 'labels', 'labels': alphabet, 'hash': 'blake2b-64'})
+    K = len(alphabet)
     examples = []
-    for enc in corpus:
-        tables = _tree_tables(model, enc.heads, len(alphabet),
-                              tree_arc_digests(enc.sentence, enc.heads))
-        gold = np.array([label_id[label] for label in enc.labels])
-        examples.append((tables, gold[tables[0] - 1]))
+    for block in perceptron.blocks(
+            [len(enc.heads) * (K * FEATURES_PER_ARC + K * K * PAIR_FEATURES)
+             for enc in corpus], _BLOCK_CELLS):
+        trees = corpus[block]
+        heads = [enc.heads for enc in trees]
+        digests = tree_arc_digests(
+            block_atoms([enc.sentence for enc in trees]), heads)
+        gold = np.array([label_id[label]
+                         for enc in trees for label in enc.labels])
+        at = 0
+        for tables in _tree_tables(model, heads, K, digests):
+            examples.append((tables, gold[at + tables[0] - 1]))
+            at += len(tables[0])
     return perceptron.train(model, examples, epochs, seed, _tree_mistakes)
 
 
@@ -167,7 +197,7 @@ def label_tree(sentence, heads, model, arc_digests):
     alphabet = model.meta.get('labels', [])
     if not alphabet:
         raise ToolkitError('labeler model has an empty alphabet')
-    tables = _tree_tables(model, heads, len(alphabet), arc_digests)
+    (tables,) = _tree_tables(model, [heads], len(alphabet), arc_digests)
     path = _decode_tree(model.weights, tables)[np.argsort(tables[0])]
     return DTree(sentence, tuple(heads),
                  tuple(alphabet[k] for k in path.tolist()))

@@ -8,19 +8,25 @@ training loop never materializes feature names.
 
 `hash_features` takes a list of strings, copies one blake2b state per
 string, appends the digests to one buffer and reads it as little-endian
-uint64.  The parser hashes only the 7n + 6 part strings of a sentence
-(its forms, POS tags and their neighbours) and mixes every arc
-template's digest from those (`baseline_parser.sentence_atoms`); the
-labeler builds its features from the arc digests and hashes no string.
-The unary restorer hashes the feature strings of one tree's nodes in one
-call.  `conjoin_grid` conjoins small integer keys (a label, a class) onto
-digests by one more mix.
+uint64.  The parser hashes only the 7n + 6 part strings of each
+sentence (its forms, POS tags and their neighbours) and mixes every arc
+template's digest from those (`baseline_parser.block_atoms`); the
+labeler builds its features from the arc digests and hashes no string of
+its own.  The unary restorer hashes the feature strings of a tree's
+nodes.  Each learner hashes a block of consecutive sentences or trees in
+one call: `blocks` cuts a corpus into runs of a bounded number of table
+entries, and `pieces` cuts a block's tables into per-tree arrays.  Parsing
+hashes a block of one.  `conjoin_grid` conjoins small integer keys (a
+label, a class) onto digests by one more mix.
 
 A model never holds a float per masked index.  A fresh LinearModel is
 open: `indices` gives each masked index the next free slot the first
-time it meets it, and `weights` (and the trainer's running totals) hold
-one float per slot handed out, grown geometrically.  Slot 0 is never
-handed out and holds 0.0.  The slot of an index is kept in an int32 map
+time it meets it (the new indices of one call in ascending order), and
+`weights` (and the trainer's running totals) hold one float per slot
+handed out, grown geometrically.  Slot 0 is never handed out and holds
+0.0.  A slot is only an address: how many indices each call holds
+changes the slot numbers, but not the weights, since every slot takes
+its index's updates in the same order and `nonzero` sorts by index.  The slot of an index is kept in an int32 map
 over the whole masked space, an anonymous mmap: its pages are touched
 only where indices land (16 MiB at the default 22 bits when all are),
 and they go back to the OS when compaction drops the map, which a heap
@@ -115,6 +121,31 @@ def conjoin_grid(hashes, keys):
     with np.errstate(over='ignore'):
         mixed = (np.asarray(keys, dtype=np.uint64) + np.uint64(1)) * _GAMMA_U64
         return mix(hashes[..., None, :] + mixed[..., None])
+
+
+def blocks(cells, limit):
+    """Slices that cut a sequence of items, item i holding cells[i] table
+    entries, into runs of consecutive items of at most `limit` entries
+    each; an item of more than `limit` entries is a run of its own."""
+    start = total = 0
+    for i, size in enumerate(cells):
+        if total + size > limit and i > start:
+            yield slice(start, i)
+            start, total = i, 0
+        total += size
+    if start < len(cells):
+        yield slice(start, len(cells))
+
+
+def pieces(array, ends):
+    """array cut between consecutive ends into arrays of their own: a
+    piece is a copy unless it is the whole array, so that no piece kept
+    holds on to a larger array.  A learner cuts a block's tables into
+    per-tree ones this way; views of the block arrays would keep them
+    alive, interleaved on the heap with the freed arrays of each block's
+    build."""
+    return [array if b - a == len(array) else array[a:b].copy()
+            for a, b in zip(ends, ends[1:])]
 
 
 def _resized(array, size):

@@ -11,16 +11,20 @@ off a tree, add_chains puts them back on its stripped form.
 Classifier: the shared hashed averaged perceptron; every node feature is
 conjoined at scoring time with (class, node-is-preterminal) so chains
 above POS nodes and above constituents get separate weight.  One path,
-_node_rows, takes a tree to the weight indices of its nodes that have a
-choice, hashing the tree's feature strings in one call, and _decide
-scores them all with the same weights: recover decides a parsed tree that
-way, and training decides each gold tree that way before its one update.
+_node_rows, takes a block of trees to the weight indices of their nodes
+that have a choice, hashing the block's feature strings in one call:
+training builds the rows of as many consecutive trees at once as fit in
+_BLOCK_CELLS table entries, and recover the block of the one tree it
+restores.  _decide scores a tree's nodes with the same weights: recover
+decides a parsed tree that way, and training decides each gold tree that
+way before its one update.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .baseline_parser import _BLOCK_CELLS
 from .errors import ToolkitError
 from . import perceptron
 from .perceptron import DIM_BITS, LinearModel, conjoin_grid
@@ -153,20 +157,23 @@ def extract_instances(treebank):
     return UnaryData(tuple(instances), classes, observed)
 
 
-def _node_rows(model, tree):
-    """(nodes, rows, allowed) for the nodes of an unaryless tree that have
-    a class besides NULL to choose, in _with_parents order: rows[i, c] are
-    the weight indices of class c at nodes[i], its features conjoined with
-    key 2c + preterminal, and allowed[i, c] flags the candidates, NULL and
-    the classes observed above the node's symbol.  The feature strings of
-    the tree go through one hash_features call."""
+def _node_rows(model, trees):
+    """(nodes, rows, allowed) of each of a block of unaryless trees, for
+    its nodes that have a class besides NULL to choose, in _with_parents
+    order: rows[i, c] are the weight indices of class c at nodes[i], its
+    features conjoined with key 2c + preterminal, and allowed[i, c] flags
+    the candidates, NULL and the classes observed above the node's
+    symbol.  The feature strings of the whole block go through one
+    hash_features call, and their digests through one indices call."""
     observed = model.meta['allowed']
     n_classes = len(model.meta['classes'])
-    nodes, features = [], []
-    for node, parent, slot in _with_parents(tree.root):
-        if any(observed.get(node.label, ())):
-            nodes.append(node)
-            features += featurize_node(tree, node, parent, slot)
+    nodes, features, ends = [], [], [0]
+    for tree in trees:
+        for node, parent, slot in _with_parents(tree.root):
+            if any(observed.get(node.label, ())):
+                nodes.append(node)
+                features += featurize_node(tree, node, parent, slot)
+        ends.append(len(nodes))
     hashes = perceptron.hash_features(features).reshape(
         len(nodes), FEATURES_PER_NODE)
     flags = np.array([node.kind == PRETERMINAL for node in nodes], dtype=int)
@@ -176,7 +183,9 @@ def _node_rows(model, tree):
     allowed[:, 0] = True
     for i, node in enumerate(nodes):
         allowed[i, observed[node.label]] = True
-    return nodes, rows, allowed
+    return [(nodes[a:b], *arrays) for a, b, *arrays in zip(
+        ends, ends[1:], perceptron.pieces(rows, ends),
+        perceptron.pieces(allowed, ends))]
 
 
 def _decide(weights, rows, allowed):
@@ -211,11 +220,17 @@ def train_unary(data, epochs, seed=1):
         'allowed': {sym: sorted(class_id[c] for c in classes)
                     for sym, classes in sorted(data.allowed.items())}})
     examples = []
-    for tree, chains in data.instances:
-        nodes, rows, allowed = _node_rows(model, tree)
-        gold = np.array([class_id[chains.get(node.positions, NULL_CLASS)]
-                         for node in nodes], dtype=np.intp)
-        examples.append((rows, allowed, gold))
+    # a tree of n tokens has at most 2n - 1 nodes once its unaries are gone
+    for block in perceptron.blocks(
+            [(2 * len(tree.sentence) - 1) * len(data.classes)
+             * FEATURES_PER_NODE for tree, _ in data.instances],
+            _BLOCK_CELLS):
+        instances = data.instances[block]
+        for (_, chains), (nodes, rows, allowed) in zip(instances, _node_rows(
+                model, [tree for tree, _ in instances])):
+            gold = np.array([class_id[chains.get(node.positions, NULL_CLASS)]
+                             for node in nodes], dtype=np.intp)
+            examples.append((rows, allowed, gold))
     return perceptron.train(model, examples, epochs, seed, _tree_mistakes)
 
 
@@ -226,7 +241,7 @@ def recover(tree, model):
     choose is decided first, in one batch, and the chains are added
     after."""
     classes = model.meta['classes']
-    nodes, rows, allowed = _node_rows(model, tree)
+    ((nodes, rows, allowed),) = _node_rows(model, [tree])
     chosen = _decide(model.weights, rows, allowed).tolist()
     return add_chains(tree, {node.positions: classes[k]
                              for node, k in zip(nodes, chosen) if k})

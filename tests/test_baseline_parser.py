@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from hodt import baseline_parser
 from hodt.baseline_parser import (FEATURES_PER_ARC, NONE_TOKEN, ROOT_TOKEN,
                                   TEMPLATES, arc_features, arc_index_table,
-                                  featurize_arc, parse_heads, score_matrix,
-                                  train_unlabeled, tree_arc_digests)
+                                  block_atoms, featurize_arc, parse_heads,
+                                  score_matrix, train_unlabeled,
+                                  tree_arc_digests)
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.encoding import encode_direct
 from hodt.errors import ToolkitError
@@ -250,10 +251,9 @@ def test_arc_index_table_hashes_only_the_part_strings(hash_calls):
     # modifier - head from -2 to 2
     (hashed,) = hash_calls
     assert hashed == [
-        '<root>', 'a', 'b', '<root>', 'A', 'B',
-        '<root> <root>', 'a A', 'b B',
-        '<root> <none>', 'A B', 'B <none>',
-        '<none> <root>', '<none> A', 'A B',
+        '<root>', '<root>', '<root> <root>', '<root> <none>', '<none> <root>',
+        'a', 'A', 'a A', 'A B', '<none> A',
+        'b', 'B', 'b B', 'B <none>', 'A B',
         '/L2', '/L1', '/L0', '/R1', '/R2']
     # the digests of all candidate arcs, mixed in one block
     assert hash_calls.arcs == [([0, 0, 1, 2], [1, 2, 2, 1])]
@@ -336,7 +336,8 @@ def test_parse_heads_returns_the_digests_of_the_chosen_arcs(projective,
     chosen = np.array(heads)
     reference = every[chosen * (n - 1) + mods - (mods > chosen)]
     assert np.array_equal(digests, reference)
-    assert np.array_equal(tree_arc_digests(sentence, heads), reference)
+    assert np.array_equal(tree_arc_digests(block_atoms([sentence]), [heads]),
+                          reference)
 
 
 def test_parts_that_join_two_ways_get_different_digests():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hodt import dep_labeler, perceptron
-from hodt.baseline_parser import arc_features, tree_arc_digests
+from hodt.baseline_parser import arc_features, block_atoms, tree_arc_digests
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import (_pair_digests, _tree_tables,
                               featurize_pairwise, label_tree, train_labeler)
@@ -16,6 +16,16 @@ from hodt.trees import strip_unaries
 
 from conftest import make_sentence
 from test_pinned_tables import BANKS
+
+
+def _arc_digests(enc):
+    return tree_arc_digests(block_atoms([enc.sentence]), [enc.heads])
+
+
+def _tree_table(model, heads, n_labels, arc_digests):
+    """The _tree_tables tables of one tree."""
+    (tables,) = _tree_tables(model, [heads], n_labels, arc_digests)
+    return tables
 
 
 def _corpus(n, seed=1):
@@ -37,7 +47,7 @@ def test_memorizes_labels_given_gold_heads():
     wrong = total = 0
     for enc in corpus:
         out = label_tree(enc.sentence, list(enc.heads), model,
-                         tree_arc_digests(enc.sentence, enc.heads))
+                         _arc_digests(enc))
         for got, want in zip(out.labels, enc.labels):
             total += 1
             wrong += got != want
@@ -49,7 +59,7 @@ def test_root_slot_label_is_learned():
     model = train_labeler(corpus, epochs=6, seed=1)
     enc = corpus[0]
     out = label_tree(enc.sentence, list(enc.heads), model,
-                     tree_arc_digests(enc.sentence, enc.heads))
+                     _arc_digests(enc))
     root_slot = list(enc.heads).index(0)
     assert out.labels[root_slot] == ROOT_LABEL
 
@@ -95,11 +105,11 @@ def test_chain_decode_matches_brute_force():
     checked = 0
     for enc in corpus[:6]:
         out = label_tree(enc.sentence, list(enc.heads), model,
-                         tree_arc_digests(enc.sentence, enc.heads))
+                         _arc_digests(enc))
         chosen = {i + 1: lab for i, lab in enumerate(out.labels)}
-        for chain, unary, pair in _chain_slices(_tree_tables(
+        for chain, unary, pair in _chain_slices(_tree_table(
                 model, list(enc.heads), K,
-                tree_arc_digests(enc.sentence, enc.heads))):
+                _arc_digests(enc))):
             if not 1 <= len(chain) <= 3:
                 continue
             emis = model.weights[unary].sum(axis=2)
@@ -174,9 +184,9 @@ def test_tree_tables_match_per_chain_hashing(kind):
     for tree in TREES[kind]():
         enc = encode_direct(ctree_to_dtree(strip_unaries(tree)))
         for K in (1, 3):
-            got = _chain_slices(_tree_tables(
+            got = _chain_slices(_tree_table(
                 model, enc.heads, K,
-                tree_arc_digests(enc.sentence, enc.heads)))
+                _arc_digests(enc)))
             chains = _chains(enc.heads)
             assert [c for c, _, _ in got] == [c for _, c in chains]
             for (h, chain), (_, unary, pair) in zip(chains, got):
@@ -188,9 +198,9 @@ def test_tree_tables_match_per_chain_hashing(kind):
 
 def test_tree_tables_hash_no_string(hash_calls):
     enc = encode_direct(ctree_to_dtree(gen_ctree(GenConfig(seed=6), 12)))
-    digests = tree_arc_digests(enc.sentence, enc.heads)
+    digests = _arc_digests(enc)
     hash_calls.clear()
-    _tree_tables(LinearModel(), enc.heads, 2, digests)
+    _tree_table(LinearModel(), enc.heads, 2, digests)
     # the arc digests are given, and the pairwise ones are mixed from them
     assert not hash_calls
     assert not hash_calls.arcs
@@ -237,7 +247,7 @@ def test_training_predicts_what_label_tree_predicts(monkeypatch):
             wrong = mistakes(model, example)
             ((mods, pred),) = decoded
             got = label_tree(enc.sentence, enc.heads, model,
-                             tree_arc_digests(enc.sentence, enc.heads))
+                             _arc_digests(enc))
             assert [alphabet[k] for k in pred[np.argsort(mods)]] == list(
                 got.labels)
             assert (wrong is None) == (got.labels == enc.labels)

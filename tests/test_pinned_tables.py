@@ -20,7 +20,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from hodt.baseline_parser import arc_index_table, tree_arc_digests
+from hodt.baseline_parser import (arc_index_table, block_atoms,
+                                  tree_arc_digests)
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
 from hodt.dep_labeler import _tree_tables
@@ -73,9 +74,9 @@ def _label_tables(bank):
     n_labels = len({label for enc in corpus for label in enc.labels})
     model = LinearModel()
     for enc in corpus:
-        _, starts, unary, pair = _tree_tables(
-            model, enc.heads, n_labels,
-            tree_arc_digests(enc.sentence, enc.heads))
+        ((_, starts, unary, pair),) = _tree_tables(
+            model, [enc.heads], n_labels,
+            tree_arc_digests(block_atoms([enc.sentence]), [enc.heads]))
         for a, b in zip(starts, starts[1:]):
             yield from _masked(model, (unary[a:b], pair[a:b]))
 

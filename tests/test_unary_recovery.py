@@ -151,7 +151,7 @@ def test_node_rows_match_per_node_hashing():
     allowed = model.meta['allowed']
     checked = skipped = 0
     for tree, _ in data.instances:
-        nodes, rows, cand = _node_rows(open_model, tree)
+        ((nodes, rows, cand),) = _node_rows(open_model, [tree])
         want = [(node, parent, slot)
                 for node, parent, slot in _with_parents(tree.root)
                 if node.label in allowed]
