@@ -19,8 +19,9 @@ like any others.
 
 The labeler hashes no string of its own.  It conjoins each label onto
 the (n, 34) arc digests of a tree (from parse_heads, or in training
-tree_arc_digests over the block_atoms of each block of trees), and mixes its pairwise digests from their form and POS
-templates: a pairwise feature with prefix key k and parts a, b, c is
+tree_arc_digests over the block_atoms of each block of trees), and
+mixes its pairwise digests from their form and POS templates: a
+pairwise feature with prefix key k and parts a, b, c is
 mix(mix(mix(a + k) + b) + c), so two pairs share a digest when they
 share the string.
 

@@ -24,15 +24,16 @@ open: `indices` gives each masked index the next free slot the first
 time it meets it (the new indices of one call in ascending order), and
 `weights` (and the trainer's running totals) hold one float per slot
 handed out, grown geometrically.  Slot 0 is never handed out and holds
-0.0.  A slot is only an address: how many indices each call holds
-changes the slot numbers, but not the weights, since every slot takes
-its index's updates in the same order and `nonzero` sorts by index.  The slot of an index is kept in an int32 map
-over the whole masked space, an anonymous mmap: its pages are touched
-only where indices land (16 MiB at the default 22 bits when all are),
-and they go back to the OS when compaction drops the map, which a heap
-block of that size freed by glibc need not do.  Every update adds to
-one slot per masked index, in the order a dense vector would take it,
-so the weights equal those of a dense vector bit for bit.  Averaging
+0.0.  The slot of an index is kept in an int32 map over the whole masked
+space, an anonymous mmap: its pages are touched only where indices land
+(16 MiB at the default 22 bits when all are), and they go back to the
+OS when compaction drops the map, which a heap block of that size freed
+by glibc need not do.  Every update adds to one slot per masked index,
+in the order a dense vector would take it, so the weights equal those
+of a dense vector bit for bit.  A slot is only an address: how many
+tables each `indices` call covers changes the slot numbers, but not the
+weights, since every slot takes its index's updates in the same order
+and `nonzero` sorts by index.  Averaging
 uses the running-totals trick: alongside w we keep u = sum of t * delta
 over all updates, where t counts examples seen, and the averaged vector
 is w - u / T, element by element over the slots.  A model trained for

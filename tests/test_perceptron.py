@@ -85,6 +85,36 @@ def test_conjoin_changes_with_key():
     assert np.array_equal(conjoin_grid(base, keys), grid[keys])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 40), max_size=30), st.integers(1, 60))
+@example([], 1)
+@example([5, 70, 5], 10)
+def test_blocks_cut_items_into_runs_of_at_most_the_limit(cells, limit):
+    blocks = list(perceptron.blocks(cells, limit))
+    # every item once, in order, in runs of at least one item
+    assert [i for block in blocks for i in range(len(cells))[block]] \
+        == list(range(len(cells)))
+    assert all(block.stop > block.start for block in blocks)
+    for block in blocks:
+        total = sum(cells[block])
+        assert total <= limit or block.stop - block.start == 1
+        # as many items as fit: the next one would not
+        if block.stop < len(cells):
+            assert total + cells[block.stop] > limit
+
+
+def test_pieces_hold_no_larger_array():
+    array = np.arange(12).reshape(6, 2).copy()
+    first, empty, rest = perceptron.pieces(array, [0, 2, 2, 6])
+    assert first.tolist() == [[0, 1], [2, 3]]
+    assert empty.shape == (0, 2)
+    assert rest.tolist() == array[2:].tolist()
+    assert first.base is None and rest.base is None
+    # a piece that is the whole array is the array
+    (whole,) = perceptron.pieces(array, [0, 6])
+    assert whole is array
+
+
 def test_model_score_and_update():
     model = LinearModel(dim_bits=12)
     hashes = hash_features(['f1', 'f2', 'f3'])
