@@ -153,11 +153,12 @@ _BLOCK_CELLS = 1 << 16
 
 
 # What block_atoms hashes and mixes once per block of sentences.  Position
-# p of sentence s is row start[s] + p of left, right and btw, and an arc
-# h -> m is read at the rows of its sentence.  The digest of template t <
-# 16 of arc h -> m is mix(left[h, t] + right[m, t]); btw[lo, length] is
-# the btw digest of the span from lo to lo + length; dist[origin[m] + m -
-# h] is the digest of the arc's direction+distance.
+# p of sentence s is row start[s] + p of left, right and btw (start, a
+# list, ends with the number of rows), and an arc h -> m is read at the
+# rows of its sentence.  The digest of template t < 16 of arc h -> m is
+# mix(left[h, t] + right[m, t]); btw[lo, length] is the btw digest of the
+# span from lo to lo + length; dist[origin[m] + m - h] is the digest of
+# the arc's direction+distance.
 Atoms = namedtuple('Atoms', 'start left right btw dist origin')
 
 
@@ -166,7 +167,7 @@ def block_atoms(sentences):
     the 7n + 6 part and direction+distance strings of each sentence: the
     five parts of each position, sentence after sentence, then the 2n + 1
     distances of each sentence."""
-    texts, distances, sizes = [], [], []
+    texts, distances, start, origin = [], [], [0], []
     for sentence in sentences:
         n = len(sentence)
         form = [ROOT_TOKEN] + [t.form for t in sentence]
@@ -176,34 +177,30 @@ def block_atoms(sentences):
         after = [NONE_TOKEN] + padded[2:]
         for f, p, v, a in zip(form, pos, prev, after):
             texts += (f, p, f + ' ' + p, p + ' ' + a, v + ' ' + p)
+        # where distance 0 of the sentence is, for each of its rows
+        origin += [len(distances) + n] * (n + 1)
         distances += ['/' + ('R' if d > 0 else 'L') + _distance_bin(abs(d))
                       for d in range(-n, n + 1)]
-        sizes.append(n + 1)
+        start.append(start[-1] + n + 1)
     digests = perceptron.hash_features(texts + distances)
-    sizes = np.array(sizes, dtype=np.intp)
-    start = np.zeros(len(sizes) + 1, dtype=np.intp)
-    sizes.cumsum(out=start[1:])
     rows = start[-1]
-    parts = np.zeros((rows, len(_PARTS)), dtype=np.uint64)
-    parts[:, 1:] = digests[:5 * rows].reshape(rows, 5)
-    left = parts[:, _HEAD_PART] + _KEYS[:-1]
+    width = max(b - a for a, b in zip(start, start[1:] + [1]))
+    # width rows of zeros under the parts, for the POS past the last row
+    parts = np.zeros((rows + width, len(_PARTS)), dtype=np.uint64)
+    parts[:rows, 1:] = digests[:5 * rows].reshape(rows, 5)
+    left = parts[:rows, _HEAD_PART] + _KEYS[:-1]
     left[:, _TWO_SIDED] = perceptron.mix(left[:, _TWO_SIDED])
     # btw[:, length] for every row at once, one length at a time: the
     # span from lo to lo + length + 1 adds the POS at lo + length to the
     # span from lo to lo + length.  Spans that run past their sentence
     # are never read
-    width = int(sizes.max(initial=1))
     btw = np.zeros((rows, width), dtype=np.uint64)
-    pos = np.concatenate((parts[:, 2], np.zeros(width, dtype=np.uint64)))
     span = _KEYS[-1:].repeat(rows)
     for length in range(1, width):
         btw[:, length] = perceptron.mix(span)
-        span += pos[length:length + rows]
-    # the distances of sentence s begin at 2 * start[s] - s, and distance
-    # 0 is n = size - 1 after that
-    origin = 2 * start[:-1] - np.arange(len(sizes)) + sizes - 1
-    return Atoms(start, left, parts[:, _MOD_PART], btw, digests[5 * rows:],
-                 origin.repeat(sizes))
+        span += parts[length:length + rows, 2]
+    return Atoms(start, left, parts[:rows, _MOD_PART], btw,
+                 digests[5 * rows:], np.array(origin, dtype=np.intp))
 
 
 def _atom_digests(atoms, heads, mods):
@@ -235,15 +232,16 @@ def block_index_tables(model, sentences):
     entries, and no digest is kept."""
     atoms = block_atoms(sentences)
     start = atoms.start
-    sizes = start[1:] - start[:-1]
-    cells = sizes * sizes
-    at = np.zeros(len(start), dtype=np.intp)
-    cells.cumsum(out=at[1:])
-    # the head and modifier row of each cell of each (n+1, n+1) table
-    heads, mods = np.divmod(np.arange(at[-1]) - at[:-1].repeat(cells),
-                            sizes.repeat(cells))
+    sizes = [b - a for a, b in zip(start, start[1:])]
+    at = [0]
+    for size in sizes:
+        at.append(at[-1] + size * size)
+    # the first cell, size and first row of the table of each cell
+    table, size, first = np.array([at[:-1], sizes, start[:-1]]).repeat(
+        [size * size for size in sizes], axis=1)
+    heads, mods = np.divmod(np.arange(at[-1]) - table, size)
     arcs = ((heads != mods) & (mods > 0)).nonzero()[0]
-    first = start[:-1].repeat(cells)[arcs]
+    first = first[arcs]
     heads = heads[arcs] + first
     mods = mods[arcs] + first
     tables = np.zeros((at[-1], FEATURES_PER_ARC), dtype=np.intp)
@@ -252,8 +250,8 @@ def block_index_tables(model, sentences):
         tables[arcs[a:a + step]] = model.indices(_atom_digests(
             atoms, heads[a:a + step], mods[a:a + step]))
     return [table.reshape(size, size, FEATURES_PER_ARC)
-            for table, size in zip(perceptron.pieces(tables, at.tolist()),
-                                   sizes.tolist())], atoms
+            for table, size in zip(perceptron.pieces(tables, at), sizes)], \
+        atoms
 
 
 def arc_index_table(model, sentence):
@@ -270,12 +268,9 @@ def tree_arc_digests(atoms, heads):
     of each sentence s of a block, mixed from the block's atoms: sentence
     after sentence, row m-1 of a sentence for the arc into m."""
     start = atoms.start
-    lengths = start[1:] - start[:-1] - 1
-    heads = np.concatenate([np.asarray(h, dtype=np.intp) for h in heads])
-    heads += start[:-1].repeat(lengths)
-    # the j-th modifier of the block is row j + s + 1, s its sentence
-    mods = np.arange(len(heads)) + np.arange(1, len(start)).repeat(lengths)
-    return _atom_digests(atoms, heads, mods)
+    return _atom_digests(
+        atoms, [a + h for a, tree in zip(start, heads) for h in tree],
+        [m for a, b in zip(start, start[1:]) for m in range(a + 1, b)])
 
 
 def score_matrix(model, table):

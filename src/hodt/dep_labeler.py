@@ -91,14 +91,13 @@ def _tree_tables(model, heads, n_labels, arc_digests):
     for the arc into m (tree_arc_digests); the labels are conjoined onto
     them and onto the pairwise digests mixed from them, for the whole
     block in one pass each."""
-    sizes = [len(h) for h in heads]
-    first = np.zeros(len(sizes) + 1, dtype=np.intp)
-    np.cumsum(sizes, out=first[1:])
-    tree = np.repeat(np.arange(len(sizes)), sizes)
+    first = [0]
+    for tree in heads:
+        first.append(first[-1] + len(tree))
     # each (tree, head) pair numbered apart, and after the trees before
-    head = np.concatenate([np.asarray(h, dtype=np.intp) for h in heads])
-    head += first[tree] + tree
-    mods = np.argsort(head, kind='stable') + 1  # rows of arc_digests, + 1
+    head = np.array([a + s + h for s, (a, tree) in enumerate(zip(first, heads))
+                     for h in tree], dtype=np.intp)
+    mods = head.argsort(kind='stable') + 1  # rows of arc_digests, + 1
     later = np.zeros(len(mods), dtype=bool)
     later[1:] = head[mods[1:] - 1] == head[mods[:-1] - 1]
     unary = model.indices(conjoin_grid(arc_digests[mods - 1],
@@ -110,9 +109,8 @@ def _tree_tables(model, heads, n_labels, arc_digests):
         range(n_labels * n_labels)))
     # the chain starts of the block, each tree's end being the next
     # tree's first start
-    starts = np.append(np.flatnonzero(~later), len(mods))
-    cut = np.searchsorted(starts, first).tolist()
-    first = first.tolist()
+    starts = np.append((~later).nonzero()[0], len(mods))
+    cut = starts.searchsorted(first).tolist()
     return [(mods[a:b] - a, starts[c:d + 1] - a, *tables)
             for a, b, c, d, *tables in zip(
                 first, first[1:], cut, cut[1:],

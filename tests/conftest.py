@@ -82,7 +82,7 @@ def toy_rules():
 class Calls(list):
     """The strings of each perceptron.hash_features call, in order; arcs
     holds the (heads, mods) of each call that mixes arc digests from a
-    sentence's atoms (baseline_parser._atom_digests)."""
+    block's atoms (baseline_parser._atom_digests)."""
 
     def __init__(self):
         super().__init__()
