@@ -184,7 +184,7 @@ def block_atoms(sentences):
         start.append(start[-1] + n + 1)
     digests = perceptron.hash_features(texts + distances)
     rows = start[-1]
-    width = max(b - a for a, b in zip(start, start[1:] + [1]))
+    width = max((b - a for a, b in zip(start, start[1:])), default=1)
     # width rows of zeros under the parts, for the POS past the last row
     parts = np.zeros((rows + width, len(_PARTS)), dtype=np.uint64)
     parts[:rows, 1:] = digests[:5 * rows].reshape(rows, 5)
@@ -233,25 +233,26 @@ def block_index_tables(model, sentences):
     atoms = block_atoms(sentences)
     start = atoms.start
     sizes = [b - a for a, b in zip(start, start[1:])]
+    cells = [k * k for k in sizes]
     at = [0]
-    for size in sizes:
-        at.append(at[-1] + size * size)
-    # the first cell, size and first row of the table of each cell
-    table, size, first = np.array([at[:-1], sizes, start[:-1]]).repeat(
-        [size * size for size in sizes], axis=1)
-    heads, mods = np.divmod(np.arange(at[-1]) - table, size)
+    for count in cells:
+        at.append(at[-1] + count)
+    # for each cell of each (n+1, n+1) table: where its table begins, the
+    # table's side and the sentence's first row
+    cell_at, cell_side, cell_row = np.array(
+        [at[:-1], sizes, start[:-1]]).repeat(cells, axis=1)
+    heads, mods = np.divmod(np.arange(at[-1]) - cell_at, cell_side)
     arcs = ((heads != mods) & (mods > 0)).nonzero()[0]
-    first = first[arcs]
-    heads = heads[arcs] + first
-    mods = mods[arcs] + first
+    heads = heads[arcs] + cell_row[arcs]
+    mods = mods[arcs] + cell_row[arcs]
     tables = np.zeros((at[-1], FEATURES_PER_ARC), dtype=np.intp)
     step = _BLOCK_CELLS // FEATURES_PER_ARC
     for a in range(0, len(arcs), step):
         tables[arcs[a:a + step]] = model.indices(_atom_digests(
             atoms, heads[a:a + step], mods[a:a + step]))
-    return [table.reshape(size, size, FEATURES_PER_ARC)
-            for table, size in zip(perceptron.pieces(tables, at), sizes)], \
-        atoms
+    return ([table.reshape(size, size, FEATURES_PER_ARC)
+             for table, size in zip(perceptron.pieces(tables, at), sizes)],
+            atoms)
 
 
 def arc_index_table(model, sentence):

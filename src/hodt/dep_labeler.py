@@ -180,12 +180,10 @@ def train_labeler(corpus, epochs, seed=1):
         heads = [enc.heads for enc in trees]
         digests = tree_arc_digests(
             block_atoms([enc.sentence for enc in trees]), heads)
-        gold = np.array([label_id[label]
-                         for enc in trees for label in enc.labels])
-        at = 0
-        for tables in _tree_tables(model, heads, K, digests):
-            examples.append((tables, gold[at + tables[0] - 1]))
-            at += len(tables[0])
+        for enc, tables in zip(trees, _tree_tables(model, heads, K,
+                                                   digests)):
+            gold = np.array([label_id[label] for label in enc.labels])
+            examples.append((tables, gold[tables[0] - 1]))
     return perceptron.train(model, examples, epochs, seed, _tree_mistakes)
 
 
