@@ -49,10 +49,10 @@ string, and, but for 64-bit collisions and a part with a space in it
 
 Every sentence is hashed as one of a block (block_atoms), and its
 candidate arcs are mixed and looked up as one of a block
-(block_index_tables), in passes of at most _BLOCK_CELLS table entries
-that keep only weight indices.  Training builds the tables of as many
-consecutive sentences at once as fit in _BLOCK_CELLS; arc_index_table,
-which parses, is the block of one sentence.  parse_heads mixes the n
+(block_index_tables), in passes of at most perceptron.BLOCK_CELLS table
+entries that keep only weight indices.  Training builds the tables of as
+many consecutive sentences at once as fit in BLOCK_CELLS;
+arc_index_table, which parses, is the block of one sentence.  parse_heads mixes the n
 chosen arcs' digests again from the same atoms for the labeler
 (tree_arc_digests), which in training mixes each gold tree's arcs from
 the atoms of its own blocks.
@@ -145,12 +145,6 @@ _TWO_SIDED = [t for t, (_, h, m) in enumerate(TEMPLATES) if h and m]
 _PLAIN_TEMPLATES = len(TEMPLATES) + 1
 _KEYS = perceptron.hash_features([p for p, _, _ in TEMPLATES] + ['btw:'])
 
-# table entries per block: the sentences, trees or nodes whose tables a
-# learner builds at once, and each pass of block_index_tables and
-# score_matrix; the n^2 candidate arcs of a sentence of up to 43 tokens
-# are one pass
-_BLOCK_CELLS = 1 << 16
-
 
 # What block_atoms hashes and mixes once per block of sentences.  Position
 # p of sentence s is row start[s] + p of left, right and btw (start, a
@@ -228,8 +222,8 @@ def arc_features(sentence, heads, mods):
 def block_index_tables(model, sentences):
     """(tables, atoms): the arc_index_table table of each sentence of a
     block, and the block's atoms.  The candidate arcs of the whole block
-    are mixed and looked up in passes of at most _BLOCK_CELLS table
-    entries, and no digest is kept."""
+    are mixed and looked up in passes of at most perceptron.BLOCK_CELLS
+    table entries, and no digest is kept."""
     atoms = block_atoms(sentences)
     start = atoms.start
     sizes = [b - a for a, b in zip(start, start[1:])]
@@ -246,7 +240,7 @@ def block_index_tables(model, sentences):
     heads = heads[arcs] + cell_row[arcs]
     mods = mods[arcs] + cell_row[arcs]
     tables = np.zeros((at[-1], FEATURES_PER_ARC), dtype=np.intp)
-    step = _BLOCK_CELLS // FEATURES_PER_ARC
+    step = perceptron.BLOCK_CELLS // FEATURES_PER_ARC
     for a in range(0, len(arcs), step):
         tables[arcs[a:a + step]] = model.indices(_atom_digests(
             atoms, heads[a:a + step], mods[a:a + step]))
@@ -277,10 +271,11 @@ def tree_arc_digests(atoms, heads):
 def score_matrix(model, table):
     """The (n+1, n+1) arc scores over an arc_index_table table, each cell
     the sum of its arc's weights.  The weights are gathered in blocks of
-    head rows of at most _BLOCK_CELLS table entries, so no float array of
-    the table's shape is made."""
+    head rows of at most perceptron.BLOCK_CELLS table entries, so no
+    float array of the table's shape is made."""
     scores = np.empty(table.shape[:2], dtype=model.weights.dtype)
-    step = max(1, _BLOCK_CELLS // (table.shape[1] * FEATURES_PER_ARC))
+    step = max(1, perceptron.BLOCK_CELLS
+                   // (table.shape[1] * FEATURES_PER_ARC))
     for h in range(0, len(table), step):
         scores[h:h + step] = model.weights[table[h:h + step]].sum(axis=2)
     return scores
@@ -317,8 +312,7 @@ def train_unlabeled(treebank, epochs, seed=1, projective=True):
         'hash': 'blake2b-64', 'features_per_arc': FEATURES_PER_ARC})
     examples = []
     for block in perceptron.blocks(
-            [len(sentence) ** 2 * FEATURES_PER_ARC for sentence, _ in items],
-            _BLOCK_CELLS):
+            [len(sentence) ** 2 * FEATURES_PER_ARC for sentence, _ in items]):
         tables, _ = block_index_tables(
             model, [sentence for sentence, _ in items[block]])
         examples += zip(tables, [gold for _, gold in items[block]])

@@ -5,8 +5,8 @@ position regardless of side, and labels are decoded per head with exact
 Viterbi; heads are independent of each other.  One table holds the
 chains of a tree, and _tree_tables builds the tables of a block of trees
 at once: training those of as many consecutive trees as fit in
-_BLOCK_CELLS table entries, label_tree the block of the one tree it
-labels.  _decode_tree gathers a tree's weights once and runs one
+perceptron.BLOCK_CELLS table entries, label_tree the block of the one
+tree it labels.  _decode_tree gathers a tree's weights once and runs one
 Viterbi per chain: label_tree labels a parsed tree that way, and
 training decodes each gold tree that way, then makes one update for all
 its wrong labels and label pairs.  Scores are a sum of
@@ -31,7 +31,7 @@ Ties break toward the first label in the sorted alphabet.
 import numpy as np
 
 from .baseline_parser import (FEATURES_PER_ARC, ROOT_TOKEN, TEMPLATES,
-                              _BLOCK_CELLS, block_atoms, tree_arc_digests)
+                              block_atoms, tree_arc_digests)
 from .errors import ToolkitError
 from .kernels import viterbi_chain
 from . import perceptron
@@ -175,7 +175,7 @@ def train_labeler(corpus, epochs, seed=1):
     examples = []
     for block in perceptron.blocks(
             [len(enc.heads) * (K * FEATURES_PER_ARC + K * K * PAIR_FEATURES)
-             for enc in corpus], _BLOCK_CELLS):
+             for enc in corpus]):
         trees = corpus[block]
         heads = [enc.heads for enc in trees]
         digests = tree_arc_digests(

@@ -4,7 +4,11 @@ Brackets are (label, yield) pairs where the yield is a position set, so
 discontinuous constituents compare exactly like continuous ones.
 Matching is multiset-based per sentence (duplicate brackets count as
 often as they appear) and micro-averaged over the corpus; there is no
-legacy skip list, every sentence scores.
+legacy skip list, every sentence scores.  Gold and predicted corpora
+must hold the same sentences, word for word, as EVALB checks its words.
+Attachment scores compare the heads and labels of encoded trees as they
+are given, so a prediction with several roots or a head cycle scores
+by its heads like any other.
 """
 
 from collections import Counter
@@ -61,14 +65,21 @@ def brackets(tree, cfg):
 
 
 def _check_aligned(gold, pred):
+    """Raise ValueError unless gold and pred hold the same sentences:
+    as many, each of as many tokens with the same forms."""
     if len(gold) != len(pred):
         raise ValueError(
             f'corpora differ in length: {len(gold)} vs {len(pred)}')
-    for i, (g, p) in enumerate(zip(gold, pred)):
+    for i, (g, p) in enumerate(zip(gold, pred), 1):
         if len(g.sentence) != len(p.sentence):
             raise ValueError(
-                f'sentence {i + 1}: {len(g.sentence)} vs '
+                f'sentence {i}: {len(g.sentence)} vs '
                 f'{len(p.sentence)} tokens')
+        for gt, pt in zip(g.sentence, p.sentence):
+            if gt.form != pt.form:
+                raise ValueError(
+                    f'sentence {i}, token {gt.position}: '
+                    f'{gt.form!r} vs {pt.form!r}')
 
 
 def _score(pairs, cfg):

@@ -14,7 +14,7 @@ template's digest from those (`baseline_parser.block_atoms`); the
 labeler builds its features from the arc digests and hashes no string of
 its own.  The unary restorer hashes the feature strings of a tree's
 nodes.  Each learner hashes a block of consecutive sentences or trees in
-one call: `blocks` cuts a corpus into runs of a bounded number of table
+one call: `blocks` cuts a corpus into runs of at most BLOCK_CELLS table
 entries, and `pieces` cuts a block's tables into per-tree arrays.  Parsing
 hashes a block of one.  `conjoin_grid` conjoins small integer keys (a
 label, a class) onto digests by one more mix.
@@ -73,6 +73,12 @@ from .rng import GAMMA, Rng
 
 DIM_BITS = 22
 
+# table entries per block: the sentences, trees or nodes whose tables a
+# learner builds at once, and each pass of baseline_parser's
+# block_index_tables and score_matrix; the n^2 candidate arcs of a
+# sentence of up to 43 tokens are one pass
+BLOCK_CELLS = 1 << 16
+
 # slots an open model holds before its first growth
 _FIRST_SLOTS = 1 << 12
 
@@ -124,10 +130,13 @@ def conjoin_grid(hashes, keys):
         return mix(hashes[..., None, :] + mixed[..., None])
 
 
-def blocks(cells, limit):
+def blocks(cells, limit=None):
     """Slices that cut a sequence of items, item i holding cells[i] table
     entries, into runs of consecutive items of at most `limit` entries
-    each; an item of more than `limit` entries is a run of its own."""
+    each (BLOCK_CELLS, read at the call, by default); an item of more
+    than `limit` entries is a run of its own."""
+    if limit is None:
+        limit = BLOCK_CELLS
     start = total = 0
     for i, size in enumerate(cells):
         if total + size > limit and i > start:

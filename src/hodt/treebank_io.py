@@ -10,9 +10,11 @@ Four formats:
   terminals in order, ``#5xx`` constituent lines with parent pointers;
   parent 0 attaches at the top.  A VROOT node is synthesized when a block
   has several top-level units.  Discontinuity is fully supported.
-* conll: CoNLL-X ten-column, for encoded dependency trees.  The root row
-  carries HEAD 0 and the literal ``_root_`` (or an ``<spine>#0`` root
-  label under the hn scheme).
+* conll: CoNLL-X, ten tab-separated columns, for encoded dependency
+  trees.  The root row carries HEAD 0 and the literal ``_root_`` (or an
+  ``<spine>#0`` root label under the hn scheme).  The reader checks the
+  columns, IDs and HEAD range of each row and takes HEAD and DEPREL as
+  written, whether or not the heads form a tree.
 * json: a canonical one-line-per-tree dump of lexicalized trees, used for
   golden files and debugging.
 
@@ -46,7 +48,6 @@ import re
 from collections import namedtuple
 from itertools import chain
 
-from .encoding import ROOT_LABEL
 from .errors import TreebankFormatError
 from .trees import (
     PRETERMINAL, PROPER, CTree, DTree, RawNode, Sentence, Token,
@@ -449,7 +450,8 @@ def _conll_token(cols, expected, path, lineno):
 
 def split_conll(source, path=None):
     """The rows of each blank-line-separated sentence, as a list of
-    (line number, columns); CoNLL has no fault between units."""
+    (line number, columns split at tabs); CoNLL has no fault between
+    units."""
     sentence = []
     for lineno, line in enumerate(_lines_of(source), 1):
         if not line.strip():
@@ -457,19 +459,17 @@ def split_conll(source, path=None):
                 yield sentence
                 sentence = []
             continue
-        cols = line.split('\t')
-        if len(cols) < _CONLL_COLUMNS:
-            cols = line.split()
-        sentence.append((lineno, cols))
+        sentence.append((lineno, line.split('\t')))
     if sentence:
         yield sentence
 
 
-def parse_conll(rows, path=None, on_root_anomaly='repair', stats=None):
-    """The encoded dependency tree of one unit of split_conll; the
-    options are read_conll's."""
+def parse_conll(rows, path=None):
+    """The encoded dependency tree of one unit of split_conll, its heads
+    and labels as written: a sentence with no root, several roots or a
+    head cycle reads like any other (trees.validate names what is
+    wrong with it)."""
     tokens, heads, labels = [], [], []
-    first_line = rows[0][0]
     for expected, (lineno, cols) in enumerate(rows, 1):
         if len(cols) != _CONLL_COLUMNS:
             raise TreebankFormatError(
@@ -488,43 +488,12 @@ def parse_conll(rows, path=None, on_root_anomaly='repair', stats=None):
         if not 0 <= int(cols[6]) <= n:
             raise TreebankFormatError(
                 f'HEAD {cols[6]} out of range', path, lineno)
-    roots = [i for i, h in enumerate(heads) if h == 0]
-    if len(roots) != 1:
-        if on_root_anomaly == 'reject':
-            raise TreebankFormatError(
-                f'{len(roots)} root tokens', path, first_line)
-        if stats is not None:
-            stats['root_repairs'] = stats.get('root_repairs', 0) + 1
-        if not roots:
-            heads[0], labels[0], roots = 0, ROOT_LABEL, [0]
-        for extra in roots[1:]:
-            heads[extra] = roots[0] + 1
-    # break any cycle left by the input or the root repair
-    root_pos = roots[0] + 1
-    for start in range(1, n + 1):
-        seen, v = set(), start
-        while v != 0 and v not in seen:
-            seen.add(v)
-            v = heads[v - 1]
-        if v == start:
-            if on_root_anomaly == 'reject':
-                raise TreebankFormatError(
-                    f'cycle through token {start}', path, first_line)
-            if stats is not None:
-                stats['cycle_repairs'] = stats.get('cycle_repairs', 0) + 1
-            heads[start - 1] = root_pos
     return DTree(Sentence(tuple(tokens)), tuple(heads), tuple(labels))
 
 
-def read_conll(source, path=None, on_root_anomaly='repair', stats=None):
-    """Parse encoded dependency trees.  Sentences with zero or several
-    HEAD-0 rows are repaired (counted in stats['root_repairs']) or
-    rejected, per on_root_anomaly; cycles likewise
-    (stats['cycle_repairs'])."""
-    if on_root_anomaly not in ('repair', 'reject'):
-        raise ValueError("on_root_anomaly must be 'repair' or 'reject'")
-    return [parse_conll(rows, path, on_root_anomaly, stats)
-            for rows in split_conll(source)]
+def read_conll(source, path=None):
+    """Parse encoded dependency trees (parse_conll)."""
+    return [parse_conll(rows, path) for rows in split_conll(source)]
 
 
 def _conll_fields(enc):

@@ -14,17 +14,16 @@ above POS nodes and above constituents get separate weight.  One path,
 _node_rows, takes a block of trees to the weight indices of their nodes
 that have a choice, hashing the block's feature strings in one call:
 training builds the rows of as many consecutive trees at once as fit in
-_BLOCK_CELLS table entries, and recover the block of the one tree it
-restores.  _decide scores a tree's nodes with the same weights: recover
-decides a parsed tree that way, and training decides each gold tree that
-way before its one update.
+perceptron.BLOCK_CELLS table entries, and recover the block of the one
+tree it restores.  _decide scores a tree's nodes with the same weights:
+recover decides a parsed tree that way, and training decides each gold
+tree that way before its one update.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline_parser import _BLOCK_CELLS
 from .errors import ToolkitError
 from . import perceptron
 from .perceptron import DIM_BITS, LinearModel, conjoin_grid
@@ -223,8 +222,7 @@ def train_unary(data, epochs, seed=1):
     # a tree of n tokens has at most 2n - 1 nodes once its unaries are gone
     for block in perceptron.blocks(
             [(2 * len(tree.sentence) - 1) * len(data.classes)
-             * FEATURES_PER_NODE for tree, _ in data.instances],
-            _BLOCK_CELLS):
+             * FEATURES_PER_NODE for tree, _ in data.instances]):
         instances = data.instances[block]
         for (_, chains), (nodes, rows, allowed) in zip(instances, _node_rows(
                 model, [tree for tree, _ in instances])):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hodt import baseline_parser
+from hodt import baseline_parser, perceptron
 from hodt.baseline_parser import (FEATURES_PER_ARC, NONE_TOKEN, ROOT_TOKEN,
                                   TEMPLATES, arc_features, arc_index_table,
                                   block_atoms, featurize_arc, parse_heads,
@@ -266,13 +266,13 @@ def test_arc_index_table_blocks_give_the_same_table(hash_calls,
     table, _ = arc_index_table(model, sentence)
     # the 44 * 44 arcs are more than one block of 2**16 // 34 arcs
     assert [len(h) for h, _ in hash_calls.arcs] == [1927, 9]
-    cells = baseline_parser._BLOCK_CELLS
-    monkeypatch.setattr(baseline_parser, '_BLOCK_CELLS', 7 * 34)
+    cells = perceptron.BLOCK_CELLS
+    monkeypatch.setattr(perceptron, 'BLOCK_CELLS', 7 * 34)
     hash_calls.clear()
     assert np.array_equal(arc_index_table(model, sentence)[0], table)
     assert [len(h) for h, _ in hash_calls.arcs] == [7] * 276 + [4]
     # 43 * 43 arcs are one block
-    monkeypatch.setattr(baseline_parser, '_BLOCK_CELLS', cells)
+    monkeypatch.setattr(perceptron, 'BLOCK_CELLS', cells)
     hash_calls.clear()
     arc_index_table(model, gen_ctree(GenConfig(seed=4), 43).sentence)
     (arcs,) = hash_calls.arcs

@@ -13,6 +13,7 @@ import pytest
 from hodt import cli
 from hodt.cli import main
 from hodt.corpus_gen import GenConfig, gen_ctree
+from hodt.encoding import ROOT_LABEL
 from hodt.errors import (HeadRuleError, ModelFormatError, TreebankFormatError,
                          TreeStructureError)
 from hodt.headrules import load_rules
@@ -262,6 +263,43 @@ def test_eval_conll_identity(tmp_path, toy_file, capsys):
     assert report['uas'] == 1.0
     assert report['las'] == 1.0
     assert 'UAS 1.0000' in err
+
+
+def _conll(heads, forms='abcd'):
+    labels = ('A#1', ROOT_LABEL, 'B#1', 'C#1')
+    return '\n'.join(f'{m}\t{form}\t_\tX\tX\t_\t{h}\t{label}\t_\t_'
+                     for m, (form, h, label)
+                     in enumerate(zip(forms, heads, labels), 1)) + '\n'
+
+
+@pytest.mark.parametrize('pred_heads', [
+    (2, 0, 0, 2),   # two roots
+    (3, 0, 4, 3),   # a cycle through tokens 3 and 4
+])
+def test_eval_scores_conll_heads_as_written(tmp_path, capsys, pred_heads):
+    gold = tmp_path / 'gold.conll'
+    gold.write_text(_conll((2, 0, 2, 3)))
+    pred = tmp_path / 'pred.conll'
+    pred.write_text(_conll(pred_heads))
+    code, out, err = _run(capsys, 'eval', str(gold), str(pred))
+    assert code == 0, err
+    report = json.loads(out)
+    assert report['uas'] == report['las'] == 0.5
+    assert 'UAS 0.5000  LAS 0.5000' in err
+
+
+@pytest.mark.parametrize('gold_text, pred_text', [
+    ('(S (A x) (B y))\n', '(S (A p) (B q))\n'),
+    (_conll((2, 0, 2, 3), 'xyzw'), _conll((2, 0, 2, 3), 'pyzw')),
+], ids=['brackets', 'conll'])
+def test_eval_refuses_sentences_whose_words_differ(tmp_path, capsys,
+                                                   gold_text, pred_text):
+    gold = tmp_path / 'gold'
+    gold.write_text(gold_text)
+    pred = tmp_path / 'pred'
+    pred.write_text(pred_text)
+    assert _run(capsys, 'eval', str(gold), str(pred)) == (
+        1, '', "error: sentence 1, token 1: 'x' vs 'p'\n")
 
 
 def test_check_clean_corpus(toy_file, capsys):

@@ -93,6 +93,21 @@ def test_evalb_misalignment(english_tree_unaryless):
         evalb([english_tree_unaryless], [short])
 
 
+def test_scores_refuse_sentences_whose_words_differ():
+    def tree(*forms):
+        sent = make_sentence(*((form, 'X') for form in forms))
+        return CTree(proper('S', 1, (preterminal('X', 1),
+                                     preterminal('X', 2))), sent)
+    with pytest.raises(ValueError) as err:
+        evalb([tree('a', 'b')], [tree('a', 'c')])
+    assert str(err.value) == "sentence 1, token 2: 'b' vs 'c'"
+    gold = _dep(make_sentence(('a', 'X'), ('b', 'Y')), (2, 0), ('A', 'root'))
+    pred = _dep(make_sentence(('a', 'X'), ('c', 'Y')), (2, 0), ('A', 'root'))
+    with pytest.raises(ValueError) as err:
+        attachment_scores([gold, gold], [gold, pred])
+    assert str(err.value) == "sentence 2, token 2: 'b' vs 'c'"
+
+
 def test_evalb_symmetry_random_pairs():
     checked = 0
     for seed in range(100):

@@ -12,7 +12,8 @@ import json
 import re
 from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hodt.corpus_gen import GenConfig, gen_ctree
 from hodt.encoding import encode_direct, encode_hn
@@ -63,7 +64,7 @@ EXPORT = st.one_of(
     st.lists(EXPORT_BODY, max_size=6).map(
         lambda body: '\n'.join(['#BOS 1', *body, '#EOS 1'])))
 
-CONLL = _lines(st.one_of(st.just(''), _fields(10)))
+CONLL = _lines(st.one_of(st.just(''), _fields(10), _fields(10, ' ')))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3),
@@ -121,10 +122,14 @@ def test_read_export_total(text):
 
 
 @FUZZ
-@given(CONLL, st.sampled_from(['repair', 'reject']))
-def test_read_conll_total(text, on_root_anomaly):
-    _parses_or_raises(
-        lambda t: read_conll(t, on_root_anomaly=on_root_anomaly), text)
+@given(CONLL)
+@example('1 x _ N N _ 0 L _ _')
+def test_read_conll_total(text):
+    _parses_or_raises(read_conll, text)
+    # a row of fields joined by spaces, not tabs, is never read
+    if any(line.strip() and '\t' not in line for line in text.split('\n')):
+        with pytest.raises(TreebankFormatError):
+            read_conll(text)
 
 
 @FUZZ

@@ -16,7 +16,7 @@ from hodt.treebank_io import (
     MAX_DEPTH, read_bracketed, read_conll, read_export, read_json_corpus,
     read_sentences, write_bracketed, write_conll, write_export,
     write_json_corpus)
-from hodt.trees import RawNode, Sentence, Token, unlexicalize
+from hodt.trees import RawNode, Sentence, Token, unlexicalize, validate
 from tests.conftest import deep_tree
 
 ENGLISH_LINE = ('(S (NP (DT The) (NN public)) (VP (VBZ is) (ADVP (RB still))'
@@ -568,44 +568,22 @@ def test_conll_empty_stream():
     assert read_conll('\n\n') == []
 
 
-def test_conll_root_repair_multiple():
-    rows = ['1\ta\t_\tX\tX\t_\t0\t%s\t_\t_' % ROOT_LABEL,
-            '2\tb\t_\tX\tX\t_\t0\tA#1\t_\t_']
-    stats = {}
-    (enc,) = read_conll('\n'.join(rows), stats=stats)
-    assert enc.heads == (0, 1)
-    assert stats['root_repairs'] == 1
-    with pytest.raises(TreebankFormatError):
-        read_conll('\n'.join(rows), on_root_anomaly='reject')
-
-
-def test_conll_root_repair_none():
-    rows = ['1\ta\t_\tX\tX\t_\t2\tA#1\t_\t_',
-            '2\tb\t_\tX\tX\t_\t1\tB#1\t_\t_']
-    stats = {}
-    (enc,) = read_conll('\n'.join(rows), stats=stats)
-    assert enc.heads.count(0) == 1
-    assert stats['root_repairs'] == 1
-    assert enc.labels[0] == ROOT_LABEL
-
-
-def test_conll_cycle_repair():
-    rows = ['1\ta\t_\tX\tX\t_\t0\t%s\t_\t_' % ROOT_LABEL,
-            '2\tb\t_\tX\tX\t_\t3\tA#1\t_\t_',
-            '3\tc\t_\tX\tX\t_\t2\tA#1\t_\t_']
-    stats = {}
-    (enc,) = read_conll('\n'.join(rows), stats=stats)
-    assert stats['cycle_repairs'] >= 1
-    # every token now reaches the root
-    for start in range(1, 4):
-        seen = set()
-        v = start
-        while v != 0:
-            assert v not in seen
-            seen.add(v)
-            v = enc.heads[v - 1]
-    with pytest.raises(TreebankFormatError):
-        read_conll('\n'.join(rows), on_root_anomaly='reject')
+@pytest.mark.parametrize('heads', [
+    (2, 3, 1),      # no root
+    (0, 0, 2),      # two roots
+    (0, 3, 2),      # a cycle below the root
+])
+def test_conll_reads_heads_and_labels_as_written(heads):
+    labels = ('A#1', ROOT_LABEL, 'B#2')
+    text = '\n'.join(f'{m}\t{form}\t_\tX\tX\t_\t{h}\t{label}\t_\t_'
+                     for m, form, h, label
+                     in zip((1, 2, 3), 'abc', heads, labels))
+    (enc,) = read_conll(text)
+    assert enc.heads == heads
+    assert enc.labels == labels
+    assert [t.form for t in enc.sentence] == ['a', 'b', 'c']
+    # not a tree, which validate names
+    assert validate(enc)
 
 
 def test_conll_errors():
@@ -618,6 +596,17 @@ def test_conll_errors():
         read_conll('5\ta\t_\tX\tX\t_\t0\tL\t_\t_')   # id mismatch
     with pytest.raises(TreebankFormatError):
         read_conll('1\ta\tX\t0\tL')                  # wrong column count
+
+
+def test_conll_splits_rows_at_tabs_only():
+    # nine tab-separated fields, one of them holding a space: not a row
+    # of ten whitespace-separated ones
+    with pytest.raises(TreebankFormatError) as err:
+        read_conll('1\tx\t_\tN N\t_\t0\tL\t_\t_', path='in.conll')
+    assert str(err.value) == 'in.conll:1: expected 10 columns, got 9'
+    with pytest.raises(TreebankFormatError) as err:
+        read_conll('1 x _ N N _ 0 L _ _', path='in.conll')
+    assert str(err.value) == 'in.conll:1: expected 10 columns, got 1'
 
 
 def test_read_sentences_tagged_lines():
