@@ -77,13 +77,11 @@ def find_head_child(rules, parent_label, child_labels):
     return 0 if rules.default_direction == 'left' else n - 1
 
 
-def _label_of(raw_child):
-    return raw_child.pos if isinstance(raw_child, Token) else raw_child.label
-
-
 def lexicalize(tree, rules):
     """Assign head positions to an unlexicalized tree, returning a CTree
-    whose sentence is made of the tree's Token leaves."""
+    whose sentence is made of the tree's Token leaves.  The head child
+    is picked among the labels of the nodes just built, a preterminal's
+    being its token's pos."""
     leaves = []
 
     def build(node):
@@ -94,8 +92,7 @@ def lexicalize(tree, rules):
             raise TreeStructureError(
                 f'constituent {node.label!r} has no children')
         kids = [build(c) for c in node.children]
-        head_idx = find_head_child(
-            rules, node.label, [_label_of(c) for c in node.children])
+        head_idx = find_head_child(rules, node.label, [k.label for k in kids])
         return proper(node.label, kids[head_idx].head, kids)
 
     root = build(tree)

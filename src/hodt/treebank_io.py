@@ -24,9 +24,10 @@ read_sentences (split_sentences and parse_sentence) reads the input of
 Readers take a string or an iterable of lines, tolerate CRLF, and report
 malformed input as TreebankFormatError with file/line positions.
 Bracketed and export readers yield unlexicalized RawNode trees over
-Token leaves (feed them to headrules.lexicalize); the json reader
-returns CTrees since the format stores head positions.  The three tree
-readers reject a tree nested deeper than MAX_DEPTH levels.
+Token leaves, both named tuples (feed them to headrules.lexicalize);
+the json reader returns CTrees since the format stores head
+positions.  The three tree readers reject a tree nested deeper than
+MAX_DEPTH levels.
 
 Each reader is a split of the text into one unit per tree or sentence
 (split_lines, split_export, split_conll, split_sentences), which finds
@@ -40,13 +41,15 @@ write_bracketed, write_export and write_json_corpus (join_trees) those
 of render_bracketed, render_export and render_json.  Every render but
 json's refuses a field that its own reader would misread (_MISREAD).
 TREE_FORMATS holds the split, parse and render of each constituent
-tree format, and sniff_format names the format of a text.
+tree format, and sniff_format names the format of a text from its first
+non-blank line (digits and a tab begin a CoNLL row).
 """
 
 import json
 import re
 from collections import namedtuple
 from itertools import chain
+from operator import itemgetter
 
 from .errors import TreebankFormatError
 from .trees import (
@@ -237,19 +240,22 @@ def write_bracketed(trees, path=None):
 
 # --- export -----------------------------------------------------------------
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 def parse_export(unit, path=None):
     """The tree of one (#BOS line, format version, lines) block of
     split_export."""
     bos_line, version, lines = unit
-    nodes = {}
+    nodes = {}      # node id -> (label, line)
+    kids_of = {}    # node id -> its children: token leaves and node ids
     units = []      # (parent field, token leaf or node id, line) in order
     tokens = 0
     for lineno, line in enumerate(lines, bos_line + 1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
-        if line.startswith('#') and parts[0][1:].isdecimal():
+        if not parts:
+            continue
+        if parts[0][0] == '#' and parts[0][1:].isdecimal():
             node_id = int(parts[0][1:])
             if version == 4:
                 parts = parts[:1] + parts[2:]  # drop the lemma column
@@ -258,8 +264,8 @@ def parse_export(unit, path=None):
             if node_id in nodes:
                 raise TreebankFormatError(
                     f'duplicate node id {node_id}', path, lineno)
-            nodes[node_id] = {
-                'label': parts[1], 'children': [], 'line': lineno}
+            nodes[node_id] = parts[1], lineno
+            kids_of[node_id] = []
             units.append((parts[4], node_id, lineno))
         else:
             if version == 3:
@@ -279,8 +285,8 @@ def parse_export(unit, path=None):
         parent = int(parent_field)
         if parent == 0:
             tops.append(unit)
-        elif parent in nodes:
-            nodes[parent]['children'].append(unit)
+        elif parent in kids_of:
+            kids_of[parent].append(unit)
         else:
             raise TreebankFormatError(
                 f'dangling parent pointer {parent}', path, lineno)
@@ -296,28 +302,27 @@ def parse_export(unit, path=None):
         if isinstance(unit, Token):
             return unit, unit.position
         reached.add(unit)
-        entry = nodes[unit]
-        if not entry['children']:
+        label, lineno = nodes[unit]
+        if not kids_of[unit]:
             raise TreebankFormatError(
-                f'node {unit} has no children', path, entry['line'])
+                f'node {unit} has no children', path, lineno)
         if depth == MAX_DEPTH:
             raise TreebankFormatError(
-                f'nesting deeper than {MAX_DEPTH}', path, entry['line'])
-        kids = sorted((build(c, depth + 1) for c in entry['children']),
-                      key=lambda kid: kid[1])
-        return RawNode(entry['label'], tuple(k for k, _ in kids)), kids[0][1]
+                f'nesting deeper than {MAX_DEPTH}', path, lineno)
+        kids = sorted([build(c, depth + 1) for c in kids_of[unit]],
+                      key=_second)
+        return RawNode(label, tuple(map(_first, kids))), kids[0][1]
 
-    built = sorted((build(u, 2 if vroot else 1) for u in tops),
-                   key=lambda top: top[1])
-    for node_id in nodes:
+    built = sorted([build(u, 2 if vroot else 1) for u in tops], key=_second)
+    for node_id, (_, lineno) in nodes.items():
         if node_id not in reached:
             raise TreebankFormatError(
                 f'node {node_id} unreachable from the top (parent cycle)',
-                path, nodes[node_id]['line'])
+                path, lineno)
     if not built:
         raise TreebankFormatError('empty sentence block', path, bos_line)
     if vroot:
-        return RawNode('VROOT', tuple(t for t, _ in built))
+        return RawNode('VROOT', tuple(map(_first, built)))
     return built[0][0]
 
 
@@ -711,9 +716,12 @@ _NON_BLANK = re.compile(r'\S')
 
 def sniff_format(source, path=None):
     """The format its first non-blank line gives source: a TREE_FORMATS
-    name, 'conll' (CoNLL-X rows) or 'tagged' (form/POS lines).  The line
-    is read by offsets into source: only the first column of a line of
-    ten or more columns is copied, to be read as digits."""
+    name, 'conll' (CoNLL-X rows) or 'tagged' (form/POS lines).  A line
+    of two or more tab-separated columns with digits in the first is
+    conll whatever its column count, so that the CoNLL reader names a
+    row with too few or too many columns.  The line is read by offsets
+    into source: only its first column is copied, to be read as
+    digits."""
     found = _NON_BLANK.search(source)
     if found is None:
         raise TreebankFormatError('empty input', path)
@@ -731,7 +739,6 @@ def sniff_format(source, path=None):
     while source[end - 1].isspace():
         end -= 1
     tab = source.find('\t', start, end)
-    if (tab >= 0 and source.count('\t', tab, end) >= 9
-            and source[start:tab].isdigit()):
+    if tab >= 0 and source[start:tab].isdigit():
         return 'conll'
     return 'tagged'

@@ -9,11 +9,19 @@ strings, or (label, order index) pairs.  The order index is the step on
 the head's spine at which the modifier attaches, so a DTree with pair
 labels is a head-ordered dependency tree.
 
+Token, RawNode and CNode, of which a treebank holds one per word or
+constituent, are immutable named tuples: they are built at the cost of
+a tuple, compare and hash as the tuple of their fields (so a record
+equals a plain tuple of the same fields), and change by _replace into a
+new record.  Sentence, CTree and DTree, one per tree, are frozen
+dataclasses.
+
 Positions are 1-based throughout; head 0 in a DTree marks the root word.
 """
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import TreeStructureError
 
@@ -21,8 +29,7 @@ PRETERMINAL = 'preterminal'
 PROPER = 'proper'
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     position: int
     form: str
     pos: str
@@ -57,16 +64,14 @@ class Sentence:
         return self.tokens[position - 1].pos
 
 
-@dataclass(frozen=True)
-class RawNode:
+class RawNode(NamedTuple):
     """Unlexicalized constituent; children are RawNode or Token, a Token
     standing for a preterminal whose label is its pos."""
     label: str
     children: tuple
 
 
-@dataclass(frozen=True)
-class CNode:
+class CNode(NamedTuple):
     """Constituent-tree node.  kind is preterminal (a word's tag, no
     children; the word is in the tree's Sentence) or proper.
 
@@ -80,20 +85,27 @@ class CNode:
     children: tuple['CNode', ...]
     kind: str
 
-    def min_position(self):
-        return min(self.positions)
+
+# the node constructors skip CNode's keyword-taking __new__
+_new = tuple.__new__
+_first, _positions = operator.itemgetter(0), operator.itemgetter(2)
 
 
 def preterminal(pos_tag, position):
-    return CNode(pos_tag, position, frozenset((position,)), (), PRETERMINAL)
+    return _new(CNode, (pos_tag, position, frozenset((position,)), (),
+                        PRETERMINAL))
 
 
 def proper(label, head, children):
     """Build an internal node; children are canonically ordered by their
-    smallest covered position."""
-    kids = tuple(sorted(children, key=CNode.min_position))
-    positions = frozenset().union(*(c.positions for c in kids))
-    return CNode(label, head, positions, kids, PROPER)
+    smallest covered position (a stable sort, made only when they are out
+    of that order)."""
+    kids = tuple(children)
+    firsts = list(map(min, map(_positions, kids)))
+    if any(map(operator.gt, firsts, firsts[1:])):
+        kids = tuple(kid for _, kid in sorted(zip(firsts, kids), key=_first))
+    positions = frozenset().union(*map(_positions, kids))
+    return _new(CNode, (label, head, positions, kids, PROPER))
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,32 @@ def test_eval_conll_identity(tmp_path, toy_file, capsys):
     assert 'UAS 1.0000' in err
 
 
+# a CoNLL row of nine columns: the first names it as CoNLL all the same
+NINE_COLUMNS = '1\tx\t_\tN N\t_\t0\tL\t_\t_\n'
+
+
+def test_eval_names_a_conll_row_of_nine_columns(tmp_path, capsys):
+    nine = tmp_path / 'nine.conll'
+    nine.write_text(NINE_COLUMNS)
+    code, out, err = _run(capsys, 'eval', str(nine), str(nine))
+    assert code == 1 and out == ''
+    assert err == f'error: {nine}:1: expected 10 columns, got 9\n'
+
+
+def test_eval_names_the_predictions_row_of_nine_columns(tmp_path, toy_file,
+                                                        capsys):
+    code, out, _ = _run(capsys, 'convert', '-i', toy_file,
+                        '--head-rules', 'toy')
+    assert code == 0
+    gold = tmp_path / 'gold.conll'
+    gold.write_text(out)
+    pred = tmp_path / 'nine.conll'
+    pred.write_text(NINE_COLUMNS)
+    code, out, err = _run(capsys, 'eval', str(gold), str(pred))
+    assert code == 1 and out == ''
+    assert err == f'error: {pred}:1: expected 10 columns, got 9\n'
+
+
 def _conll(heads, forms='abcd'):
     labels = ('A#1', ROOT_LABEL, 'B#1', 'C#1')
     return '\n'.join(f'{m}\t{form}\t_\tX\tX\t_\t{h}\t{label}\t_\t_'

@@ -10,7 +10,6 @@ refused."""
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -187,7 +186,7 @@ def generated_trees(draw, disc=(0.0, 0.5, 1.0)):
     if draw(st.integers(0, 3)) == 0:
         k = draw(st.integers(0, len(tokens) - 1))
         field = draw(st.sampled_from(['form', 'lemma', 'morph']))
-        tokens[k] = replace(tokens[k], **{field: draw(AWKWARD)})
+        tokens[k] = tokens[k]._replace(**{field: draw(AWKWARD)})
     return CTree(tree.root, Sentence(tuple(tokens)))
 
 

@@ -1,21 +1,25 @@
-"""Byte-level pins of the treebank writers, the readers and the unary
-feature extractor.
+"""Byte-level pins of the treebank writers, the readers, the reduction
+and its encodings, and the unary feature extractor.
 
 Each digest is the SHA-256 of an output on fixed generated banks with
 discontinuities, unary chains, bare-preterminal roots, lemmas and
 morphology.  They were taken before the tree layers were rewritten to
-walk each tree once, and must not change while the file formats stay
-the same."""
+walk each tree once (the reduction's pins before its nodes became
+named tuples), and must not change while the file formats stay the
+same."""
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 
 from hodt.corpus_gen import GenConfig, gen_ctree, gen_toy_treebank
+from hodt.encoding import encode_delta, encode_direct, encode_hn
 from hodt.headrules import RIGHTMOST, lexicalize
+from hodt.reduction import ctree_to_dtree, dtree_to_ctree, roundtrip_check
 from hodt.treebank_io import (
-    read_bracketed, read_export, write_bracketed, write_export,
+    read_bracketed, read_export, write_bracketed, write_conll, write_export,
     write_json_corpus)
 from hodt.trees import PRETERMINAL, CTree, Sentence, Token, strip_unaries
 from hodt.unary_recovery import (NULL_CLASS, _with_parents,
@@ -65,17 +69,34 @@ OUTPUTS = {
     'read_bracketed_cont': lambda: write_json_corpus(
         lexicalize(t, RIGHTMOST)
         for t in read_bracketed(write_bracketed(CONT))),
+    'direct_disc': lambda: write_conll(
+        encode_direct(ctree_to_dtree(strip_unaries(t))) for t in DISC),
+    'hn_disc': lambda: write_conll(encode_hn(t) for t in DISC),
+    'delta_cont': lambda: write_conll(
+        encode_delta(ctree_to_dtree(strip_unaries(t))) for t in CONT),
+    'rebuilt_disc': lambda: write_json_corpus(
+        dtree_to_ctree(ctree_to_dtree(t)) for t in DISC),
+    'check_disc': lambda: json.dumps(
+        [asdict(roundtrip_check(t)) for t in DISC]),
 }
 
 PINNED = {
     'bracketed_cont':
         'ccb93ad45f40c03e8b628653f1f2ab4b50558d0d86918dbfbe0f513f4ca7a858',
+    'check_disc':
+        'ad7860aca711512440663105a55dea12901fc19498d8e3e0e74e10de2d67ed9b',
+    'delta_cont':
+        '8430ccb3c8b6780b41d4f8175fd917d780a308491e867a8c1df766822ba1ab0f',
+    'direct_disc':
+        '6461ac2a364d4057d2917cb4a02d53ebbbd192ee6570d9857356cf47d04cb108',
     'export3_cont':
         '0f5f136c91c3c6a4d48b558f1c54fba2b87eebd725cdd1b7ef552ffb43d95f4f',
     'export3_disc':
         '310d564523217e09bda653e811c271514e8360486e2051f73ad8dfa487446228',
     'export4_disc':
         'b0c6c074c90b17cb48930b71de6ad7fb6da85939b7abe863a9c93f58c6cbcc93',
+    'hn_disc':
+        '36e86f1384877c2c4621a6fcc8eadd4755b91662f364a71523455cbdcb67164a',
     'json_cont':
         '78fccc00e52ae36ab162224554a86b4dff9bd00d9b410b6727cfcdfe8732f4c9',
     'json_disc':
@@ -86,6 +107,8 @@ PINNED = {
         'cc867a5b62d93e57d4c44d010d0dd49ab9c2e7b71efa0329a36692ca6c9f9144',
     'read_export4_disc':
         'aa2fc2a6e36fcd6536c497ee29be57938776768245a517e8d9411c102929632d',
+    'rebuilt_disc':
+        'd58522f4d9c2bfcb4488999ec6ea30d2ba9e0f022d78c2503edf466efb34f95d',
     'unary_disc':
         '9551f99ee471249dcabb7fa861001b2a166431c2b97387b086c4698ea6e463ea',
     'unary_toy':

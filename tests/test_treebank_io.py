@@ -161,7 +161,7 @@ def _sniff_by_lines(text):
         if stripped.startswith('('):
             return 'bracketed'
         cols = stripped.split('\t')
-        if len(cols) >= 10 and cols[0].isdigit():
+        if len(cols) >= 2 and cols[0].isdigit():
             return 'conll'
         return 'tagged'
     return None

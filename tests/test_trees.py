@@ -1,11 +1,14 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from hodt.corpus_gen import GenConfig, enumerate_ctrees, gen_ctree
 from hodt.reduction import ctree_to_dtree
-from hodt.trees import (CTree, DTree, head_outward, is_continuous,
-                        is_nested, is_projective, iter_nodes, preterminal,
-                        proper, spine, strip_unaries, validate)
+from hodt.trees import (PROPER, CNode, CTree, DTree, RawNode, Token,
+                        head_outward, is_continuous, is_nested,
+                        is_projective, iter_nodes, preterminal, proper,
+                        spine, strip_unaries, validate)
 
 from conftest import make_sentence
 
@@ -240,3 +243,71 @@ def test_head_outward_orders_each_side_from_the_head():
     assert head_outward(4, [7, 1, 5, 3, 9]) == ([3, 1], [5, 7, 9])
     assert head_outward(1, (2,)) == ([], [2])
     assert head_outward(3, {}) == ([], [])
+
+
+# each record and the name of a field of it
+RECORDS = {
+    'token': (lambda: Token(2, 'dog', 'N', 'dog', 'Sg'), 'form'),
+    'raw_node': (lambda: RawNode('NP', (Token(1, 'the', 'D'),
+                                        Token(2, 'dog', 'N'))), 'label'),
+    'cnode': (lambda: proper('NP', 2, (preterminal('D', 1),
+                                       preterminal('N', 2))), 'label'),
+}
+
+
+@pytest.mark.parametrize('kind', sorted(RECORDS))
+def test_records_are_immutable(kind):
+    make, field = RECORDS[kind]
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, 'X')
+    assert record == make()
+
+
+@pytest.mark.parametrize('kind', sorted(RECORDS))
+def test_records_of_equal_fields_are_equal_and_hash_equal(kind):
+    make, _ = RECORDS[kind]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize('kind', sorted(RECORDS))
+def test_replace_gives_a_new_record(kind):
+    make, field = RECORDS[kind]
+    record = make()
+    changed = record._replace(**{field: 'other'})
+    assert type(changed) is type(record)
+    assert getattr(changed, field) == 'other'
+    assert changed._replace(**{field: getattr(record, field)}) == record
+    assert record == make()
+
+
+@pytest.mark.parametrize('kind', sorted(RECORDS))
+def test_records_round_trip_through_pickle(kind):
+    make, _ = RECORDS[kind]
+    copy = pickle.loads(pickle.dumps(make()))
+    assert copy == make() and type(copy) is type(make())
+
+
+def test_record_fields_in_order_with_token_defaults():
+    tok = Token(1, 'a', 'A')
+    assert (tok.position, tok.form, tok.pos, tok.lemma, tok.morph) == (
+        1, 'a', 'A', None, None)
+    assert tok == Token(1, 'a', 'A', None, None)
+    raw = RawNode('X', (tok,))
+    assert (raw.label, raw.children) == ('X', (tok,))
+    node = CNode('A', 1, frozenset((1,)), (), 'preterminal')
+    assert (node.label, node.head, node.positions, node.children,
+            node.kind) == ('A', 1, frozenset((1,)), (), 'preterminal')
+    assert node == preterminal('A', 1)
+
+
+def test_proper_orders_head_first_children_by_first_position():
+    # dtree_to_ctree passes the head child first
+    node = proper('X', 2, [preterminal('B', 2), preterminal('A', 1)])
+    assert [c.label for c in node.children] == ['A', 'B']
+    assert node.positions == frozenset((1, 2))
+    assert node == CNode('X', 2, frozenset((1, 2)),
+                         (preterminal('A', 1), preterminal('B', 2)), PROPER)
